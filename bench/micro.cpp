@@ -44,6 +44,7 @@ void BM_BchEncode(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.encode(msg));
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BchEncode)->Arg(5)->Arg(6)->Arg(8);
 
@@ -56,6 +57,7 @@ void BM_BchDecodeTErrors(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.decode(received));
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BchDecodeTErrors)->Arg(5)->Arg(6)->Arg(8);
 
@@ -67,8 +69,24 @@ void BM_DistillerFit(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(distiller::fit(g, freqs, static_cast<int>(state.range(0))));
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DistillerFit)->Arg(2)->Arg(3);
+
+void BM_DistillerResiduals(benchmark::State& state) {
+    // The per-probe subtraction: every key regeneration removes the (possibly
+    // manipulated) helper surface from a fresh frequency map.
+    const sim::ArrayGeometry g{16, 32};
+    const sim::RoArray chip(g, sim::ProcessParams{}, 3);
+    rng::Xoshiro256pp rng(4);
+    const auto freqs = chip.enroll_frequencies(sim::Condition{}, 4, rng);
+    const auto surface = distiller::fit(g, freqs, static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(distiller::residuals(g, freqs, surface));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DistillerResiduals)->Arg(2)->Arg(3);
 
 void BM_Grouping(benchmark::State& state) {
     rng::Xoshiro256pp rng(5);

@@ -56,7 +56,6 @@ CampaignSummary CampaignRunner::run(std::string_view scenario_name,
     std::exception_ptr first_error;
 
     const auto worker_loop = [&] {
-        if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("worker");
         for (;;) {
             const int t = next_trial.fetch_add(1, std::memory_order_relaxed);
             if (t >= trials) return;
@@ -100,7 +99,14 @@ CampaignSummary CampaignRunner::run(std::string_view scenario_name,
     } else {
         std::vector<std::thread> pool;
         pool.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
+        // Only spawned threads are named: the 1-worker path runs on the
+        // caller's thread, which keeps its own track name.
+        for (int w = 0; w < workers; ++w) {
+            pool.emplace_back([&] {
+                if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("worker");
+                worker_loop();
+            });
+        }
         for (auto& thread : pool) thread.join();
     }
     const auto t1 = std::chrono::steady_clock::now();

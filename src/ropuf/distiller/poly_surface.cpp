@@ -17,6 +17,30 @@ int coefficient_index(int i, int j) {
     return i * (i + 1) / 2 + j;
 }
 
+PowerTable::PowerTable(const sim::ArrayGeometry& g, int degree)
+    : cols_(static_cast<std::size_t>(g.cols)), rows_(static_cast<std::size_t>(g.rows)),
+      degree_(degree), x_(static_cast<std::size_t>(degree + 1) * cols_),
+      y_(static_cast<std::size_t>(degree + 1) * rows_) {
+    assert(degree >= 0);
+    for (std::size_t e = 0; e <= static_cast<std::size_t>(degree); ++e) {
+        for (std::size_t c = 0; c < cols_; ++c) {
+            x_[e * cols_ + c] = std::pow(static_cast<double>(c), static_cast<int>(e));
+        }
+        for (std::size_t r = 0; r < rows_; ++r) {
+            y_[e * rows_ + r] = std::pow(static_cast<double>(r), static_cast<int>(e));
+        }
+    }
+}
+
+const PowerTable& PowerTable::for_geometry(const sim::ArrayGeometry& g, int degree) {
+    thread_local PowerTable cached;
+    if (cached.cols_ != static_cast<std::size_t>(g.cols) ||
+        cached.rows_ != static_cast<std::size_t>(g.rows) || cached.degree_ < degree) {
+        cached = PowerTable(g, degree);
+    }
+    return cached;
+}
+
 PolySurface::PolySurface(int degree)
     : degree_(degree), beta_(static_cast<std::size_t>(coefficient_count(degree)), 0.0) {}
 
@@ -39,9 +63,24 @@ double PolySurface::operator()(double x, double y) const {
 }
 
 std::vector<double> PolySurface::evaluate_grid(const sim::ArrayGeometry& g) const {
-    std::vector<double> out(static_cast<std::size_t>(g.count()));
-    for (int idx = 0; idx < g.count(); ++idx) {
-        out[static_cast<std::size_t>(idx)] = (*this)(g.x_of(idx), g.y_of(idx));
+    // Term-outer order: every cell still accumulates its terms in operator()'s
+    // (i, j) order, each as (beta * x^(i-j)) * y^j from the same pow values,
+    // so the sums are bitwise equal while the inner loop runs along a row.
+    const PowerTable& pw = PowerTable::for_geometry(g, degree_);
+    const auto cols = static_cast<std::size_t>(g.cols);
+    std::vector<double> out(static_cast<std::size_t>(g.count()), 0.0);
+    std::size_t k = 0;
+    for (int i = 0; i <= degree_; ++i) {
+        for (int j = 0; j <= i; ++j, ++k) {
+            const double b = beta_[k];
+            const double* xa = pw.x_pow(i - j);
+            const double* yb = pw.y_pow(j);
+            for (int y = 0; y < g.rows; ++y) {
+                double* row = out.data() + static_cast<std::size_t>(y) * cols;
+                const double yv = yb[y];
+                for (std::size_t x = 0; x < cols; ++x) row[x] += b * xa[x] * yv;
+            }
+        }
     }
     return out;
 }

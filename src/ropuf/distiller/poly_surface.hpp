@@ -20,6 +20,33 @@ int coefficient_count(int degree);
 /// Flat index of beta_{i,j} within the coefficient vector.
 int coefficient_index(int i, int j);
 
+/// std::pow(c, e) for every column c and row r of an array geometry, e from
+/// 0 to a maximum degree: every power a grid evaluation or a fit's design
+/// row needs. Holding the exact std::pow values keeps table-driven results
+/// bitwise equal to per-point PolySurface::operator() evaluation.
+class PowerTable {
+public:
+    PowerTable() = default;
+    PowerTable(const sim::ArrayGeometry& g, int degree);
+
+    /// The calling thread's table covering (g, degree); rebuilt only when the
+    /// geometry changes or a larger degree is asked for. The reference stays
+    /// valid until the next for_geometry call on the same thread.
+    static const PowerTable& for_geometry(const sim::ArrayGeometry& g, int degree);
+
+    /// c^e for c = 0 .. cols-1.
+    const double* x_pow(int e) const { return x_.data() + static_cast<std::size_t>(e) * cols_; }
+    /// r^e for r = 0 .. rows-1.
+    const double* y_pow(int e) const { return y_.data() + static_cast<std::size_t>(e) * rows_; }
+
+private:
+    std::size_t cols_ = 0;
+    std::size_t rows_ = 0;
+    int degree_ = -1;
+    std::vector<double> x_; // [degree+1][cols]
+    std::vector<double> y_; // [degree+1][rows]
+};
+
 /// A polynomial surface of fixed degree with dense coefficients.
 class PolySurface {
 public:
@@ -35,7 +62,8 @@ public:
 
     double operator()(double x, double y) const;
 
-    /// Evaluates the surface at every cell of an array, row-major.
+    /// Evaluates the surface at every cell of an array, row-major. Bitwise
+    /// equal to operator() at each (x_of(i), y_of(i)).
     std::vector<double> evaluate_grid(const sim::ArrayGeometry& g) const;
 
     /// Pointwise sum / difference (degrees are promoted to the larger one).

@@ -43,16 +43,12 @@ std::vector<double> solve_dense(std::vector<std::vector<double>> a, std::vector<
     return x;
 }
 
-/// Design-matrix row: the monomial values [x^{i-j} y^j] at one grid point.
-std::vector<double> monomials(int degree, double x, double y) {
-    std::vector<double> row(static_cast<std::size_t>(coefficient_count(degree)));
+/// Design-matrix row: the monomial values [x^{i-j} y^j] at grid cell (x, y).
+void monomials(const PowerTable& pw, int degree, int x, int y, std::vector<double>& row) {
+    std::size_t k = 0;
     for (int i = 0; i <= degree; ++i) {
-        for (int j = 0; j <= i; ++j) {
-            row[static_cast<std::size_t>(coefficient_index(i, j))] =
-                std::pow(x, i - j) * std::pow(y, j);
-        }
+        for (int j = 0; j <= i; ++j, ++k) row[k] = pw.x_pow(i - j)[x] * pw.y_pow(j)[y];
     }
-    return row;
 }
 
 } // namespace
@@ -67,8 +63,10 @@ PolySurface fit(const sim::ArrayGeometry& g, std::span<const double> freqs, int 
     std::vector<std::vector<double>> mtm(static_cast<std::size_t>(nc),
                                          std::vector<double>(static_cast<std::size_t>(nc), 0.0));
     std::vector<double> mtf(static_cast<std::size_t>(nc), 0.0);
+    const PowerTable& pw = PowerTable::for_geometry(g, degree);
+    std::vector<double> row(static_cast<std::size_t>(nc));
     for (int idx = 0; idx < g.count(); ++idx) {
-        const auto row = monomials(degree, g.x_of(idx), g.y_of(idx));
+        monomials(pw, degree, g.x_of(idx), g.y_of(idx), row);
         const double f = freqs[static_cast<std::size_t>(idx)];
         for (int a = 0; a < nc; ++a) {
             mtf[static_cast<std::size_t>(a)] += row[static_cast<std::size_t>(a)] * f;
@@ -90,11 +88,8 @@ PolySurface fit(const sim::ArrayGeometry& g, std::span<const double> freqs, int 
 std::vector<double> residuals(const sim::ArrayGeometry& g, std::span<const double> freqs,
                               const PolySurface& surface) {
     assert(static_cast<int>(freqs.size()) == g.count());
-    std::vector<double> out(freqs.size());
-    for (int idx = 0; idx < g.count(); ++idx) {
-        out[static_cast<std::size_t>(idx)] =
-            freqs[static_cast<std::size_t>(idx)] - surface(g.x_of(idx), g.y_of(idx));
-    }
+    std::vector<double> out = surface.evaluate_grid(g);
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = freqs[i] - out[i];
     return out;
 }
 

@@ -1,6 +1,7 @@
 #include "ropuf/ecc/bch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <set>
 #include <stdexcept>
@@ -10,6 +11,11 @@
 namespace ropuf::ecc {
 
 namespace {
+
+// Gf2m caps m at 14, so n < 2^14: a packed word fits 2 KiB and the n-k
+// parity bits fit 256 u64 words.
+constexpr std::size_t kMaxPackedBytes = 2048;
+constexpr std::size_t kMaxParityWords = 256;
 
 /// Multiplies two GF(2) polynomials (index i = coeff of x^i).
 std::vector<std::uint8_t> gf2_poly_mul(const std::vector<std::uint8_t>& a,
@@ -67,6 +73,12 @@ BchCode::BchCode(int m, int t) : field_(m), n_(field_.n()), t_(t) {
     k_ = n_ - deg;
     if (k_ < 1) {
         throw std::invalid_argument("BCH(m,t): generator degree leaves no message bits");
+    }
+    feedback_words_.assign((static_cast<std::size_t>(deg) + 63) / 64, 0);
+    for (int d = 0; d < deg; ++d) {
+        if (generator_[static_cast<std::size_t>(d)]) {
+            feedback_words_[static_cast<std::size_t>(d) / 64] |= std::uint64_t{1} << (d % 64);
+        }
     }
     build_horner_tables();
 }
@@ -142,98 +154,137 @@ bits::BitVec BchCode::encode(const bits::BitVec& message) const {
 bits::BitVec BchCode::parity(const bits::BitVec& message) const {
     assert(static_cast<int>(message.size()) == k_);
     // Systematic encoding: remainder of m(x) * x^(n-k) divided by g(x).
-    // Work MSB-first: rem holds the running remainder of length n-k.
     // Premultiplied LFSR division circuit: clocking in the k message bits
-    // leaves rem = m(x) * x^(n-k) mod g(x).
+    // MSB-first leaves the register = m(x) * x^(n-k) mod g(x). The register
+    // is the remainder as an (n-k)-bit integer (bit d = coeff of x^d) in
+    // little-endian u64 words, so one clock is a word-wise shift and XOR.
     const int p = parity_bits();
-    bits::BitVec rem(static_cast<std::size_t>(p), 0);
+    const std::size_t words = feedback_words_.size();
+    const int top = (p - 1) % 64; // bit of x^(n-k-1) within the last word
+    const std::uint64_t top_mask = top == 63 ? ~std::uint64_t{0}
+                                             : (std::uint64_t{1} << (top + 1)) - 1;
+    std::array<std::uint64_t, kMaxParityWords> reg{};
     for (int i = 0; i < k_; ++i) {
-        const std::uint8_t in = message[static_cast<std::size_t>(i)];
-        const std::uint8_t feedback = static_cast<std::uint8_t>(rem[0] ^ in);
-        // Shift left by one, feeding back g(x) when the top bit pops out.
-        for (int j = 0; j < p - 1; ++j) {
-            rem[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
-                rem[static_cast<std::size_t>(j + 1)] ^
-                (feedback & generator_[static_cast<std::size_t>(p - 1 - j)]));
-        }
-        rem[static_cast<std::size_t>(p - 1)] =
-            static_cast<std::uint8_t>(feedback & generator_[0]);
+        const std::uint64_t feedback =
+            ((reg[words - 1] >> top) ^ message[static_cast<std::size_t>(i)]) & 1u;
+        // Shift left by one; the popped top bit is masked off below, and the
+        // taps of g(x) are fed back when it differs from the input bit.
+        for (std::size_t w = words - 1; w > 0; --w) reg[w] = (reg[w] << 1) | (reg[w - 1] >> 63);
+        reg[0] <<= 1;
+        const std::uint64_t taps = std::uint64_t{0} - feedback;
+        for (std::size_t w = 0; w < words; ++w) reg[w] ^= feedback_words_[w] & taps;
+        reg[words - 1] &= top_mask;
+    }
+    bits::BitVec rem(static_cast<std::size_t>(p));
+    for (int j = 0; j < p; ++j) {
+        const int d = p - 1 - j;
+        rem[static_cast<std::size_t>(j)] =
+            static_cast<std::uint8_t>((reg[static_cast<std::size_t>(d / 64)] >> (d % 64)) & 1u);
     }
     return rem;
 }
 
-std::optional<std::vector<int>> BchCode::syndromes(const bits::BitVec& received) const {
+bool BchCode::syndromes(const bits::BitVec& received, int* s) const {
     assert(static_cast<int>(received.size()) == n_);
     // Byte-wise table-driven Horner through the simd kernel layer: 8 bits per
-    // GF(2^m) step instead of one table lookup per set bit.
-    const auto bytes = bits::pack_bytes(received);
-    std::vector<int> s(static_cast<std::size_t>(2 * t_), 0);
+    // GF(2^m) step instead of one table lookup per set bit. The word is
+    // packed MSB-first (final byte zero-padded) into a stack buffer.
+    std::array<std::uint8_t, kMaxPackedBytes> bytes{};
+    for (std::size_t i = 0; i < received.size(); ++i) {
+        if (received[i]) bytes[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+    }
     ROPUF_OBS_COUNT("simd.calls.bch_syndromes", 1);
-    simd::kernels().bch_syndromes(bytes.data(), bytes.size(), horner_view(), s.data());
+    simd::kernels().bch_syndromes(bytes.data(), (received.size() + 7) / 8, horner_view(), s);
     bool any = false;
-    for (const int v : s) any |= (v != 0);
-    if (!any) return std::nullopt;
-    return s;
+    for (int j = 0; j < 2 * t_; ++j) any |= (s[j] != 0);
+    return any;
 }
 
 BchCode::DecodeResult BchCode::decode(const bits::BitVec& received) const {
     assert(static_cast<int>(received.size()) == n_);
-    const auto synd = syndromes(received);
-    if (!synd) return {true, received, 0};
-    const std::vector<int>& s = *synd;
+    // Fixed-capacity scratch for the whole decode: the 2t syndromes, then
+    // three polynomial buffers of capacity 2t+1 (no Berlekamp–Massey
+    // iterate exceeds degree 2t), all zeroed. Small t stays on the stack.
+    const int ns = 2 * t_;
+    const int cap = ns + 1;
+    const std::size_t need = static_cast<std::size_t>(ns + 3 * cap);
+    std::array<int, 256> stack_buf{};
+    std::vector<int> heap_buf;
+    if (need > stack_buf.size()) heap_buf.resize(need);
+    int* const s = heap_buf.empty() ? stack_buf.data() : heap_buf.data();
+    if (!syndromes(received, s)) return {true, received, 0};
 
     // Berlekamp–Massey: find the error-locator polynomial sigma(x) with
     // sigma(0) = 1 whose feedback taps annihilate the syndrome sequence.
-    std::vector<int> sigma{1};     // current locator
-    std::vector<int> prev{1};     // locator before the last length change
+    // sigma is updated in place and kept zero beyond sigma_len; prev and
+    // spare swap roles at each length change.
+    int* const sigma = s + ns;    // current locator, coeff i of x^i
+    int* prev = sigma + cap;      // locator before the last length change
+    int* spare = prev + cap;
+    sigma[0] = 1;
+    prev[0] = 1;
+    int sigma_len = 1;
+    int prev_len = 1;
     int l = 0;                     // current LFSR length
     int shift = 1;                 // steps since the last length change
     int prev_discrepancy = 1;      // discrepancy at the last length change
-    for (int r = 0; r < 2 * t_; ++r) {
+    for (int r = 0; r < ns; ++r) {
         // Discrepancy d = S_r + sum_i sigma_i * S_{r-i}.
-        int d = s[static_cast<std::size_t>(r)];
-        for (int i = 1; i <= l && i <= r; ++i) {
-            if (static_cast<std::size_t>(i) < sigma.size()) {
-                d ^= field_.mul(sigma[static_cast<std::size_t>(i)],
-                                s[static_cast<std::size_t>(r - i)]);
-            }
-        }
+        int d = s[r];
+        for (int i = 1; i <= l && i <= r; ++i) d ^= field_.mul(sigma[i], s[r - i]);
         if (d == 0) {
             ++shift;
             continue;
         }
         // sigma' = sigma - (d/prev_d) * x^shift * prev
-        std::vector<int> next = sigma;
+        const bool length_change = 2 * l <= r;
+        if (length_change) std::copy_n(sigma, sigma_len, spare);
         const int scale = field_.div(d, prev_discrepancy);
-        if (next.size() < prev.size() + static_cast<std::size_t>(shift)) {
-            next.resize(prev.size() + static_cast<std::size_t>(shift), 0);
-        }
-        for (std::size_t i = 0; i < prev.size(); ++i) {
-            next[i + static_cast<std::size_t>(shift)] ^= field_.mul(scale, prev[i]);
-        }
-        if (2 * l <= r) {
-            prev = sigma;
+        for (int i = 0; i < prev_len; ++i) sigma[i + shift] ^= field_.mul(scale, prev[i]);
+        const int old_len = sigma_len;
+        sigma_len = std::max(sigma_len, prev_len + shift);
+        assert(sigma_len <= cap);
+        if (length_change) {
+            std::swap(prev, spare);
+            prev_len = old_len;
             prev_discrepancy = d;
             l = r + 1 - l;
             shift = 1;
         } else {
             ++shift;
         }
-        sigma = std::move(next);
     }
     // Trim trailing zeros to get the true degree.
-    while (sigma.size() > 1 && sigma.back() == 0) sigma.pop_back();
-    const int degree = static_cast<int>(sigma.size()) - 1;
+    while (sigma_len > 1 && sigma[sigma_len - 1] == 0) --sigma_len;
+    const int degree = sigma_len - 1;
     if (degree > t_ || degree != l) {
         return {false, received, 0};
     }
 
-    // Chien search: roots alpha^(-e) of sigma locate errors at x^e.
+    // Chien search: roots alpha^(-e) of sigma locate errors at x^e. Term i
+    // of sigma(alpha^(-e)) is alpha^(log sigma_i - i*e), so each nonzero
+    // term's log steps by -i per position. A degree-d locator has at most d
+    // roots, so the search stops at the d-th.
+    int* const term_log = prev;
+    int* const term_step = spare;
+    int terms = 0;
+    for (int i = 1; i <= degree; ++i) {
+        if (sigma[i] == 0) continue;
+        term_log[terms] = field_.log(sigma[i]);
+        term_step[terms] = i;
+        ++terms;
+    }
+    const int* const exp = field_.exp_table().data();
     bits::BitVec corrected = received;
     int found = 0;
-    for (int e = 0; e < n_; ++e) {
-        const int x = field_.alpha_pow(((n_ - e) % n_));
-        if (field_.eval_poly(sigma, x) == 0) {
+    for (int e = 0; e < n_ && found < degree; ++e) {
+        int value = sigma[0];
+        for (int j = 0; j < terms; ++j) {
+            value ^= exp[term_log[j]];
+            term_log[j] -= term_step[j];
+            if (term_log[j] < 0) term_log[j] += n_;
+        }
+        if (value == 0) {
             const int bit_index = n_ - 1 - e;
             corrected[static_cast<std::size_t>(bit_index)] ^= 1u;
             ++found;
@@ -243,7 +294,7 @@ BchCode::DecodeResult BchCode::decode(const bits::BitVec& received) const {
         return {false, received, 0};
     }
     // A valid correction must restore a codeword.
-    if (!is_codeword(corrected)) {
+    if (syndromes(corrected, s)) {
         return {false, received, 0};
     }
     return {true, corrected, found};
@@ -255,7 +306,8 @@ bits::BitVec BchCode::message_of(const bits::BitVec& codeword) const {
 }
 
 bool BchCode::is_codeword(const bits::BitVec& word) const {
-    return !syndromes(word).has_value();
+    std::vector<int> s(static_cast<std::size_t>(2 * t_));
+    return !syndromes(word, s.data());
 }
 
 } // namespace ropuf::ecc

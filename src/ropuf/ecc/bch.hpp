@@ -11,7 +11,6 @@
 // n-k bits are parity.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
@@ -68,8 +67,9 @@ public:
     simd::BchHornerView horner_view() const;
 
 private:
-    /// Syndromes S_1..S_2t of the received word; nullopt when all zero.
-    std::optional<std::vector<int>> syndromes(const bits::BitVec& received) const;
+    /// Writes syndromes S_1..S_2t of the received word to s[0..2t); returns
+    /// false when all are zero.
+    bool syndromes(const bits::BitVec& received, int* s) const;
 
     /// Builds the byte-wise Horner tables the syndrome kernel consumes.
     void build_horner_tables();
@@ -79,6 +79,9 @@ private:
     int t_;
     int k_;
     std::vector<std::uint8_t> generator_; // GF(2) coefficients, degree n-k
+    // Generator without its leading term as a (n-k)-bit integer, bit d =
+    // coeff of x^d, little-endian u64 words: the parity LFSR's feedback taps.
+    std::vector<std::uint64_t> feedback_words_;
 
     // Syndrome kernel tables (see build_horner_tables for the math).
     std::vector<std::uint16_t> horner_byte_tbl_;  // [2t][256]

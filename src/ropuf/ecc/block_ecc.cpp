@@ -1,5 +1,6 @@
 #include "ropuf/ecc/block_ecc.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ropuf::ecc {
@@ -29,15 +30,16 @@ BlockEccHelper BlockEcc::enroll(const bits::BitVec& reference) const {
     BlockEccHelper helper;
     helper.response_bits = total;
     helper.parity.reserve(static_cast<std::size_t>(helper_bits(total)));
+    // Shortened code: the message is zero-padded up to k bits; the zero
+    // prefix is virtual and never transmitted or corrupted. One buffer holds
+    // every block's message.
+    bits::BitVec message(static_cast<std::size_t>(k));
     const int blocks = block_count(total);
     for (int b = 0; b < blocks; ++b) {
         const int len = block_data_bits(total, b);
-        // Shortened code: the message is zero-padded up to k bits; the zero
-        // prefix is virtual and never transmitted or corrupted.
-        bits::BitVec message = bits::zeros(static_cast<std::size_t>(k - len));
-        const auto data = bits::slice(reference, static_cast<std::size_t>(b * k),
-                                      static_cast<std::size_t>(len));
-        message.insert(message.end(), data.begin(), data.end());
+        const auto data = reference.begin() + static_cast<std::ptrdiff_t>(b) * k;
+        std::fill_n(message.begin(), k - len, std::uint8_t{0});
+        std::copy_n(data, len, message.begin() + (k - len));
         const auto parity = code_->parity(message);
         helper.parity.insert(helper.parity.end(), parity.begin(), parity.end());
     }
@@ -54,41 +56,31 @@ BlockEcc::Result BlockEcc::reconstruct(const bits::BitVec& noisy,
     Result out;
     out.value.reserve(static_cast<std::size_t>(total));
     out.ok = true;
+    // Each block's received word [virtual zeros | data | parity] is assembled
+    // in one reused buffer.
+    bits::BitVec word(static_cast<std::size_t>(code_->n()));
     const int blocks = block_count(total);
     for (int b = 0; b < blocks; ++b) {
         const int len = block_data_bits(total, b);
-        bits::BitVec word = bits::zeros(static_cast<std::size_t>(k - len));
-        const auto data = bits::slice(noisy, static_cast<std::size_t>(b * k),
-                                      static_cast<std::size_t>(len));
-        word.insert(word.end(), data.begin(), data.end());
-        const auto parity = bits::slice(helper.parity, static_cast<std::size_t>(b * p),
-                                        static_cast<std::size_t>(p));
-        word.insert(word.end(), parity.begin(), parity.end());
+        const auto data = noisy.begin() + static_cast<std::ptrdiff_t>(b) * k;
+        std::fill_n(word.begin(), k - len, std::uint8_t{0});
+        std::copy_n(data, len, word.begin() + (k - len));
+        std::copy_n(helper.parity.begin() + static_cast<std::ptrdiff_t>(b) * p, p,
+                    word.begin() + k);
         const auto result = code_->decode(word);
-        if (!result.ok) {
+        // A decoder that "corrects" a virtual (shortened) zero position has
+        // actually miscorrected; flag it as a failure.
+        const auto first = result.codeword.begin();
+        const auto is_set = [](std::uint8_t v) { return v != 0; };
+        if (!result.ok || std::any_of(first, first + (k - len), is_set)) {
             out.ok = false;
             ++out.failed_blocks;
             // Keep the noisy bits so the caller still gets a length-correct value.
-            out.value.insert(out.value.end(), data.begin(), data.end());
-            continue;
-        }
-        // A decoder that "corrects" a virtual (shortened) zero position has
-        // actually miscorrected; flag it as a failure.
-        const auto corrected_data =
-            bits::slice(result.codeword, static_cast<std::size_t>(k - len),
-                        static_cast<std::size_t>(len));
-        bool virtual_flip = false;
-        for (int i = 0; i < k - len; ++i) {
-            if (result.codeword[static_cast<std::size_t>(i)]) virtual_flip = true;
-        }
-        if (virtual_flip) {
-            out.ok = false;
-            ++out.failed_blocks;
-            out.value.insert(out.value.end(), data.begin(), data.end());
+            out.value.insert(out.value.end(), data, data + len);
             continue;
         }
         out.corrected += result.corrected;
-        out.value.insert(out.value.end(), corrected_data.begin(), corrected_data.end());
+        out.value.insert(out.value.end(), first + (k - len), first + k);
     }
     return out;
 }

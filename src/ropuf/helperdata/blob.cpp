@@ -1,88 +1,33 @@
 #include "ropuf/helperdata/blob.hpp"
 
-#include <cstring>
-
 namespace ropuf::helperdata {
-
-void BlobWriter::put_u8(std::uint8_t v) { bytes_.push_back(v); }
-
-void BlobWriter::put_u16(std::uint16_t v) {
-    bytes_.push_back(static_cast<std::uint8_t>(v));
-    bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void BlobWriter::put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void BlobWriter::put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void BlobWriter::put_f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(bits);
-}
 
 void BlobWriter::put_bits(const bits::BitVec& v) {
     put_u32(static_cast<std::uint32_t>(v.size()));
-    const auto packed = bits::pack_bytes(v);
-    bytes_.insert(bytes_.end(), packed.begin(), packed.end());
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + (v.size() + 7) / 8, 0);
+    std::uint8_t* const out = bytes_.data() + at;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (v[i]) out[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+    }
 }
 
 void BlobWriter::put_bytes(std::span<const std::uint8_t> b) {
     bytes_.insert(bytes_.end(), b.begin(), b.end());
 }
 
-void BlobReader::need(std::size_t n) const {
-    if (remaining() < n) throw ParseError("helper blob truncated");
-}
-
-std::uint8_t BlobReader::get_u8() {
-    need(1);
-    return bytes_[cursor_++];
-}
-
-std::uint16_t BlobReader::get_u16() {
-    need(2);
-    const std::uint16_t v = static_cast<std::uint16_t>(bytes_[cursor_]) |
-                            static_cast<std::uint16_t>(bytes_[cursor_ + 1]) << 8;
-    cursor_ += 2;
-    return v;
-}
-
-std::uint32_t BlobReader::get_u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[cursor_ + static_cast<std::size_t>(i)]) << (8 * i);
-    cursor_ += 4;
-    return v;
-}
-
-std::uint64_t BlobReader::get_u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[cursor_ + static_cast<std::size_t>(i)]) << (8 * i);
-    cursor_ += 8;
-    return v;
-}
-
-double BlobReader::get_f64() {
-    const std::uint64_t bits = get_u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
+void BlobReader::throw_truncated() { throw ParseError("helper blob truncated"); }
 
 bits::BitVec BlobReader::get_bits() {
     const std::uint32_t nbits = get_u32();
-    const std::size_t nbytes = (nbits + 7) / 8;
+    // size_t arithmetic: in u32, counts near 2^32 would wrap to 0 bytes.
+    const std::size_t nbytes = (static_cast<std::size_t>(nbits) + 7) / 8;
     need(nbytes);
-    const auto raw = bytes_.subspan(cursor_, nbytes);
+    const std::uint8_t* const in = bytes_.data() + cursor_;
     cursor_ += nbytes;
-    return bits::unpack_bytes(raw, nbits);
+    bits::BitVec v(nbits);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = (in[i / 8] >> (7 - i % 8)) & 1u;
+    return v;
 }
 
 std::vector<std::uint8_t> BlobReader::get_bytes(std::size_t n) {

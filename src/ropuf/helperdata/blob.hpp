@@ -8,6 +8,7 @@
 // byte- and bit-level manipulation alongside structured serialization.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -29,12 +30,13 @@ public:
 /// Append-only binary writer with fixed-width little-endian encodings.
 class BlobWriter {
 public:
-    void put_u8(std::uint8_t v);
-    void put_u16(std::uint16_t v);
-    void put_u32(std::uint32_t v);
-    void put_u64(std::uint64_t v);
-    void put_f64(double v);
-    /// Length-prefixed bit vector (u32 bit count + packed bytes).
+    void put_u8(std::uint8_t v) { bytes_.push_back(v); }
+    void put_u16(std::uint16_t v) { put_le(v, 2); }
+    void put_u32(std::uint32_t v) { put_le(v, 4); }
+    void put_u64(std::uint64_t v) { put_le(v, 8); }
+    void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
+    /// Length-prefixed bit vector (u32 bit count + bytes packed MSB-first,
+    /// final byte zero-padded).
     void put_bits(const bits::BitVec& v);
     void put_bytes(std::span<const std::uint8_t> bytes);
 
@@ -42,6 +44,14 @@ public:
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
 private:
+    void put_le(std::uint64_t v, std::size_t width) {
+        const std::size_t at = bytes_.size();
+        bytes_.resize(at + width);
+        for (std::size_t i = 0; i < width; ++i) {
+            bytes_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+        }
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -50,11 +60,11 @@ class BlobReader {
 public:
     explicit BlobReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-    std::uint8_t get_u8();
-    std::uint16_t get_u16();
-    std::uint32_t get_u32();
-    std::uint64_t get_u64();
-    double get_f64();
+    std::uint8_t get_u8() { return static_cast<std::uint8_t>(get_le(1)); }
+    std::uint16_t get_u16() { return static_cast<std::uint16_t>(get_le(2)); }
+    std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_le(4)); }
+    std::uint64_t get_u64() { return get_le(8); }
+    double get_f64() { return std::bit_cast<double>(get_u64()); }
     bits::BitVec get_bits();
     std::vector<std::uint8_t> get_bytes(std::size_t n);
 
@@ -73,7 +83,20 @@ public:
     }
 
 private:
-    void need(std::size_t n) const;
+    void need(std::size_t n) const {
+        if (remaining() < n) [[unlikely]] throw_truncated();
+    }
+    [[noreturn]] static void throw_truncated();
+
+    std::uint64_t get_le(std::size_t width) {
+        need(width);
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < width; ++i) {
+            v |= static_cast<std::uint64_t>(bytes_[cursor_ + i]) << (8 * i);
+        }
+        cursor_ += width;
+        return v;
+    }
 
     std::span<const std::uint8_t> bytes_;
     std::size_t cursor_ = 0;

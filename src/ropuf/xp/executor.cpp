@@ -41,14 +41,43 @@ struct AttemptResult {
     core::JobError error;
 };
 
-/// Runs one attempt of one job on its own thread so the watchdog can
-/// abandon it. A timed-out thread is parked in `zombies` (joined before
-/// execute_plan returns — the injected job_hang is finite, and a genuinely
-/// wedged job then blocks exit instead of corrupting state); its late
-/// result lands in shared state nobody reads.
+/// Runs one attempt of one job on the calling thread and classifies any
+/// exception it throws.
+AttemptResult attempt_job(const core::CampaignRunner& runner, const std::string& scenario,
+                          const core::CampaignConfig& config, fi::Injector* injector,
+                          int job_index) {
+    AttemptResult result;
+    try {
+        if (injector != nullptr) {
+            // The per-job seam: job_throw fires here; job_hang sleeps
+            // here, squarely under the watchdog when one is armed.
+            const int hang_ms = injector->job_fault(job_index, config.fi_attempt);
+            if (hang_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
+        }
+        result.summary = runner.run(scenario, config);
+        result.ok = true;
+    } catch (const fi::InjectedFault& e) {
+        result.error = {core::JobErrorClass::injected_fault, e.what()};
+    } catch (const std::exception& e) {
+        result.error = {core::JobErrorClass::scenario_exception, e.what()};
+    } catch (...) {
+        result.error = {core::JobErrorClass::unknown, "non-standard exception escaped the job"};
+    }
+    return result;
+}
+
+/// Runs one attempt of one job. Without a watchdog it runs inline; with one
+/// it runs on its own thread so the watchdog can abandon it. A timed-out
+/// thread is parked in `zombies` (joined before execute_plan returns — the
+/// injected job_hang is finite, and a genuinely wedged job then blocks exit
+/// instead of corrupting state); its late result lands in shared state
+/// nobody reads.
 AttemptResult run_attempt(const core::CampaignRunner& runner, const Job& job,
                           const core::CampaignConfig& config, const RunOptions& options,
                           std::vector<std::thread>& zombies) {
+    if (options.job_timeout_ms <= 0.0) {
+        return attempt_job(runner, job.scenario, config, options.injector, job.index);
+    }
     struct Shared {
         std::mutex mutex;
         std::condition_variable cv;
@@ -56,42 +85,15 @@ AttemptResult run_attempt(const core::CampaignRunner& runner, const Job& job,
         AttemptResult result;
     };
     auto shared = std::make_shared<Shared>();
-    fi::Injector* injector = options.injector;
-    const int job_index = job.index;
-    const int attempt = config.fi_attempt;
-    const std::string scenario = job.scenario;
-
-    std::thread worker([shared, &runner, scenario, config, injector, job_index, attempt] {
-        AttemptResult result;
-        try {
-            if (injector != nullptr) {
-                // The per-job seam: job_throw fires here; job_hang sleeps
-                // here, squarely under the watchdog.
-                const int hang_ms = injector->job_fault(job_index, attempt);
-                if (hang_ms > 0) {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
-                }
-            }
-            result.summary = runner.run(scenario, config);
-            result.ok = true;
-        } catch (const fi::InjectedFault& e) {
-            result.error = {core::JobErrorClass::injected_fault, e.what()};
-        } catch (const std::exception& e) {
-            result.error = {core::JobErrorClass::scenario_exception, e.what()};
-        } catch (...) {
-            result.error = {core::JobErrorClass::unknown,
-                            "non-standard exception escaped the job"};
-        }
+    std::thread worker([shared, &runner, scenario = job.scenario, config,
+                        injector = options.injector, job_index = job.index] {
+        AttemptResult result = attempt_job(runner, scenario, config, injector, job_index);
         const std::lock_guard<std::mutex> lock(shared->mutex);
         shared->result = std::move(result);
         shared->done = true;
         shared->cv.notify_all();
     });
 
-    if (options.job_timeout_ms <= 0.0) {
-        worker.join();
-        return std::move(shared->result);
-    }
     std::unique_lock<std::mutex> lock(shared->mutex);
     const bool done =
         shared->cv.wait_for(lock,
@@ -106,7 +108,7 @@ AttemptResult run_attempt(const core::CampaignRunner& runner, const Job& job,
     zombies.push_back(std::move(worker));
     AttemptResult timed_out;
     timed_out.error = {core::JobErrorClass::timeout,
-                       "attempt " + std::to_string(attempt) + " exceeded the " +
+                       "attempt " + std::to_string(config.fi_attempt) + " exceeded the " +
                            std::to_string(options.job_timeout_ms) + " ms watchdog"};
     return timed_out;
 }

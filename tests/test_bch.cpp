@@ -4,6 +4,9 @@
 // cases shrunk to a minimal (message, error-set) counterexample.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "pt_util.hpp"
 #include "ropuf/bits/bitvec.hpp"
 #include "ropuf/ecc/bch.hpp"
@@ -14,6 +17,7 @@ namespace {
 
 namespace bits = ropuf::bits;
 using ropuf::ecc::BchCode;
+using ropuf::ecc::Gf2m;
 using ropuf::ecc::RepetitionCode;
 using ropuf::rng::Xoshiro256pp;
 
@@ -175,6 +179,176 @@ TEST(Bch, GeneratorDividesXnMinusOne) {
     }
     EXPECT_TRUE(code.is_codeword(shifted));
 }
+
+// ---------------------------------------------------------------------------
+// Bit-exact references. The codec's word-register parity, fixed-scratch
+// Berlekamp–Massey and log-stepping Chien search must reproduce these plain
+// formulations exactly — including which words fail and which miscorrect.
+
+/// Byte-per-bit LFSR division: one shift of the whole register per message
+/// bit, feeding back g(x) when the popped top bit differs from the input.
+bits::BitVec reference_parity(const BchCode& code, const bits::BitVec& message) {
+    const auto& g = code.generator();
+    const int p = code.parity_bits();
+    bits::BitVec rem(static_cast<std::size_t>(p), 0);
+    for (const std::uint8_t in : message) {
+        const auto feedback = static_cast<std::uint8_t>(rem[0] ^ in);
+        for (int j = 0; j < p - 1; ++j) {
+            rem[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
+                rem[static_cast<std::size_t>(j + 1)] ^
+                (feedback & g[static_cast<std::size_t>(p - 1 - j)]));
+        }
+        rem[static_cast<std::size_t>(p - 1)] = static_cast<std::uint8_t>(feedback & g[0]);
+    }
+    return rem;
+}
+
+/// S_j = r(alpha^j), j = 1..2t, bit i of the word the coefficient of x^(n-1-i).
+std::vector<int> reference_syndromes(const BchCode& code, const bits::BitVec& word) {
+    const Gf2m& f = code.field();
+    std::vector<int> s(static_cast<std::size_t>(2 * code.t()), 0);
+    for (int j = 1; j <= 2 * code.t(); ++j) {
+        for (int i = 0; i < code.n(); ++i) {
+            if (word[static_cast<std::size_t>(i)]) {
+                s[static_cast<std::size_t>(j - 1)] ^= f.alpha_pow(j * (code.n() - 1 - i));
+            }
+        }
+    }
+    return s;
+}
+
+/// Berlekamp–Massey with a fresh locator vector per update, then a Chien
+/// search that evaluates sigma by Horner (Gf2m::eval_poly) at every position.
+BchCode::DecodeResult reference_decode(const BchCode& code, const bits::BitVec& received) {
+    const Gf2m& f = code.field();
+    const int n = code.n();
+    const int t = code.t();
+    const auto s = reference_syndromes(code, received);
+    if (std::all_of(s.begin(), s.end(), [](int v) { return v == 0; })) {
+        return {true, received, 0};
+    }
+    std::vector<int> sigma{1};
+    std::vector<int> prev{1};
+    int l = 0;
+    int shift = 1;
+    int prev_discrepancy = 1;
+    for (int r = 0; r < 2 * t; ++r) {
+        int d = s[static_cast<std::size_t>(r)];
+        for (int i = 1; i <= l && i <= r; ++i) {
+            if (static_cast<std::size_t>(i) < sigma.size()) {
+                d ^= f.mul(sigma[static_cast<std::size_t>(i)], s[static_cast<std::size_t>(r - i)]);
+            }
+        }
+        if (d == 0) {
+            ++shift;
+            continue;
+        }
+        std::vector<int> next = sigma;
+        const int scale = f.div(d, prev_discrepancy);
+        if (next.size() < prev.size() + static_cast<std::size_t>(shift)) {
+            next.resize(prev.size() + static_cast<std::size_t>(shift), 0);
+        }
+        for (std::size_t i = 0; i < prev.size(); ++i) {
+            next[i + static_cast<std::size_t>(shift)] ^= f.mul(scale, prev[i]);
+        }
+        if (2 * l <= r) {
+            prev = sigma;
+            prev_discrepancy = d;
+            l = r + 1 - l;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+        sigma = std::move(next);
+    }
+    while (sigma.size() > 1 && sigma.back() == 0) sigma.pop_back();
+    const int degree = static_cast<int>(sigma.size()) - 1;
+    if (degree > t || degree != l) return {false, received, 0};
+    bits::BitVec corrected = received;
+    int found = 0;
+    for (int e = 0; e < n; ++e) {
+        if (f.eval_poly(sigma, f.alpha_pow((n - e) % n)) == 0) {
+            corrected[static_cast<std::size_t>(n - 1 - e)] ^= 1u;
+            ++found;
+        }
+    }
+    if (found != degree) return {false, received, 0};
+    const auto check = reference_syndromes(code, corrected);
+    if (!std::all_of(check.begin(), check.end(), [](int v) { return v == 0; })) {
+        return {false, received, 0};
+    }
+    return {true, corrected, found};
+}
+
+struct Outcomes {
+    int ok = 0;
+    int failed = 0;
+    int miscorrected = 0;
+};
+
+/// Encodes random messages, adds `errors` random flips and checks parity
+/// and the full DecodeResult against the references.
+void expect_matches_reference(const BchCode& code, int errors, int words, std::uint64_t seed,
+                              Outcomes& tally) {
+    Xoshiro256pp rng(seed);
+    for (int w = 0; w < words; ++w) {
+        const auto msg = bits::random_bits(static_cast<std::size_t>(code.k()), rng);
+        const auto parity = code.parity(msg);
+        ASSERT_EQ(parity, reference_parity(code, msg)) << "word " << w;
+        auto received = bits::concat(msg, parity);
+        bits::flip_random(received, errors, rng);
+        const auto got = code.decode(received);
+        const auto want = reference_decode(code, received);
+        ASSERT_EQ(got.ok, want.ok) << errors << " errors, word " << w;
+        ASSERT_EQ(got.codeword, want.codeword) << errors << " errors, word " << w;
+        ASSERT_EQ(got.corrected, want.corrected) << errors << " errors, word " << w;
+        if (!got.ok) {
+            ++tally.failed;
+        } else if (bits::slice(got.codeword, 0, msg.size()) != msg) {
+            ++tally.miscorrected;
+        } else {
+            ++tally.ok;
+        }
+    }
+}
+
+TEST_P(BchParam, DecodeMatchesReferenceFromZeroToTPlusThreeErrors) {
+    const auto [m, t, expected_k] = GetParam();
+    const BchCode code(m, t);
+    Outcomes tally;
+    for (int errors = 0; errors <= std::min(t + 3, code.n()); ++errors) {
+        expect_matches_reference(code, errors, 40, 50 + static_cast<std::uint64_t>(errors),
+                                 tally);
+    }
+    EXPECT_GT(tally.ok, 0);
+    EXPECT_GT(tally.failed + tally.miscorrected, 0);
+}
+
+struct LargeCode {
+    int m;
+    int t;
+};
+
+class BchLargeParam : public ::testing::TestWithParam<LargeCode> {};
+
+TEST_P(BchLargeParam, MultiWordParityAndDecodeMatchReference) {
+    // n-k spans several u64 words of the parity register (and 2t exceeds
+    // the decoder's on-stack scratch for the largest t).
+    const auto [m, t] = GetParam();
+    const BchCode code(m, t);
+    ASSERT_GT(code.parity_bits(), 128);
+    Outcomes tally;
+    for (const int errors : {0, 1, 2, t / 2, t - 1, t, t + 1, t + 2, t + 3}) {
+        expect_matches_reference(code, errors, 2, 70 + static_cast<std::uint64_t>(errors),
+                                 tally);
+    }
+    EXPECT_GT(tally.ok, 0);
+    EXPECT_GT(tally.failed + tally.miscorrected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(LargeT, BchLargeParam,
+                         ::testing::Values(LargeCode{12, 20}, LargeCode{12, 70},
+                                           LargeCode{13, 40}, LargeCode{14, 50}));
 
 TEST(Repetition, EncodeDecodeMajority) {
     const RepetitionCode rep(5);

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "ropuf/distiller/regression.hpp"
+#include "ropuf/rng/xoshiro.hpp"
 #include "ropuf/sim/ro_array.hpp"
 #include "ropuf/stats/estimators.hpp"
 
@@ -153,6 +157,117 @@ TEST(Fit, RejectsUnderdeterminedSystems) {
     const std::vector<double> freqs(4, 1.0);
     EXPECT_THROW(fit(g, freqs, 2), std::invalid_argument); // 6 coefficients
 }
+
+// ---------------------------------------------------------------------------
+// Bit-exact references. The table-driven grid evaluation, residuals and fit
+// rows must equal per-point evaluation with std::pow bit for bit: the
+// regenerated responses (and every pinned attack result) depend on it.
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Dense Gaussian elimination with partial pivoting, as the fit solves.
+std::vector<double> reference_solve(std::vector<std::vector<double>> a, std::vector<double> b) {
+    const std::size_t n = b.size();
+    for (std::size_t col = 0; col < n; ++col) {
+        std::size_t pivot = col;
+        for (std::size_t r = col + 1; r < n; ++r) {
+            if (std::abs(a[r][col]) > std::abs(a[pivot][col])) pivot = r;
+        }
+        if (std::abs(a[pivot][col]) < 1e-12) throw std::runtime_error("singular");
+        std::swap(a[col], a[pivot]);
+        std::swap(b[col], b[pivot]);
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double factor = a[r][col] / a[col][col];
+            if (factor == 0.0) continue;
+            for (std::size_t c = col; c < n; ++c) a[r][c] -= factor * a[col][c];
+            b[r] -= factor * b[col];
+        }
+    }
+    std::vector<double> x(n, 0.0);
+    for (std::size_t row = n; row-- > 0;) {
+        double acc = b[row];
+        for (std::size_t c = row + 1; c < n; ++c) acc -= a[row][c] * x[c];
+        x[row] = acc / a[row][row];
+    }
+    return x;
+}
+
+/// Normal-equation fit with design rows built from std::pow per point.
+std::vector<double> reference_fit(const ArrayGeometry& g, const std::vector<double>& freqs,
+                                  int degree) {
+    const auto nc = static_cast<std::size_t>(coefficient_count(degree));
+    std::vector<std::vector<double>> mtm(nc, std::vector<double>(nc, 0.0));
+    std::vector<double> mtf(nc, 0.0);
+    for (int idx = 0; idx < g.count(); ++idx) {
+        const double x = g.x_of(idx);
+        const double y = g.y_of(idx);
+        std::vector<double> row(nc);
+        for (int i = 0; i <= degree; ++i) {
+            for (int j = 0; j <= i; ++j) {
+                row[static_cast<std::size_t>(coefficient_index(i, j))] =
+                    std::pow(x, i - j) * std::pow(y, j);
+            }
+        }
+        const double f = freqs[static_cast<std::size_t>(idx)];
+        for (std::size_t a = 0; a < nc; ++a) {
+            mtf[a] += row[a] * f;
+            for (std::size_t b = a; b < nc; ++b) mtm[a][b] += row[a] * row[b];
+        }
+    }
+    for (std::size_t a = 0; a < nc; ++a) {
+        for (std::size_t b = 0; b < a; ++b) mtm[a][b] = mtm[b][a];
+    }
+    return reference_solve(std::move(mtm), std::move(mtf));
+}
+
+class DistillerBitExact : public ::testing::TestWithParam<ArrayGeometry> {};
+
+TEST_P(DistillerBitExact, GridResidualsAndFitMatchPerPointPow) {
+    const ArrayGeometry g = GetParam();
+    ropuf::rng::Xoshiro256pp rng(static_cast<std::uint64_t>(g.cols * 131 + g.rows));
+    std::vector<double> freqs(static_cast<std::size_t>(g.count()));
+    for (double& f : freqs) f = rng.uniform(196.0, 204.0);
+    // Degrees up and down again, so the cached power table is both reused
+    // and asked for a larger degree.
+    for (const int degree : {0, 1, 2, 3, 4, 2, 0, 4}) {
+        PolySurface s(degree);
+        for (double& b : s.beta()) b = rng.uniform(-3.0, 3.0) / (1.0 + rng.uniform());
+
+        const auto grid = s.evaluate_grid(g);
+        std::vector<double> point(freqs.size());
+        std::vector<double> resid(freqs.size());
+        for (int i = 0; i < g.count(); ++i) {
+            const auto u = static_cast<std::size_t>(i);
+            point[u] = s(g.x_of(i), g.y_of(i));
+            resid[u] = freqs[u] - point[u];
+        }
+        EXPECT_TRUE(same_bits(grid, point)) << "evaluate_grid, degree " << degree;
+        EXPECT_TRUE(same_bits(residuals(g, freqs, s), resid)) << "residuals, degree " << degree;
+
+        std::vector<double> want;
+        bool want_throws = g.count() < coefficient_count(degree);
+        if (!want_throws) {
+            try {
+                want = reference_fit(g, freqs, degree);
+            } catch (const std::runtime_error&) {
+                want_throws = true;
+            }
+        }
+        if (want_throws) {
+            EXPECT_ANY_THROW(fit(g, freqs, degree)) << "degree " << degree;
+        } else {
+            EXPECT_TRUE(same_bits(fit(g, freqs, degree).beta(), want)) << "fit, degree " << degree;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, DistillerBitExact,
+                         ::testing::Values(ArrayGeometry{8, 8}, ArrayGeometry{16, 32},
+                                           ArrayGeometry{32, 16}, ArrayGeometry{5, 3},
+                                           ArrayGeometry{12, 1}, ArrayGeometry{1, 12}));
 
 TEST(Rms, Basics) {
     EXPECT_DOUBLE_EQ(rms(std::vector<double>{}), 0.0);

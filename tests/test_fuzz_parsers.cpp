@@ -119,6 +119,17 @@ TEST_P(FuzzSeeds, ForgedCountFieldCannotDriveAllocation) {
     EXPECT_THROW(helperdata::read_coefficients(r2), ParseError);
     helperdata::BlobReader r3(w.bytes());
     EXPECT_THROW(helperdata::read_group_assignment(r3), ParseError);
+
+    // Bit counts within 7 of 2^32 must not round up to zero payload bytes:
+    // the 4-byte count alone (or with a few trailing bytes) has to throw.
+    for (std::uint32_t nbits = 0xfffffff9u; nbits != 0; ++nbits) {
+        helperdata::BlobWriter forged;
+        forged.put_u32(nbits);
+        const auto pad = static_cast<int>(rng.next() % 4);
+        for (int i = 0; i < pad; ++i) forged.put_u8(0xff);
+        helperdata::BlobReader rb(forged.bytes());
+        EXPECT_THROW(rb.get_bits(), ParseError) << "bit count " << nbits;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,

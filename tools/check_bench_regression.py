@@ -44,8 +44,9 @@ Usage:
   check_bench_regression.py --baseline BENCH_micro.baseline.json \
       --current BENCH_micro.json --max-drop 0.30
   # default guarded set: BM_RoArrayBatchedScan, BM_SimdMeasure,
-  # BM_MajorityVote, BM_BchSyndrome, BM_FleetMeasure; override with
-  # repeated --benchmark
+  # BM_MajorityVote, BM_BchSyndrome, BM_FleetMeasure, BM_BchEncode,
+  # BM_BchDecodeTErrors, BM_DistillerFit, BM_DistillerResiduals; override
+  # with repeated --benchmark
   check_bench_regression.py --baseline a.json --current b.json \
       --benchmark campaign/
   # obs overhead guard (within-file pairing):
@@ -64,6 +65,10 @@ DEFAULT_PREFIXES = [
     "BM_MajorityVote",
     "BM_BchSyndrome",
     "BM_FleetMeasure",
+    "BM_BchEncode",
+    "BM_BchDecodeTErrors",
+    "BM_DistillerFit",
+    "BM_DistillerResiduals",
 ]
 
 
