@@ -10,6 +10,7 @@
 //   usage: bench_campaign [scenario] [trials] [master_seed] [out.json]
 //   defaults:             seqpair/swap 100     1            BENCH_campaign.json
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -45,13 +46,34 @@ std::vector<int> worker_sweep() {
     return sweep;
 }
 
+/// Whole-token unsigned parse within [min, max]: garbage, a sign, trailing
+/// junk or overflow is an error, never a silent 0.
+bool parse_arg(const char* text, unsigned long long min, unsigned long long max,
+               unsigned long long* out) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE || v < min || v > max) {
+        return false;
+    }
+    *out = v;
+    return true;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
     const std::string scenario = argc > 1 ? argv[1] : "seqpair/swap";
-    const int trials = argc > 2 ? std::atoi(argv[2]) : 100;
-    const std::uint64_t master_seed =
-        argc > 3 ? static_cast<std::uint64_t>(std::strtoull(argv[3], nullptr, 10)) : 1;
+    unsigned long long trials_arg = 100;
+    unsigned long long seed_arg = 1;
+    if (argc > 5 || (argc > 2 && !parse_arg(argv[2], 1, 1 << 20, &trials_arg)) ||
+        (argc > 3 && !parse_arg(argv[3], 0, ~0ULL, &seed_arg))) {
+        std::fputs("usage: bench_campaign [scenario] [trials >= 1] [master_seed] [out.json]\n",
+                   stderr);
+        return 2;
+    }
+    const int trials = static_cast<int>(trials_arg);
+    const std::uint64_t master_seed = seed_arg;
     const std::string out_path = argc > 4 ? argv[4] : "BENCH_campaign.json";
 
     benchutil::header("E15 campaign scaling", "Sec. VI attack costs as distributions",

@@ -10,6 +10,7 @@
 // Usage:
 //   campaign_demo                          30-trial campaign per scenario
 //   campaign_demo <scenario> [trials] [workers] [master_seed]
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,16 +19,45 @@
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/core/campaign.hpp"
 
+namespace {
+
+/// Whole-token unsigned parse within [min, max]: garbage, a sign, trailing
+/// junk or overflow is an error, never a silent 0.
+bool parse_arg(const char* text, unsigned long long min, unsigned long long max,
+               unsigned long long* out) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE || v < min || v > max) {
+        return false;
+    }
+    *out = v;
+    return true;
+}
+
+} // namespace
+
 int main(int argc, char** argv) {
     using namespace ropuf;
 
     auto& registry = attack::default_registry();
     const core::CampaignRunner runner(registry);
 
+    unsigned long long trials = 30;
+    unsigned long long workers = 0;
+    unsigned long long master_seed = 1;
+    if (argc > 5 || (argc > 2 && !parse_arg(argv[2], 1, 1 << 20, &trials)) ||
+        (argc > 3 && !parse_arg(argv[3], 0, 1 << 10, &workers)) ||
+        (argc > 4 && !parse_arg(argv[4], 0, ~0ULL, &master_seed))) {
+        std::fputs("usage: campaign_demo [<scenario> [trials >= 1] [workers, 0 = all cores] "
+                   "[master_seed]]\n",
+                   stderr);
+        return 2;
+    }
     core::CampaignConfig config;
-    config.trials = argc > 2 ? std::atoi(argv[2]) : 30;
-    config.workers = argc > 3 ? std::atoi(argv[3]) : 0;
-    if (argc > 4) config.master_seed = std::strtoull(argv[4], nullptr, 10);
+    config.trials = static_cast<int>(trials);
+    config.workers = static_cast<int>(workers);
+    config.master_seed = master_seed;
     config.keep_reports = false;
 
     std::puts("=== Monte-Carlo attack campaigns (population statistics) ===\n");

@@ -1,14 +1,11 @@
 #include "ropuf/core/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <exception>
-#include <mutex>
-#include <thread>
 
+#include "ropuf/core/parallel.hpp"
 #include "ropuf/fi/injector.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/trace.hpp"
@@ -39,78 +36,29 @@ CampaignSummary CampaignRunner::run(std::string_view scenario_name,
             unknown_name_message("attack scenario", scenario_name, registry_->names()));
     }
     const int trials = std::max(config.trials, 0);
-    int workers = config.workers;
-    if (workers <= 0) {
-        workers = static_cast<int>(std::thread::hardware_concurrency());
-        if (workers <= 0) workers = 1;
-    }
-    workers = std::min(workers, std::max(trials, 1));
+    const int workers = std::min(resolve_workers(config.workers), std::max(trials, 1));
 
     // Seed schedule first, sequentially, so trial t's randomness does not
     // depend on which worker claims it.
     const std::vector<std::uint64_t> seeds = trial_seeds(config.master_seed, trials);
     std::vector<AttackReport> reports(static_cast<std::size_t>(trials));
 
-    std::atomic<int> next_trial{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-
-    const auto worker_loop = [&] {
-        for (;;) {
-            const int t = next_trial.fetch_add(1, std::memory_order_relaxed);
-            if (t >= trials) return;
-            try {
-                if (config.injector != nullptr) {
-                    config.injector->trial_probe(config.fi_job_index, t, config.fi_attempt);
-                }
-                ScenarioParams params = config.base;
-                params.seed = seeds[static_cast<std::size_t>(t)];
-                {
-                    const obs::Span trial_span("trial");
-                    reports[static_cast<std::size_t>(t)] = run_scenario(*scenario, params);
-                }
-                ROPUF_OBS_COUNT("campaign.trials", 1);
-                ROPUF_OBS_OBSERVE("campaign.trial_wall_ms",
-                                  reports[static_cast<std::size_t>(t)].wall_ms);
-            } catch (...) {
-                if (obs::TraceSink* sink = obs::trace()) {
-                    // Surface fi-injected trial faults on the worker's track;
-                    // the rethrow keeps the handled exception intact for the
-                    // error path below.
-                    try {
-                        throw;
-                    } catch (const fi::InjectedFault& e) {
-                        std::string args = "{\"what\":\"";
-                        obs::append_trace_escaped(args, e.what());
-                        args += "\"}";
-                        sink->instant("fi:injected_fault", std::move(args));
-                    } catch (...) {
-                    }
-                }
-                const std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error) first_error = std::current_exception();
-            }
-        }
-    };
-
     const auto t0 = std::chrono::steady_clock::now();
-    if (workers <= 1) {
-        worker_loop();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers));
-        // Only spawned threads are named: the 1-worker path runs on the
-        // caller's thread, which keeps its own track name.
-        for (int w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("worker");
-                worker_loop();
-            });
+    parallel_for(seeds.size(), workers, [&](std::size_t t) {
+        if (config.injector != nullptr) {
+            config.injector->trial_probe(config.fi_job_index, static_cast<int>(t),
+                                         config.fi_attempt);
         }
-        for (auto& thread : pool) thread.join();
-    }
+        ScenarioParams params = config.base;
+        params.seed = seeds[t];
+        {
+            const obs::Span trial_span("trial");
+            reports[t] = run_scenario(*scenario, params);
+        }
+        ROPUF_OBS_COUNT("campaign.trials", 1);
+        ROPUF_OBS_OBSERVE("campaign.trial_wall_ms", reports[t].wall_ms);
+    });
     const auto t1 = std::chrono::steady_clock::now();
-    if (first_error) std::rethrow_exception(first_error);
 
     CampaignSummary summary;
     summary.scenario = std::string(scenario_name);

@@ -109,9 +109,10 @@ public:
     /// resume and independent across job indices.
     static std::uint64_t job_seed(std::uint64_t root, int index);
 
-    /// Runs `trials` independent instances of one scenario; throws
-    /// std::out_of_range for unknown names. Worker exceptions are collected
-    /// and the first one is rethrown after the pool drains.
+    /// Runs `trials` independent instances of one scenario on
+    /// core::parallel_for; throws std::out_of_range for unknown names. The
+    /// first trial exception stops further trials from starting and is
+    /// rethrown once the pool has joined.
     CampaignSummary run(std::string_view scenario_name,
                         const CampaignConfig& config = {}) const;
 

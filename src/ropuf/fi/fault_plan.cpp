@@ -1,6 +1,8 @@
 #include "ropuf/fi/fault_plan.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -48,26 +50,33 @@ double parse_double(std::string_view token, std::string_view value) {
     return v;
 }
 
-long long parse_int(std::string_view token, std::string_view value) {
+/// Whole-token integer that fits an int: an out-of-range value is an
+/// error, never a silent wrap onto some other job index or count.
+int parse_int(std::string_view token, std::string_view value) {
     const std::string text(value);
     char* end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(text.c_str(), &end, 10);
     if (text.empty() || end == nullptr || *end != '\0') {
         throw FaultPlanError("fault token " + std::string(token) +
                              ": expected an integer, got '" + text + "'");
     }
-    return v;
+    if (errno == ERANGE || v < INT_MIN || v > INT_MAX) {
+        throw FaultPlanError("fault token " + std::string(token) + ": integer '" + text +
+                             "' is out of range");
+    }
+    return static_cast<int>(v);
 }
 
 std::vector<int> parse_ids(std::string_view token, std::string_view value) {
     std::vector<int> ids;
     for (const std::string_view part : split(value, '|')) {
-        const long long id = parse_int(token, part);
+        const int id = parse_int(token, part);
         if (id < 0) {
             throw FaultPlanError("fault token " + std::string(token) +
                                  ": ids must be non-negative job indices");
         }
-        ids.push_back(static_cast<int>(id));
+        ids.push_back(id);
     }
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -128,12 +137,16 @@ FaultPlan parse_fault_plan(std::string_view text) {
             if (args.empty()) {
                 throw FaultPlanError("fault token seed: expects seed(<u64>)");
             }
+            // strtoull negates a leading '-' and saturates on overflow;
+            // both must be errors, not a wrapped seed.
             const std::string value(args);
             char* end = nullptr;
+            errno = 0;
             plan.seed = std::strtoull(value.c_str(), &end, 10);
-            if (end == nullptr || *end != '\0') {
-                throw FaultPlanError("fault token seed: expected an integer, got '" + value +
-                                     "'");
+            if (end == nullptr || *end != '\0' || value.find('-') != std::string::npos ||
+                errno == ERANGE) {
+                throw FaultPlanError("fault token seed: expected an unsigned 64-bit integer, "
+                                     "got '" + value + "'");
             }
             continue;
         }
@@ -175,19 +188,19 @@ FaultPlan parse_fault_plan(std::string_view text) {
                 rule.p = parse_double(name, value);
                 saw_p = true;
             } else if (key == "every") {
-                rule.every = static_cast<int>(parse_int(name, value));
+                rule.every = parse_int(name, value);
                 saw_every = true;
             } else if (key == "ids") {
                 rule.ids = parse_ids(name, value);
                 saw_ids = true;
             } else if (key == "ms") {
-                rule.ms = static_cast<int>(parse_int(name, value));
+                rule.ms = parse_int(name, value);
                 saw_ms = true;
             } else if (key == "times") {
-                rule.times = static_cast<int>(parse_int(name, value));
+                rule.times = parse_int(name, value);
                 saw_times = true;
             } else if (key == "after") {
-                rule.after = static_cast<int>(parse_int(name, value));
+                rule.after = parse_int(name, value);
                 saw_after = true;
             } else {
                 throw FaultPlanError("fault token " + std::string(name) + ": unknown key '" +
@@ -209,7 +222,7 @@ FaultPlan parse_fault_plan(std::string_view text) {
                 reject(saw_ms, "ms");
                 reject(saw_times, "times");
                 reject(saw_after, "after");
-                if (!saw_p || rule.p < 0.0 || rule.p > 1.0) {
+                if (!saw_p || !(rule.p >= 0.0 && rule.p <= 1.0)) {
                     throw FaultPlanError("store_write_fail requires p in [0, 1]");
                 }
                 break;
@@ -228,7 +241,7 @@ FaultPlan parse_fault_plan(std::string_view text) {
                 reject(saw_every, "every");
                 reject(saw_ms, "ms");
                 reject(saw_after, "after");
-                if (rule.p < 0.0 || rule.p > 1.0) {
+                if (!(rule.p >= 0.0 && rule.p <= 1.0)) { // NaN included
                     throw FaultPlanError(std::string(name) + " requires p in [0, 1]");
                 }
                 if (rule.times < 0) {

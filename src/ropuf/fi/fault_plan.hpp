@@ -71,7 +71,8 @@ struct FaultPlan {
 
 /// Parses plan text ("" and "none" yield an empty plan). Throws
 /// FaultPlanError on unknown tokens/keys, malformed values, or out-of-range
-/// arguments (p outside [0,1], every/after < 1, negative ms/times/ids).
+/// arguments (p outside [0,1] or NaN, every/after < 1, negative ms/times/ids,
+/// any integer above INT_MAX, a negative or overflowing seed).
 FaultPlan parse_fault_plan(std::string_view text);
 
 /// Fixed-order rendering with defaults filled in — the hashing preimage.

@@ -10,70 +10,16 @@
 
 #include "ropuf/core/attack_engine.hpp" // append_json_escaped
 #include "ropuf/core/errors.hpp"
-#include "ropuf/fi/injector.hpp"
+#include "ropuf/core/parallel.hpp"
 #include "ropuf/fleet/enroll.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/trace.hpp"
+#include "ropuf/xp/executor.hpp"
 #include "ropuf/xp/json.hpp"
 
 namespace ropuf::fleet {
 
 namespace {
-
-/// Bounded, pre-filled, fence-free Chase–Lev-style deque.
-///
-/// The buffer is written once, single-threaded, before any worker thread
-/// exists (publication happens-before via thread creation) and is
-/// read-only afterwards, so only the two indices need atomics. Both use
-/// seq_cst: the classic formulation's acquire/release + thread fences is
-/// exactly the pattern TSan cannot model, and this scheduler must pass
-/// the tsan CI leg with an empty suppression file. Shards are coarse
-/// (64 devices ≈ milliseconds of work), so index-op cost is irrelevant.
-class ShardDeque {
-public:
-    enum class Steal { got, empty, contended };
-
-    /// Single-threaded pre-fill; must complete before workers spawn.
-    void fill(std::vector<std::uint64_t> items) {
-        buf_ = std::move(items);
-        top_.store(0);
-        bottom_.store(static_cast<long long>(buf_.size()));
-    }
-
-    /// Owner end (bottom). False = deque empty.
-    bool take(std::uint64_t& out) {
-        const long long b = bottom_.load() - 1;
-        bottom_.store(b);
-        long long t = top_.load();
-        if (t <= b) {
-            out = buf_[static_cast<std::size_t>(b)];
-            if (t == b) {
-                // Last element: race the thieves for it.
-                const bool won = top_.compare_exchange_strong(t, t + 1);
-                bottom_.store(b + 1);
-                return won;
-            }
-            return true;
-        }
-        bottom_.store(b + 1);
-        return false;
-    }
-
-    /// Thief end (top). `contended` means a concurrent take/steal won the
-    /// CAS — the caller should re-sweep, not conclude emptiness.
-    Steal steal(std::uint64_t& out) {
-        long long t = top_.load();
-        const long long b = bottom_.load();
-        if (t >= b) return Steal::empty;
-        out = buf_[static_cast<std::size_t>(t)];
-        return top_.compare_exchange_strong(t, t + 1) ? Steal::got : Steal::contended;
-    }
-
-private:
-    std::vector<std::uint64_t> buf_;
-    std::atomic<long long> top_{0};
-    std::atomic<long long> bottom_{0};
-};
 
 /// Everything one shard reports back: exact integer aggregates plus the
 /// host-bound timing/fault side data.
@@ -87,10 +33,19 @@ struct ShardOutcome {
     std::uint64_t bit_errors = 0;
     std::uint64_t measurements = 0;
     double wall_ms = 0.0;
-    bool stolen = false;
+    int attempts = 1;
     bool failed = false;
     core::JobError error;
 };
+
+ShardOutcome shard_identity(const FleetSpec& spec, std::uint64_t shard) {
+    ShardOutcome o;
+    o.shard = shard;
+    o.device_first = shard * kShardDevices;
+    o.device_count = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(kShardDevices, spec.devices - o.device_first));
+    return o;
+}
 
 void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
 
@@ -136,20 +91,13 @@ std::string shard_record_line(const FleetSpec& spec, const std::string& hash,
     std::snprintf(buf, sizeof buf, ",\"timing\":{\"wall_ms\":%.3f,\"workers\":%d",
                   o.wall_ms, workers);
     line += buf;
-    line += ",\"stolen\":";
-    line += o.stolen ? "true" : "false";
     line += ",\"hardware_concurrency\":" +
             std::to_string(std::thread::hardware_concurrency());
     line += ",\"simd\":\"";
     line += simd::path_name(simd::active_path());
     line += "\"}";
-    if (o.failed) {
-        line += ",\"fault\":{\"attempts\":1,\"class\":\"";
-        line += core::job_error_class_name(o.error.cls);
-        line += "\",\"message\":\"";
-        core::append_json_escaped(line, o.error.message);
-        line += "\"}";
-    }
+    xp::append_fault_key(line, o.attempts, o.failed, core::job_error_class_name(o.error.cls),
+                         o.error.message);
     line += "}";
     return line;
 }
@@ -158,21 +106,20 @@ std::string shard_record_line(const FleetSpec& spec, const std::string& hash,
 /// deterministic in (spec, shard): streams are keyed on global device
 /// ids, never on the caller.
 ShardOutcome run_shard(const Population& population, const EnrollmentMap& enrollment,
-                       std::uint64_t shard, std::vector<std::vector<double>>& scratch) {
+                       std::uint64_t shard) {
     const FleetSpec& spec = population.spec();
-    const std::uint64_t first = shard * kShardDevices;
-    const std::size_t count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kShardDevices, spec.devices - first));
+    ShardOutcome o = shard_identity(spec, shard);
+    const std::uint64_t first = o.device_first;
+    const std::size_t count = o.device_count;
     const std::size_t n = static_cast<std::size_t>(spec.ro_count());
     const int trials = spec.trials;
     const int wins = spec.majority_wins;
-
-    ShardOutcome o;
-    o.shard = shard;
-    o.device_first = first;
-    o.device_count = static_cast<std::uint32_t>(count);
     o.success_hist.assign(static_cast<std::size_t>(trials) + 1, 0);
 
+    // Per-thread measurement buffer: a pool worker reuses it across shards,
+    // and a watchdogged attempt's own thread gets a fresh one, so an
+    // abandoned attempt never shares it with its retry.
+    thread_local std::vector<std::vector<double>> scratch;
     sim::RoFleet fleet =
         population.manufacture_shard(first, count, Population::Phase::campaign);
     fleet.measure_batch(sim::Condition{}, trials * wins, scratch);
@@ -208,32 +155,36 @@ ShardOutcome run_shard(const Population& population, const EnrollmentMap& enroll
 /// Commits shard records to the writer in shard order regardless of
 /// completion order, and folds aggregates into the run stats. Pending
 /// lines are bounded by scheduling skew (worst case the shard count, a
-/// few hundred small strings — never O(fleet devices)).
+/// few hundred small strings — never O(fleet devices)). Appends go through
+/// xp::append_with_retry, so a store fault is retried under the run's
+/// policy and fatal past its budget — never a silently lost record.
 class Committer {
 public:
-    Committer(xp::ResultWriter& writer, FleetRunStats& stats, int trials_per_device)
-        : writer_(writer), stats_(stats), trials_per_device_(trials_per_device) {}
+    Committer(xp::ResultWriter& writer, FleetRunStats& stats, int trials_per_device,
+              const xp::RetryPolicy& policy)
+        : writer_(writer), stats_(stats), trials_per_device_(trials_per_device),
+          policy_(policy) {}
 
-    void commit(std::size_t order_index, std::string line, const ShardOutcome& o) {
-        std::lock_guard<std::mutex> lock(mutex_);
+    /// Commits slot `order_index` of the dispatch list; a null outcome
+    /// fills the slot with nothing to write (a shard the stop flag skipped).
+    void commit(std::size_t order_index, const ShardOutcome* o, std::string line = {}) {
+        const std::lock_guard<std::mutex> lock(mutex_);
         pending_.emplace(order_index, std::move(line));
-        fold(o);
+        if (o != nullptr) fold(*o);
         while (!pending_.empty() && pending_.begin()->first == next_) {
-            try {
-                writer_.append_line(pending_.begin()->second);
-            } catch (const std::exception&) {
-                // Store fault (injected or real): the record is lost, the
-                // shard stays incomplete on disk, resume re-runs it. The
-                // writer has already marked its torn tail.
-                ++stats_.store_faults;
-            }
+            const std::string ready = std::move(pending_.begin()->second);
             pending_.erase(pending_.begin());
             ++next_;
+            if (!ready.empty()) {
+                stats_.store_retries += static_cast<std::uint64_t>(
+                    xp::append_with_retry(writer_, ready, policy_));
+            }
         }
     }
 
 private:
     void fold(const ShardOutcome& o) {
+        stats_.retries += static_cast<std::uint64_t>(o.attempts - 1);
         if (o.failed) {
             ++stats_.failed;
             return;
@@ -246,7 +197,6 @@ private:
         stats_.trials_ok += o.trials_ok;
         stats_.bit_errors += o.bit_errors;
         stats_.measurements += o.measurements;
-        stats_.steals += o.stolen ? 1 : 0;
         for (std::size_t k = 0; k < o.success_hist.size() && k < stats_.success_hist.size();
              ++k) {
             stats_.success_hist[k] += o.success_hist[k];
@@ -257,6 +207,7 @@ private:
     xp::ResultWriter& writer_;
     FleetRunStats& stats_;
     int trials_per_device_;
+    xp::RetryPolicy policy_;
     std::mutex mutex_;
     std::map<std::size_t, std::string> pending_;
     std::size_t next_ = 0;
@@ -343,124 +294,50 @@ FleetRunStats run_fleet_campaign(const Population& population,
     }
 
     const int workers = std::max(1, options.workers);
-    // Shard order index within `pending` → reorder-buffer slot, so output
-    // bytes land in shard order no matter who runs what when.
-    std::map<std::uint64_t, std::size_t> order;
-    for (std::size_t i = 0; i < pending.size(); ++i) order[pending[i]] = i;
-
-    // Pre-fill the deques round-robin before any worker exists. Blocks of
-    // consecutive shards per worker would also work; round-robin keeps
-    // every deque non-empty until the tail, which exercises stealing less
-    // — deliberate, stealing is the slow path for skew, not the default.
-    std::vector<ShardDeque> deques(static_cast<std::size_t>(workers));
-    {
-        std::vector<std::vector<std::uint64_t>> per_worker(
-            static_cast<std::size_t>(workers));
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            per_worker[i % static_cast<std::size_t>(workers)].push_back(pending[i]);
-        }
-        // Owners pop from the bottom: reverse so they run their shards in
-        // ascending order (keeps the reorder buffer shallow).
-        for (std::size_t w = 0; w < per_worker.size(); ++w) {
-            std::reverse(per_worker[w].begin(), per_worker[w].end());
-            deques[w].fill(std::move(per_worker[w]));
-        }
-    }
-
-    Committer committer(writer, stats, spec.trials);
+    Committer committer(writer, stats, spec.trials, options.retry);
     const std::string hash = fleet_spec_hash(spec);
     std::atomic<bool> sigint_seen{false};
+    // Declared after everything its abandoned attempts reference.
+    xp::AttemptRunner attempts(options.retry, options.injector, options.stop);
 
-    auto worker_loop = [&](int w) {
-        if (obs::TraceSink* sink = obs::trace()) {
-            sink->set_thread_name("fleet-worker-" + std::to_string(w));
+    // Slot i of `pending` is the reorder-buffer slot, so output bytes land
+    // in shard order no matter who runs what when.
+    core::parallel_for(pending.size(), workers, [&](std::size_t i) {
+        const std::uint64_t shard = pending[i];
+        const auto t0 = std::chrono::steady_clock::now();
+        xp::Retried<ShardOutcome> r;
+        r.stopped = options.stop != nullptr && options.stop->load();
+        if (!r.stopped) {
+            r = attempts.run(static_cast<int>(shard), [&population, &enrollment, shard](int) {
+                std::string args;
+                if (obs::trace() != nullptr) args = "{\"shard\":" + std::to_string(shard) + "}";
+                const obs::Span span("fleet.shard", std::move(args));
+                return run_shard(population, enrollment, shard);
+            });
         }
-        std::vector<std::vector<double>> scratch;
-        std::uint64_t shard = 0;
-        for (;;) {
-            if (options.stop != nullptr && options.stop->load()) {
-                sigint_seen.store(true);
-                break;
-            }
-            bool stolen = false;
-            if (!deques[static_cast<std::size_t>(w)].take(shard)) {
-                bool found = false;
-                for (;;) {
-                    bool contended = false;
-                    for (int v = 1; v < workers && !found; ++v) {
-                        const auto r =
-                            deques[static_cast<std::size_t>((w + v) % workers)].steal(shard);
-                        if (r == ShardDeque::Steal::got) {
-                            found = true;
-                            stolen = true;
-                        } else if (r == ShardDeque::Steal::contended) {
-                            contended = true;
-                        }
-                    }
-                    if (found || !contended) break;
-                    // Lost a race against a non-empty deque: sweep again.
-                }
-                // Nothing anywhere and nothing contended: the pre-filled
-                // pool is dry for good (no worker ever pushes), so done.
-                if (!found) break;
-            }
-
-            const auto t0 = std::chrono::steady_clock::now();
-            ShardOutcome o;
-            try {
-                if (options.injector != nullptr) {
-                    const int hang_ms =
-                        options.injector->job_fault(static_cast<int>(shard), 1);
-                    if (hang_ms > 0) {
-                        ROPUF_OBS_COUNT("fi.injected.job_hang", 1);
-                        std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
-                    }
-                }
-                if (obs::TraceSink* sink = obs::trace()) {
-                    sink->begin("fleet.shard", "{\"shard\":" + std::to_string(shard) + "}");
-                }
-                o = run_shard(population, enrollment, shard, scratch);
-                if (obs::TraceSink* sink = obs::trace()) sink->end();
-                ROPUF_OBS_COUNT("xp.jobs_done", 1);
-                ROPUF_OBS_COUNT("fleet.shards_done", 1);
-                ROPUF_OBS_COUNT("fleet.devices_done", o.device_count);
-                ROPUF_OBS_COUNT("campaign.trials",
-                                static_cast<double>(o.device_count) * spec.trials);
-            } catch (const fi::InjectedFault& e) {
-                if (obs::TraceSink* sink = obs::trace()) sink->end();
-                o.shard = shard;
-                o.device_first = shard * kShardDevices;
-                o.device_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    kShardDevices, spec.devices - o.device_first));
-                o.failed = true;
-                o.error = {core::JobErrorClass::injected_fault, e.what()};
-                ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
-            } catch (const std::exception& e) {
-                if (obs::TraceSink* sink = obs::trace()) sink->end();
-                o.shard = shard;
-                o.device_first = shard * kShardDevices;
-                o.device_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    kShardDevices, spec.devices - o.device_first));
-                o.failed = true;
-                o.error = {core::JobErrorClass::scenario_exception, e.what()};
-                ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
-            }
-            o.stolen = stolen;
-            o.wall_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-            committer.commit(order[shard], shard_record_line(spec, hash, o, workers), o);
+        if (r.stopped) {
+            // SIGINT: stop dispatch; the slot commits empty so shards that
+            // already ran still land in order.
+            sigint_seen.store(true);
+            committer.commit(i, nullptr);
+            return;
         }
-    };
-
-    if (workers == 1) {
-        worker_loop(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) threads.emplace_back(worker_loop, w);
-        for (std::thread& t : threads) t.join();
-    }
+        ShardOutcome o = r.ok ? std::move(r.value) : shard_identity(spec, shard);
+        o.attempts = r.count;
+        o.failed = !r.ok;
+        o.error = std::move(r.error);
+        o.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+        if (r.ok) {
+            ROPUF_OBS_COUNT("xp.jobs_done", 1);
+            ROPUF_OBS_COUNT("fleet.shards_done", 1);
+            ROPUF_OBS_COUNT("fleet.devices_done", o.device_count);
+            ROPUF_OBS_COUNT("campaign.trials",
+                            static_cast<double>(o.device_count) * spec.trials);
+        }
+        committer.commit(i, &o, shard_record_line(spec, hash, o, workers));
+    });
 
     if (sigint_seen.load()) stats.stopped = true;
     return stats;

@@ -1,25 +1,14 @@
 // Fleet campaigns: reconstruction trials over an enrolled population,
-// sharded over devices, scheduled by work stealing, aggregated streaming.
+// sharded over devices, run on the shared worker pool, aggregated streaming.
 //
 // Execution model
 // ---------------
 // The population splits into fixed shards of kShardDevices consecutive
-// devices. Shards — not trials, not devices — are the scheduling unit:
-// each worker owns a bounded Chase–Lev-style deque, pre-filled round-robin
-// with the run's pending shards *before* any worker thread starts (so the
-// deque buffers need no atomics: publication happens-before via thread
-// creation). A worker pops its own deque from the bottom; when empty it
-// steals from the top of the other workers' deques. This replaces the xp
-// CampaignRunner's precomputed schedule: a slow shard (or a hang-injected
-// worker) no longer stalls the tail of the run — idle workers steal the
-// victim's remaining shards.
-//
-// Memory ordering: top and bottom use seq_cst atomics throughout, no
-// fences. The textbook Chase–Lev formulation relies on
-// std::atomic_thread_fence, which TSan does not model — this runs under
-// the CI tsan leg with an empty suppression file, so the deque is written
-// in the fence-free style TSan can verify. Steals are rare (only when a
-// deque runs dry) and shards are coarse, so the seq_cst cost is noise.
+// devices. Shards — not trials, not devices — are the scheduling unit. The
+// run's pending shards form a fixed dispatch list that core::parallel_for
+// (the pool CampaignRunner also runs on) drains through one atomic cursor:
+// a slow shard (or a hang-injected one) holds only its own worker, and the
+// others keep claiming the rest of the list.
 //
 // Determinism
 // -----------
@@ -30,13 +19,17 @@
 //   * shard aggregates are integers, accumulated per shard;
 //   * shard records are committed to the JSONL writer through a reorder
 //     buffer in shard order, so the bytes on disk are schedule-independent.
-// The {1, 2, 8}-worker and steal-skew pins in tests/test_fleet.cpp hold
+// The {1, 2, 8}-worker and hang-skew pins in tests/test_fleet.cpp hold
 // the property.
 //
-// Fault tolerance mirrors xp: the fi job seams fire per shard (job_hang /
-// job_throw keyed on shard index), a faulted shard writes a quarantine
-// record (`outcome:"job_failed"`) and resume retries it; SIGINT stops
-// dispatch between shards and the run remains resumable.
+// Fault tolerance is xp's, not a copy of it: each shard runs under
+// xp::AttemptRunner with the run's xp::RetryPolicy — the fi job seams
+// (job_hang / job_throw keyed on shard index), the watchdog, classified
+// retries with backoff, and a quarantine record (`outcome:"job_failed"`)
+// once the budget is spent, which resume retries. Records append through
+// xp::append_with_retry, so a store fault is retried and fatal past the
+// budget. SIGINT stops dispatch between shards and the run stays
+// resumable.
 #pragma once
 
 #include <atomic>
@@ -47,7 +40,7 @@
 
 #include "ropuf/fleet/population.hpp"
 #include "ropuf/fleet/store.hpp"
-#include "ropuf/xp/result_store.hpp"
+#include "ropuf/xp/executor.hpp"
 
 namespace ropuf::fi {
 class Injector;
@@ -60,6 +53,7 @@ struct FleetCampaignOptions {
     /// Dispatch at most this many not-yet-done shards (< 0 = all): the
     /// deterministic interruption knob resume tests drive.
     long long max_shards = -1;
+    xp::RetryPolicy retry; ///< per-shard attempts, backoff and watchdog; append budget
     fi::Injector* injector = nullptr;
     const std::atomic<bool>* stop = nullptr; ///< SIGINT flag (may be null)
 };
@@ -78,8 +72,9 @@ struct FleetRunStats {
     std::uint64_t trials_ok = 0;
     std::uint64_t bit_errors = 0;
     std::uint64_t measurements = 0;
-    std::uint64_t steals = 0;       ///< shards executed off a stolen deque entry
-    std::uint64_t store_faults = 0; ///< records lost to store faults (resume re-runs)
+    std::uint64_t steals = 0;        ///< always 0: the shared pool has no per-worker queues
+    std::uint64_t retries = 0;       ///< shard attempts beyond the first
+    std::uint64_t store_retries = 0; ///< record appends retried after store faults
     /// success_hist[k] = devices for which exactly k trials succeeded.
     std::vector<std::uint64_t> success_hist;
     /// SIGINT stopped dispatch early. A max_shards quota does NOT set this
@@ -100,7 +95,9 @@ std::string shard_job_id(const FleetSpec& spec, std::uint64_t shard);
 std::set<std::uint64_t> completed_shards(const std::string& path, const FleetSpec& spec);
 
 /// Runs (or resumes) the campaign, appending one record per shard to
-/// `writer`. Throws xp::SpecError on setup errors (store/spec mismatch).
+/// `writer`. Throws xp::SpecError on setup errors (store/spec mismatch),
+/// and the store's own error when an append still fails after the retry
+/// budget.
 FleetRunStats run_fleet_campaign(const Population& population,
                                  const EnrollmentMap& enrollment,
                                  xp::ResultWriter& writer,

@@ -4,10 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "ropuf/core/campaign.hpp"
 #include "ropuf/fi/injector.hpp"
@@ -31,99 +27,142 @@ void backoff_sleep(double base_ms, int completed_attempts) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-bool stop_requested(const RunOptions& options) {
-    return options.stop != nullptr && options.stop->load(std::memory_order_relaxed);
+bool stop_requested(const std::atomic<bool>* stop) {
+    return stop != nullptr && stop->load(std::memory_order_relaxed);
 }
 
-struct AttemptResult {
-    bool ok = false;
-    core::CampaignSummary summary;
-    core::JobError error;
-};
+void trace_instant(const char* name, const core::JobError& error, bool with_class = false) {
+    obs::TraceSink* sink = obs::trace();
+    if (sink == nullptr) return;
+    std::string args = "{";
+    if (with_class) {
+        args += "\"class\":\"";
+        obs::append_trace_escaped(args, core::job_error_class_name(error.cls));
+        args += "\",";
+    }
+    args += "\"what\":\"";
+    obs::append_trace_escaped(args, error.message);
+    args += "\"}";
+    sink->instant(name, std::move(args));
+}
 
-/// Runs one attempt of one job on the calling thread and classifies any
-/// exception it throws.
-AttemptResult attempt_job(const core::CampaignRunner& runner, const std::string& scenario,
-                          const core::CampaignConfig& config, fi::Injector* injector,
-                          int job_index) {
-    AttemptResult result;
-    try {
-        if (injector != nullptr) {
-            // The per-job seam: job_throw fires here; job_hang sleeps
-            // here, squarely under the watchdog when one is armed.
-            const int hang_ms = injector->job_fault(job_index, config.fi_attempt);
-            if (hang_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
+} // namespace
+
+AttemptRunner::AttemptRunner(const RetryPolicy& policy, fi::Injector* injector,
+                             const std::atomic<bool>* stop)
+    : policy_(policy), injector_(injector), stop_(stop) {
+    policy_.max_attempts = std::max(1, policy_.max_attempts);
+}
+
+AttemptRunner::~AttemptRunner() {
+    for (std::thread& t : zombies_) {
+        if (t.joinable()) t.join();
+    }
+}
+
+std::optional<core::JobError> AttemptRunner::attempt_once(int job_index, int attempt,
+                                                          std::function<void()> work) {
+    auto guarded = [injector = injector_, job_index, attempt,
+                    work = std::move(work)]() -> std::optional<core::JobError> {
+        try {
+            if (injector != nullptr) {
+                // The per-job seam: job_throw fires here; job_hang sleeps
+                // here, squarely under the watchdog when one is armed.
+                const int hang_ms = injector->job_fault(job_index, attempt);
+                if (hang_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
+            }
+            work();
+            return std::nullopt;
+        } catch (const fi::InjectedFault& e) {
+            return core::JobError{core::JobErrorClass::injected_fault, e.what()};
+        } catch (const std::exception& e) {
+            return core::JobError{core::JobErrorClass::scenario_exception, e.what()};
+        } catch (...) {
+            return core::JobError{core::JobErrorClass::unknown,
+                                  "non-standard exception escaped the job"};
         }
-        result.summary = runner.run(scenario, config);
-        result.ok = true;
-    } catch (const fi::InjectedFault& e) {
-        result.error = {core::JobErrorClass::injected_fault, e.what()};
-    } catch (const std::exception& e) {
-        result.error = {core::JobErrorClass::scenario_exception, e.what()};
-    } catch (...) {
-        result.error = {core::JobErrorClass::unknown, "non-standard exception escaped the job"};
-    }
-    return result;
-}
+    };
+    if (policy_.job_timeout_ms <= 0.0) return guarded();
 
-/// Runs one attempt of one job. Without a watchdog it runs inline; with one
-/// it runs on its own thread so the watchdog can abandon it. A timed-out
-/// thread is parked in `zombies` (joined before execute_plan returns — the
-/// injected job_hang is finite, and a genuinely wedged job then blocks exit
-/// instead of corrupting state); its late result lands in shared state
-/// nobody reads.
-AttemptResult run_attempt(const core::CampaignRunner& runner, const Job& job,
-                          const core::CampaignConfig& config, const RunOptions& options,
-                          std::vector<std::thread>& zombies) {
-    if (options.job_timeout_ms <= 0.0) {
-        return attempt_job(runner, job.scenario, config, options.injector, job.index);
-    }
+    // Watchdogged: the attempt runs on its own thread so it can be
+    // abandoned. A timed-out thread is parked in zombies_; its late verdict
+    // lands in shared state nobody reads.
     struct Shared {
         std::mutex mutex;
         std::condition_variable cv;
         bool done = false;
-        AttemptResult result;
+        std::optional<core::JobError> error;
     };
     auto shared = std::make_shared<Shared>();
-    std::thread worker([shared, &runner, scenario = job.scenario, config,
-                        injector = options.injector, job_index = job.index] {
-        AttemptResult result = attempt_job(runner, scenario, config, injector, job_index);
+    std::thread thread([shared, guarded = std::move(guarded)] {
+        std::optional<core::JobError> error = guarded();
         const std::lock_guard<std::mutex> lock(shared->mutex);
-        shared->result = std::move(result);
+        shared->error = std::move(error);
         shared->done = true;
         shared->cv.notify_all();
     });
-
     std::unique_lock<std::mutex> lock(shared->mutex);
-    const bool done =
-        shared->cv.wait_for(lock,
-                            std::chrono::duration<double, std::milli>(options.job_timeout_ms),
-                            [&] { return shared->done; });
-    if (done) {
+    if (shared->cv.wait_for(lock,
+                            std::chrono::duration<double, std::milli>(policy_.job_timeout_ms),
+                            [&] { return shared->done; })) {
         lock.unlock();
-        worker.join();
-        return std::move(shared->result);
+        thread.join();
+        return std::move(shared->error);
     }
     lock.unlock();
-    zombies.push_back(std::move(worker));
-    AttemptResult timed_out;
-    timed_out.error = {core::JobErrorClass::timeout,
-                       "attempt " + std::to_string(config.fi_attempt) + " exceeded the " +
-                           std::to_string(options.job_timeout_ms) + " ms watchdog"};
-    return timed_out;
+    {
+        const std::lock_guard<std::mutex> zombie_lock(zombie_mutex_);
+        zombies_.push_back(std::move(thread));
+    }
+    return core::JobError{core::JobErrorClass::timeout,
+                          "attempt " + std::to_string(attempt) + " exceeded the " +
+                              std::to_string(policy_.job_timeout_ms) + " ms watchdog"};
 }
 
-/// Appends with the same bounded-retry policy as job execution. The writer
-/// newline-terminates any torn tail between attempts, so a retried record
-/// never merges into the failed fragment. A store that keeps failing after
-/// the retry budget is fatal — nothing durable can come of the run.
-void append_with_retry(ResultWriter& writer, const JobRecord& record,
-                       const RunOptions& options, RunStats& stats) {
-    const int max_attempts = std::max(1, options.max_attempts);
+Attempts AttemptRunner::run_attempts(
+    int job_index, const std::function<std::function<void()>(int)>& make_attempt) {
+    Attempts out;
+    for (int attempt = 1;; ++attempt) {
+        out.count = attempt;
+        std::optional<core::JobError> error;
+        {
+            std::string args;
+            if (obs::trace() != nullptr) args = "{\"attempt\":" + std::to_string(attempt) + "}";
+            const obs::Span attempt_span("attempt", std::move(args));
+            error = attempt_once(job_index, attempt, make_attempt(attempt));
+        }
+        if (!error) {
+            out.ok = true;
+            return out;
+        }
+        out.error = std::move(*error);
+        if (out.error.cls == core::JobErrorClass::timeout) {
+            ROPUF_OBS_COUNT("xp.watchdog_timeouts", 1);
+            trace_instant("watchdog_timeout", out.error);
+        } else if (out.error.cls == core::JobErrorClass::injected_fault) {
+            ROPUF_OBS_COUNT("fi.injected_faults", 1);
+            trace_instant("fi:injected_fault", out.error);
+        }
+        if (attempt >= policy_.max_attempts) break;
+        backoff_sleep(policy_.backoff_base_ms, attempt);
+        if (stop_requested(stop_)) {
+            // Interrupted between retries: the caller writes nothing, and
+            // resume retries the job from attempt one.
+            out.stopped = true;
+            return out;
+        }
+        ROPUF_OBS_COUNT("xp.retries", 1);
+    }
+    ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
+    trace_instant("quarantined", out.error, /*with_class=*/true);
+    return out;
+}
+
+int append_with_retry(ResultWriter& writer, const std::string& line, const RetryPolicy& policy) {
     for (int attempt = 1;; ++attempt) {
         try {
-            writer.append(record);
-            return;
+            writer.append_line(line);
+            return attempt - 1;
         } catch (const std::exception& e) {
             if (obs::TraceSink* sink = obs::trace()) {
                 std::string args = "{\"what\":\"";
@@ -134,15 +173,12 @@ void append_with_retry(ResultWriter& writer, const JobRecord& record,
                                   : "store_error",
                               std::move(args));
             }
-            if (attempt >= max_attempts) throw;
-            ++stats.store_retries;
+            if (attempt >= policy.max_attempts) throw;
             ROPUF_OBS_COUNT("xp.store_append_retries", 1);
-            backoff_sleep(options.backoff_base_ms, attempt);
+            backoff_sleep(policy.backoff_base_ms, attempt);
         }
     }
 }
-
-} // namespace
 
 RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                       const std::set<std::string>& skip, ResultWriter& writer,
@@ -150,7 +186,6 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
     const core::CampaignRunner runner(registry);
     RunStats stats;
     stats.total = static_cast<int>(plan.jobs.size());
-    const int max_attempts = std::max(1, options.max_attempts);
 
     obs::Registry* const reg = obs::registry();
     if (reg != nullptr) {
@@ -176,17 +211,9 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
     }
     if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("executor");
 
-    // Timed-out attempt threads; joined (reverse declaration order) before
-    // `runner` dies, so a late-finishing attempt never touches a dead runner.
-    std::vector<std::thread> zombies;
-    struct Reaper {
-        std::vector<std::thread>& threads;
-        ~Reaper() {
-            for (std::thread& t : threads) {
-                if (t.joinable()) t.join();
-            }
-        }
-    } reaper{zombies};
+    // Declared after `runner`, so abandoned attempts are joined before the
+    // runner they reference dies.
+    AttemptRunner attempts(options.retry, options.injector, options.stop);
 
     for (const Job& job : plan.jobs) {
         if (skip.count(job.id) != 0) {
@@ -194,7 +221,7 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
             continue;
         }
         if (options.max_jobs >= 0 && stats.executed >= options.max_jobs) break;
-        if (stop_requested(options)) {
+        if (stop_requested(options.stop)) {
             stats.stopped = true;
             break;
         }
@@ -225,66 +252,21 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         obs::Snapshot obs_before;
         if (reg != nullptr) obs_before = reg->snapshot();
 
-        bool ok = false;
-        bool stopped_mid_job = false;
-        int attempts_used = 0;
-        core::CampaignSummary summary;
-        core::JobError last_error;
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-            attempts_used = attempt;
-            config.fi_attempt = attempt;
-            AttemptResult result;
-            {
-                std::string attempt_args;
-                if (obs::trace() != nullptr) {
-                    attempt_args = "{\"attempt\":" + std::to_string(attempt) + "}";
-                }
-                const obs::Span attempt_span("attempt", std::move(attempt_args));
-                result = run_attempt(runner, job, config, options, zombies);
-            }
-            if (result.ok) {
-                summary = std::move(result.summary);
-                ok = true;
-                break;
-            }
-            last_error = std::move(result.error);
-            if (last_error.cls == core::JobErrorClass::timeout) {
-                ROPUF_OBS_COUNT("xp.watchdog_timeouts", 1);
-                if (obs::TraceSink* sink = obs::trace()) {
-                    std::string args = "{\"what\":\"";
-                    obs::append_trace_escaped(args, last_error.message);
-                    args += "\"}";
-                    sink->instant("watchdog_timeout", std::move(args));
-                }
-            } else if (last_error.cls == core::JobErrorClass::injected_fault) {
-                ROPUF_OBS_COUNT("fi.injected_faults", 1);
-                if (obs::TraceSink* sink = obs::trace()) {
-                    std::string args = "{\"what\":\"";
-                    obs::append_trace_escaped(args, last_error.message);
-                    args += "\"}";
-                    sink->instant("fi:injected_fault", std::move(args));
-                }
-            }
-            if (attempt < max_attempts) {
-                ++stats.retries;
-                ROPUF_OBS_COUNT("xp.retries", 1);
-                backoff_sleep(options.backoff_base_ms, attempt);
-                if (stop_requested(options)) {
-                    stopped_mid_job = true;
-                    break;
-                }
-            }
-        }
-        if (!ok && stopped_mid_job) {
-            // Interrupted between retries: write nothing — resume retries
-            // the job from attempt one.
+        const Retried<core::CampaignSummary> result =
+            attempts.run(job.index, [&runner, scenario = job.scenario, config](int attempt) {
+                core::CampaignConfig attempt_config = config;
+                attempt_config.fi_attempt = attempt;
+                return runner.run(scenario, attempt_config);
+            });
+        if (result.stopped) {
             stats.stopped = true;
             break;
         }
+        stats.retries += result.count - 1;
 
-        JobRecord record = ok ? make_record(plan, job, summary)
-                              : make_failed_record(plan, job, last_error, attempts_used);
-        record.attempts = attempts_used;
+        JobRecord record = result.ok ? make_record(plan, job, result.value)
+                                     : make_failed_record(plan, job, result.error, result.count);
+        record.attempts = result.count;
         if (reg != nullptr) {
             // This job's slice of the metrics: everything the attempts (and
             // their campaign workers) recorded since the pre-job snapshot.
@@ -301,43 +283,32 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                                    h.quantile(0.99), h.max};
             }
         }
-        append_with_retry(writer, record, options, stats);
-        if (ok) {
+        stats.store_retries += append_with_retry(writer, to_jsonl(record), options.retry);
+        if (result.ok) {
             ++stats.executed;
             ROPUF_OBS_COUNT("xp.jobs_done", 1);
-            ROPUF_OBS_OBSERVE("xp.job_wall_ms", summary.wall_ms);
+            ROPUF_OBS_OBSERVE("xp.job_wall_ms", result.value.wall_ms);
         } else {
             ++stats.failed;
-            ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
-            if (obs::TraceSink* sink = obs::trace()) {
-                std::string args = "{\"class\":\"";
-                obs::append_trace_escaped(
-                    args, core::job_error_class_name(last_error.cls));
-                args += "\",\"what\":\"";
-                obs::append_trace_escaped(args, last_error.message);
-                args += "\"}";
-                sink->instant("quarantined", std::move(args));
-            }
         }
 
         if (options.progress != nullptr) {
-            if (ok) {
+            if (result.ok) {
                 char retry_note[32] = "";
-                if (attempts_used > 1) {
-                    std::snprintf(retry_note, sizeof retry_note, " [attempt %d]",
-                                  attempts_used);
+                if (result.count > 1) {
+                    std::snprintf(retry_note, sizeof retry_note, " [attempt %d]", result.count);
                 }
                 std::fprintf(options.progress,
                              "[%d/%d] %s %-24s trials=%-4d success=%.3f queries=%.1f "
                              "(%.0f ms)%s\n",
                              job.index + 1, stats.total, job.id.c_str(), job.scenario.c_str(),
-                             job.trials, summary.success_rate, summary.queries.mean,
-                             summary.wall_ms, retry_note);
+                             job.trials, result.value.success_rate, result.value.queries.mean,
+                             result.value.wall_ms, retry_note);
             } else {
                 std::fprintf(options.progress, "[%d/%d] %s %-24s QUARANTINED %s: %s (%d attempts)\n",
                              job.index + 1, stats.total, job.id.c_str(), job.scenario.c_str(),
-                             std::string(core::job_error_class_name(last_error.cls)).c_str(),
-                             last_error.message.c_str(), attempts_used);
+                             std::string(core::job_error_class_name(result.error.cls)).c_str(),
+                             result.error.message.c_str(), result.count);
             }
             std::fflush(options.progress);
         }

@@ -1,31 +1,42 @@
-// Plan execution: jobs -> CampaignRunner -> ResultWriter.
+// Plan execution: jobs -> CampaignRunner -> ResultWriter, plus the one
+// fault policy every scheduler shares.
 //
 // The executor walks a Plan in index order, skips every job ID already in
-// the skip set (resume), runs the rest as Monte-Carlo campaigns on the
-// worker pool, and appends one JSONL record per finished job. Per-job
-// results depend only on (spec, job index): trials derive their seeds from
-// the job's campaign_seed, never from which jobs ran before it — so an
-// interrupted run plus a resume produces the same records as one
-// uninterrupted run.
+// the skip set (resume), runs the rest one at a time as Monte-Carlo
+// campaigns on the core::parallel_for pool, and appends one JSONL record
+// per finished job. Per-job results depend only on (spec, job index):
+// trials derive their seeds from the job's campaign_seed, never from which
+// jobs ran before it — so an interrupted run plus a resume produces the
+// same records as one uninterrupted run.
 //
-// Fault tolerance: the executor survives, rather than propagates, per-job
-// failure. Each job gets up to max_attempts attempts; a thrown exception is
-// captured and classified (core::JobError), an attempt that outlives the
-// per-job watchdog timeout is abandoned, and retries back off with a
-// deterministic exponential schedule. A job whose every attempt failed is
-// quarantined as an `outcome=job_failed` record — the run completes with
-// partial results, and `resume` retries exactly the quarantined/missing
-// jobs. Store appends get the same retry treatment (the writer terminates
-// torn tails between attempts). A cooperative stop flag (SIGINT) and the
-// injected worker_abort fault both halt dispatch between jobs, leaving a
-// file a resume completes to bit-identical records.
+// Fault tolerance: AttemptRunner survives, rather than propagates, a
+// failure of one job — an xp job here, a fleet shard in
+// fleet::run_fleet_campaign. Each gets up to RetryPolicy::max_attempts
+// attempts; a thrown exception is captured and classified (core::JobError),
+// an attempt that outlives the watchdog timeout is abandoned, and retries
+// back off with a deterministic exponential schedule. A job whose every
+// attempt failed is quarantined as an `outcome=job_failed` record — the run
+// completes with partial results, and resume retries exactly the
+// quarantined/missing jobs. Store appends get the same budget through
+// append_with_retry (the writer terminates torn tails between attempts). A
+// cooperative stop flag (SIGINT) and the injected worker_abort fault both
+// halt dispatch between jobs, leaving a file a resume completes to
+// bit-identical records.
 #pragma once
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
+#include "ropuf/core/errors.hpp"
 #include "ropuf/xp/planner.hpp"
 #include "ropuf/xp/result_store.hpp"
 
@@ -35,16 +46,91 @@ class Injector;
 
 namespace ropuf::xp {
 
+/// The retry budget shared by xp jobs, fleet shards and store appends.
+struct RetryPolicy {
+    int max_attempts = 3;         ///< attempts before quarantine (>= 1)
+    double backoff_base_ms = 5.0; ///< retry i sleeps base * 2^(i-1) ms (capped at 1 s)
+    double job_timeout_ms = 0.0;  ///< per-attempt watchdog; 0 = no timeout
+};
+
+/// How the attempts at one job (or shard) ended.
+struct Attempts {
+    bool ok = false;      ///< an attempt succeeded
+    bool stopped = false; ///< the stop flag fired between retries: record nothing
+    int count = 0;        ///< attempts made; retries are count - 1
+    core::JobError error; ///< the last failure, when !ok
+};
+
+/// Attempts plus the successful attempt's value (default-constructed
+/// unless ok).
+template <class T>
+struct Retried : Attempts {
+    T value{};
+};
+
+/// Runs jobs under one RetryPolicy. Per attempt it fires the fi job seam
+/// (job_throw, job_hang), runs the work — on its own thread when the
+/// watchdog is armed — and classifies what escaped; between attempts it
+/// backs off and checks the stop flag. It emits the attempt span, the
+/// fi:injected_fault / watchdog_timeout / quarantined trace instants and
+/// the xp.retries / xp.watchdog_timeouts / fi.injected_faults /
+/// xp.jobs_quarantined counters. Thread-safe: pool workers may run jobs
+/// concurrently.
+class AttemptRunner {
+public:
+    AttemptRunner(const RetryPolicy& policy, fi::Injector* injector,
+                  const std::atomic<bool>* stop);
+    /// Joins every watchdog-abandoned attempt (the injected job_hang is
+    /// finite; a genuinely wedged job then blocks exit instead of running
+    /// past the state it references).
+    ~AttemptRunner();
+    AttemptRunner(const AttemptRunner&) = delete;
+    AttemptRunner& operator=(const AttemptRunner&) = delete;
+
+    /// Runs attempt(n) for n = 1, 2, ... until one returns or the budget is
+    /// spent. A watchdog-abandoned attempt keeps running on its own thread
+    /// until this runner dies, so `attempt` is copied and must capture by
+    /// value anything that dies sooner; its result lands in a slot nobody
+    /// reads.
+    template <class F>
+    Retried<std::invoke_result_t<F&, int>> run(int job_index, F attempt) {
+        using T = std::invoke_result_t<F&, int>;
+        Retried<T> out;
+        std::shared_ptr<T> slot;
+        static_cast<Attempts&>(out) = run_attempts(job_index, [&](int n) {
+            slot = std::make_shared<T>();
+            return std::function<void()>([slot, attempt, n]() mutable { *slot = attempt(n); });
+        });
+        if (out.ok) out.value = std::move(*slot);
+        return out;
+    }
+
+private:
+    Attempts run_attempts(int job_index,
+                          const std::function<std::function<void()>(int)>& make_attempt);
+    std::optional<core::JobError> attempt_once(int job_index, int attempt,
+                                               std::function<void()> work);
+
+    RetryPolicy policy_;
+    fi::Injector* injector_;
+    const std::atomic<bool>* stop_;
+    std::mutex zombie_mutex_;
+    std::vector<std::thread> zombies_; ///< watchdog-abandoned attempts
+};
+
+/// Appends one record line under the policy's budget, backing off between
+/// attempts; the writer newline-terminates a torn tail first, so a retried
+/// record never merges into the failed fragment. A store that keeps failing
+/// past the budget rethrows — nothing durable can come of the run. Returns
+/// the retries spent.
+int append_with_retry(ResultWriter& writer, const std::string& line, const RetryPolicy& policy);
+
 struct RunOptions {
     int workers = 0;       ///< campaign worker threads; 0 = hardware_concurrency
     int max_jobs = -1;     ///< stop after executing this many jobs (< 0 = all);
                            ///< deterministically emulates an interrupted run
     std::FILE* progress = nullptr; ///< per-job progress lines (nullptr = silent)
-
-    // Fault tolerance.
-    int max_attempts = 3;          ///< per-job attempts before quarantine (>= 1)
-    double backoff_base_ms = 5.0;  ///< retry i sleeps base * 2^(i-1) ms (capped at 1 s)
-    double job_timeout_ms = 0.0;   ///< per-attempt watchdog; 0 = no timeout
+    RetryPolicy retry;     ///< per-job attempts, backoff and watchdog
     fi::Injector* injector = nullptr;        ///< fault-injection seams (nullptr = none)
     const std::atomic<bool>* stop = nullptr; ///< cooperative stop (SIGINT); checked
                                              ///< between jobs and between retries
@@ -70,8 +156,8 @@ struct RunStats {
 /// Runs every plan job whose ID is not in `skip`, appending records to
 /// `writer`. Scenario lookups go through `registry` (jobs were validated
 /// against it at plan time). Per-job failures are retried then quarantined
-/// per `options`; only a store that keeps rejecting writes after retries
-/// still throws (a dead disk is not survivable).
+/// per `options.retry`; only a store that keeps rejecting writes after
+/// retries still throws (a dead disk is not survivable).
 RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                       const std::set<std::string>& skip, ResultWriter& writer,
                       const RunOptions& options = {});

@@ -103,6 +103,20 @@ JobRecord make_failed_record(const Plan& plan, const Job& job, const core::JobEr
     return record;
 }
 
+void append_fault_key(std::string& out, int attempts, bool failed,
+                      std::string_view error_class, std::string_view message) {
+    if (attempts <= 1 && !failed) return;
+    out += ",\"fault\":{\"attempts\":" + std::to_string(attempts);
+    if (failed) {
+        out += ",\"class\":\"";
+        core::append_json_escaped(out, error_class);
+        out += "\",\"message\":\"";
+        core::append_json_escaped(out, message);
+        out += '"';
+    }
+    out += '}';
+}
+
 std::string to_jsonl(const JobRecord& r) {
     std::string out = "{\"v\":1,\"spec\":\"";
     core::append_json_escaped(out, r.spec_name);
@@ -167,20 +181,9 @@ std::string to_jsonl(const JobRecord& r) {
     core::append_json_escaped(out, r.simd);
     out += "\",\"hardware_concurrency\":" + std::to_string(r.hardware_concurrency);
     out += '}';
-    // Fault-tolerance side-fields ride after timing (outside the
-    // deterministic prefix); a first-attempt success emits nothing here, so
-    // pre-fault-era records stay byte-identical.
-    if (r.attempts > 1 || r.failed()) {
-        out += ",\"fault\":{\"attempts\":" + std::to_string(r.attempts);
-        if (r.failed()) {
-            out += ",\"class\":\"";
-            core::append_json_escaped(out, r.error_class);
-            out += "\",\"message\":\"";
-            core::append_json_escaped(out, r.error_message);
-            out += '"';
-        }
-        out += '}';
-    }
+    // Fault-tolerance side-fields ride after timing, outside the
+    // deterministic prefix.
+    append_fault_key(out, r.attempts, r.failed(), r.error_class, r.error_message);
     // The obs metrics delta is the last side-key: only present when a
     // registry was installed for the run, so obs-off output is byte-for-byte
     // what pre-obs builds wrote.

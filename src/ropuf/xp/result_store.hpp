@@ -124,6 +124,13 @@ JobRecord make_record(const Plan& plan, const Job& job, const core::CampaignSumm
 JobRecord make_failed_record(const Plan& plan, const Job& job, const core::JobError& error,
                              int attempts);
 
+/// Appends the "fault" side-key — `,"fault":{"attempts":N}` plus the error
+/// class and message when `failed` — or nothing for a first-attempt
+/// success, which keeps pre-fault-era records byte-identical. The one
+/// writer of the key, for xp job records and fleet shard records alike.
+void append_fault_key(std::string& out, int attempts, bool failed,
+                      std::string_view error_class, std::string_view message);
+
 /// One-line JSON serialization; the host-bound side-keys always come last,
 /// in the order timing, fault (if any), obs (if any).
 std::string to_jsonl(const JobRecord& record);

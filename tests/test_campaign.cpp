@@ -1,14 +1,19 @@
 // Campaign runner: parallel Monte-Carlo execution must be bitwise
 // reproducible — the same master seed yields the same per-trial reports and
-// the same aggregates regardless of worker count or repetition.
+// the same aggregates regardless of worker count or repetition. Also the
+// contract of the pool underneath it, core::parallel_for.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/core/campaign.hpp"
+#include "ropuf/core/parallel.hpp"
 
 namespace {
 
@@ -224,6 +229,28 @@ TEST(Campaign, ZeroTrialsYieldEmptyButFiniteSummary) {
     EXPECT_DOUBLE_EQ(summary.mean_accuracy, 0.0);
     EXPECT_DOUBLE_EQ(summary.queries.mean, 0.0);
     EXPECT_DOUBLE_EQ(summary.queries.p95, 0.0);
+}
+
+TEST(ParallelFor, RunsEachItemOnceThenStopsClaimingAfterAFailure) {
+    for (const int workers : {1, 4}) {
+        std::vector<std::atomic<int>> hits(64);
+        ropuf::core::parallel_for(hits.size(), workers,
+                                  [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << workers << " workers";
+
+        // Item 2 throws at once; every other item takes a millisecond, so
+        // the pool must stop claiming long before it could drain the list.
+        std::atomic<int> ran{0};
+        EXPECT_THROW(ropuf::core::parallel_for(1000, workers,
+                                               [&](std::size_t i) {
+                                                   ran.fetch_add(1);
+                                                   if (i == 2) throw std::runtime_error("x");
+                                                   std::this_thread::sleep_for(
+                                                       std::chrono::milliseconds(1));
+                                               }),
+                     std::runtime_error);
+        EXPECT_LT(ran.load(), 100) << workers << " workers";
+    }
 }
 
 TEST(SummarizeMetric, KnownValues) {

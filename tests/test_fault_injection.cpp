@@ -81,8 +81,8 @@ xp::RunStats run_with_faults(const xp::Plan& plan, const std::string& path,
     xp::ResultWriter writer(path, /*truncate=*/!resume);
     xp::RunOptions opts;
     opts.workers = 1;
-    opts.backoff_base_ms = 0.0;
-    opts.job_timeout_ms = job_timeout_ms;
+    opts.retry.backoff_base_ms = 0.0;
+    opts.retry.job_timeout_ms = job_timeout_ms;
     opts.stop = stop;
     if (!fault_plan.empty()) {
         opts.injector = &injector;
@@ -151,6 +151,28 @@ TEST(FaultPlan, RejectsMalformedAndInapplicableTokens) {
     EXPECT_THROW((void)fi::parse_fault_plan("job_hang(ms=-1)"), fi::FaultPlanError);
     EXPECT_THROW((void)fi::parse_fault_plan("job_throw(ids=0,times=-2)"),
                  fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("job_throw(p=nan)"), fi::FaultPlanError);
+    // Integers never wrap: a negative or overflowing seed, and any count or
+    // index past INT_MAX (which used to alias a small one), are errors.
+    EXPECT_THROW((void)fi::parse_fault_plan("seed(-1)"), fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("seed(99999999999999999999999)"),
+                 fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("job_hang(ids=4294967297,ms=10)"),
+                 fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("job_hang(ms=4294967396)"), fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("torn_write(every=4294967297)"),
+                 fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("job_throw(times=4294967297)"),
+                 fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("worker_abort(after=2147483648)"),
+                 fi::FaultPlanError);
+    EXPECT_THROW((void)fi::parse_fault_plan("job_hang(ms=99999999999999999999999)"),
+                 fi::FaultPlanError);
+    // The extremes that do fit still parse.
+    EXPECT_EQ(fi::parse_fault_plan("seed(18446744073709551615)").seed,
+              18446744073709551615ULL);
+    EXPECT_EQ(fi::parse_fault_plan("worker_abort(after=2147483647)").rules.at(0).after,
+              2147483647);
 }
 
 // ---------------------------------------------------------------------------

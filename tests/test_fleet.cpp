@@ -4,8 +4,11 @@
 //   * order independence: a device manufactured / measured / enrolled alone
 //     is bit-identical to the same device inside any shard;
 //   * scheduler determinism: campaign output bytes (deterministic prefixes)
-//     are identical across {1, 2, 8} workers, under forced steal skew
+//     are identical across {1, 2, 8} workers, under forced schedule skew
 //     (fi job_hang), and across interrupted-then-resumed runs;
+//   * the shared fault policy: a watchdog-tripped shard retries to the
+//     clean bytes, and a permanently failing one quarantines after the
+//     whole attempt budget, then resumes to the clean run;
 //   * binary-store crash tolerance: truncating the store at EVERY byte
 //     offset of its tail record loses at most that record, the reader
 //     never throws, and a resumed writer rebuilds the clean file bitwise
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "ropuf/core/sanitizer.hpp"
 #include "ropuf/fi/fault_plan.hpp"
 #include "ropuf/fi/injector.hpp"
 #include "ropuf/fleet/campaign.hpp"
@@ -73,13 +77,21 @@ void write_bytes(const std::string& path, const std::string& bytes) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::vector<std::string> deterministic_lines(const std::string& path) {
+std::vector<std::string> read_lines(const std::string& path) {
     std::ifstream in(path);
     EXPECT_TRUE(in.good()) << path;
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(in, line)) {
-        if (!line.empty()) lines.emplace_back(xp::deterministic_prefix(line));
+        if (!line.empty()) lines.push_back(line);
+    }
+    return lines;
+}
+
+std::vector<std::string> deterministic_lines(const std::string& path) {
+    std::vector<std::string> lines;
+    for (const std::string& line : read_lines(path)) {
+        lines.emplace_back(xp::deterministic_prefix(line));
     }
     return lines;
 }
@@ -95,12 +107,14 @@ fleet::FleetRunStats run_campaign(const fleet::Population& population,
                                   const std::string& store_path,
                                   const std::string& results_path, int workers,
                                   long long max_shards = -1,
-                                  fi::Injector* injector = nullptr) {
+                                  fi::Injector* injector = nullptr,
+                                  const xp::RetryPolicy& retry = {}) {
     const fleet::EnrollmentMap enrollment(store_path);
     xp::ResultWriter writer(results_path, /*truncate=*/false);
     fleet::FleetCampaignOptions opts;
     opts.workers = workers;
     opts.max_shards = max_shards;
+    opts.retry = retry;
     opts.injector = injector;
     if (injector != nullptr) writer.set_fault_injector(injector);
     return fleet::run_fleet_campaign(population, enrollment, writer, opts);
@@ -316,19 +330,53 @@ TEST_F(FleetCampaignTest, OutputIsBitwiseIdenticalAcrossWorkerCounts) {
     EXPECT_LT(s1.devices_ok, s1.devices);
 }
 
-TEST_F(FleetCampaignTest, ForcedStealSkewDoesNotChangeTheBytes) {
-    const std::string base = results_path("nosteal");
+TEST_F(FleetCampaignTest, ForcedScheduleSkewDoesNotChangeTheBytes) {
+    const std::string base = results_path("noskew");
     (void)run_campaign(*population_, store_path_, base, 1);
 
-    // Hang the worker that owns shard 0 long enough that its remaining
-    // shard is stolen: steal-heavy and steal-free schedules must agree.
+    // Hang shard 0 long enough that the other worker claims and finishes
+    // every remaining shard first: skewed and in-order schedules must agree.
     fi::Injector injector(fi::parse_fault_plan("seed(1);job_hang(ids=0,ms=400)"));
-    const std::string skew = results_path("steal");
+    const std::string skew = results_path("skew");
     const auto stats = run_campaign(*population_, store_path_, skew, 2,
                                     /*max_shards=*/-1, &injector);
     EXPECT_EQ(stats.executed, 3u);
-    EXPECT_GT(stats.steals, 0u);
+    EXPECT_EQ(stats.steals, 0u); // the shared pool has no per-worker queues
     EXPECT_EQ(deterministic_lines(skew), deterministic_lines(base));
+}
+
+/// The "fault" side-key of each line of `path` (empty when absent).
+std::vector<std::string> fault_keys(const std::string& path) {
+    std::vector<std::string> keys;
+    for (const std::string& line : read_lines(path)) {
+        const std::size_t pos = line.find(",\"fault\":");
+        keys.push_back(pos == std::string::npos ? "" : line.substr(pos));
+    }
+    return keys;
+}
+
+TEST_F(FleetCampaignTest, WatchdogTrippedShardRetriesToTheCleanBytes) {
+    const std::string clean = results_path("wdclean");
+    (void)run_campaign(*population_, store_path_, clean, 2);
+
+    // hang >> watchdog >> an honest shard, all scaled for sanitizer builds.
+    const double scale = core::sanitized_build() ? 10.0 : 1.0;
+    char plan[64];
+    std::snprintf(plan, sizeof plan, "seed(1);job_hang(ids=1,ms=%d,times=1)",
+                  static_cast<int>(400 * scale));
+    fi::Injector injector(fi::parse_fault_plan(plan));
+    xp::RetryPolicy retry;
+    retry.backoff_base_ms = 0.0;
+    retry.job_timeout_ms = 50.0 * scale;
+    const std::string path = results_path("wd");
+    const auto stats = run_campaign(*population_, store_path_, path, 2, /*max_shards=*/-1,
+                                    &injector, retry);
+    EXPECT_EQ(stats.executed, 3u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(fault_keys(path),
+              (std::vector<std::string>{"", ",\"fault\":{\"attempts\":2}}", ""}));
+    EXPECT_EQ(deterministic_lines(path), deterministic_lines(clean));
 }
 
 TEST_F(FleetCampaignTest, MaxShardsQuotaThenResumeMatchesCleanRun) {
@@ -352,19 +400,25 @@ TEST_F(FleetCampaignTest, QuarantinedShardIsRecordedAndResumeRetriesIt) {
     const std::string clean = results_path("qclean");
     (void)run_campaign(*population_, store_path_, clean, 1);
 
-    fi::Injector injector(fi::parse_fault_plan("seed(1);job_throw(ids=1)"));
+    // times=0: shard 1 throws on every attempt, so it spends the whole
+    // budget and is quarantined with the real attempt count.
+    fi::Injector injector(fi::parse_fault_plan("seed(1);job_throw(ids=1,times=0)"));
+    xp::RetryPolicy retry;
+    retry.max_attempts = 4;
+    retry.backoff_base_ms = 0.0;
     const std::string path = results_path("quar");
     const auto stats = run_campaign(*population_, store_path_, path, 1,
-                                    /*max_shards=*/-1, &injector);
+                                    /*max_shards=*/-1, &injector, retry);
     EXPECT_EQ(stats.executed, 2u);
     EXPECT_EQ(stats.failed, 1u);
-    bool saw_quarantine = false;
-    for (const auto& line : deterministic_lines(path)) {
-        if (line.find("\"outcome\":\"job_failed\"") != std::string::npos) {
-            saw_quarantine = true;
-        }
-    }
-    EXPECT_TRUE(saw_quarantine);
+    EXPECT_EQ(stats.retries, 3u);
+    const std::vector<std::string> lines = deterministic_lines(path);
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_NE(lines[1].find("\"outcome\":\"job_failed\""), std::string::npos);
+    EXPECT_EQ(fault_keys(path)[1].rfind(",\"fault\":{\"attempts\":4,\"class\":"
+                                        "\"injected_fault\"",
+                                        0),
+              0u);
 
     // Resume re-runs only the failed shard; the ok records then match the
     // clean run's (the quarantine line remains as history, like xp).
@@ -379,6 +433,29 @@ TEST_F(FleetCampaignTest, QuarantinedShardIsRecordedAndResumeRetriesIt) {
     auto clean_lines = deterministic_lines(clean);
     std::sort(clean_lines.begin(), clean_lines.end());
     EXPECT_EQ(ok_lines, clean_lines);
+}
+
+TEST_F(FleetCampaignTest, StoreFaultsAreRetriedThenFatalNeverLost) {
+    const std::string clean = results_path("sclean");
+    (void)run_campaign(*population_, store_path_, clean, 1);
+
+    // Every append fails with p = 0.5; the budget absorbs them and no
+    // record goes missing.
+    xp::RetryPolicy retry;
+    retry.max_attempts = 30;
+    retry.backoff_base_ms = 0.0;
+    fi::Injector flaky(fi::parse_fault_plan("seed(5);store_write_fail(p=0.5)"));
+    const std::string path = results_path("sflaky");
+    const auto stats =
+        run_campaign(*population_, store_path_, path, 2, /*max_shards=*/-1, &flaky, retry);
+    EXPECT_GT(stats.store_retries, 0u);
+    EXPECT_EQ(deterministic_lines(path), deterministic_lines(clean));
+
+    // A store that never accepts a write is fatal past the budget.
+    fi::Injector dead(fi::parse_fault_plan("store_write_fail(p=1)"));
+    EXPECT_THROW((void)run_campaign(*population_, store_path_, results_path("sdead"), 2,
+                                    /*max_shards=*/-1, &dead, retry),
+                 fi::InjectedFault);
 }
 
 TEST_F(FleetCampaignTest, PublishesSchedulerAndPopulationCounters) {

@@ -2,9 +2,10 @@
 // deliberately overlapped so a ROPUF_SANITIZE=thread build gets real
 // interleavings to bite on — concurrent campaign worker pools, cross-thread
 // obs registry snapshots racing owner-thread slot updates, trace emission
-// from many tracks racing close(), the progress heartbeat, the executor's
-// watchdog + zombie parking + reaper with a late-finishing abandoned
-// attempt, and the SIGINT-style cooperative stop flag.
+// from many tracks racing close(), the progress heartbeat, the shared
+// AttemptRunner's watchdog + zombie parking + reaper with a late-finishing
+// abandoned attempt (xp jobs, and fleet shards on the pool), and the
+// SIGINT-style cooperative stop flag.
 //
 // The assertions are intentionally light: on a plain build this is a smoke
 // test of orderly teardown; under TSan the pass/fail signal is the
@@ -27,6 +28,11 @@
 #include "ropuf/core/sanitizer.hpp"
 #include "ropuf/fi/fault_plan.hpp"
 #include "ropuf/fi/injector.hpp"
+#include "ropuf/fleet/campaign.hpp"
+#include "ropuf/fleet/enroll.hpp"
+#include "ropuf/fleet/population.hpp"
+#include "ropuf/fleet/spec.hpp"
+#include "ropuf/fleet/store.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/progress.hpp"
 #include "ropuf/obs/trace.hpp"
@@ -203,9 +209,9 @@ TEST(TsanStress, WatchdogZombieReaperVsRetryAttempt) {
     xp::ResultWriter writer(out, /*truncate=*/true);
     xp::RunOptions options;
     options.workers = 2;
-    options.max_attempts = 3;
-    options.backoff_base_ms = 0.0;
-    options.job_timeout_ms = 30.0 * scale;
+    options.retry.max_attempts = 3;
+    options.retry.backoff_base_ms = 0.0;
+    options.retry.job_timeout_ms = 30.0 * scale;
     options.injector = &injector;
 
     std::atomic<bool> done{false};
@@ -225,6 +231,65 @@ TEST(TsanStress, WatchdogZombieReaperVsRetryAttempt) {
     EXPECT_GE(stats.retries, 4); // each job burned attempt 1 on the hang
 }
 
+// The fleet twin: the same watchdog / zombie / retry interleaving on the
+// shared pool. Several workers each abandon a hung shard attempt and retry
+// it concurrently with their own zombie, all parking into one reaper, while
+// a snapshotter reads the registry the attempts write.
+TEST(TsanStress, FleetWatchdogZombiesVsRetriesOnThePool) {
+    ObsStack obs_stack(temp_path("tsan_fleet_trace") + ".json");
+    const fleet::Population population(fleet::parse_fleet_spec(
+        "name = tsan_fleet\n"
+        "devices = 256\n"
+        "wafer_size = 128\n"
+        "wafer_cols = 16\n"
+        "geometry = 8x4\n"
+        "key_bits = 8\n"
+        "enroll_samples = 3\n"
+        "majority_wins = 3\n"
+        "trials = 2\n"
+        "base_seed = 5\n"));
+    const std::string store = temp_path("tsan_fleet") + ".fleet";
+    {
+        fleet::EnrollmentWriter writer(store, fleet::make_store_header(population.spec()),
+                                       /*truncate=*/true);
+        fleet::enroll_population(population, writer);
+    }
+    // Every shard hangs past the watchdog on attempt 1 (hang >> timeout >>
+    // an honest shard, scaled for the sanitizer slowdown).
+    const double scale = core::sanitized_build() ? 10.0 : 1.0;
+    char hang_plan[48];
+    std::snprintf(hang_plan, sizeof hang_plan, "job_hang(ms=%d,times=1)",
+                  static_cast<int>(300 * scale));
+    fi::Injector injector(fi::parse_fault_plan(hang_plan));
+    const std::string out = temp_path("tsan_fleet") + ".jsonl";
+
+    std::atomic<bool> done{false};
+    std::thread snapshotter([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            (void)obs_stack.registry.snapshot();
+        }
+    });
+    fleet::FleetRunStats stats;
+    {
+        const fleet::EnrollmentMap enrollment(store);
+        xp::ResultWriter writer(out, /*truncate=*/true);
+        fleet::FleetCampaignOptions options;
+        options.workers = 3;
+        options.retry.backoff_base_ms = 0.0;
+        options.retry.job_timeout_ms = 30.0 * scale;
+        options.injector = &injector;
+        stats = fleet::run_fleet_campaign(population, enrollment, writer, options);
+    }
+    done.store(true, std::memory_order_release);
+    snapshotter.join();
+
+    EXPECT_EQ(stats.executed, 4u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.retries, 4u); // each shard burned attempt 1 on the hang
+    std::remove(store.c_str());
+    std::remove(out.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // SIGINT-style cooperative stop: the stop flag flips from another thread
 // mid-run (the signal handler's exact store), racing dispatch's relaxed
@@ -241,7 +306,7 @@ TEST(TsanStress, CooperativeStopFlagMidRunThenResume) {
         xp::ResultWriter writer(out, /*truncate=*/true);
         xp::RunOptions options;
         options.workers = 2;
-        options.backoff_base_ms = 0.0;
+        options.retry.backoff_base_ms = 0.0;
         options.injector = &injector; // the hang gives the stopper a window
         options.stop = &stop;
 

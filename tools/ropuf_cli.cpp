@@ -10,7 +10,7 @@
 //
 //   ropuf fleet info <spec>            canonical fleet spec, hash, shard table
 //   ropuf fleet enroll <spec>          manufacture + enroll into a binary store
-//   ropuf fleet campaign <spec>        work-stealing campaign over the store
+//   ropuf fleet campaign <spec>        sharded campaign over the store
 //   ropuf fleet resume <spec> <res>    run exactly the missing shards
 //   ropuf fleet stats <store>          population entropy / collision metrics
 //
@@ -20,6 +20,8 @@
 //   --max-jobs <n>       stop after executing n jobs (interruption testing)
 //   --max-attempts <n>   per-job attempts before quarantine (default 3)
 //   --job-timeout-ms <n> per-attempt watchdog timeout (0 = none)
+//   (fleet campaign/resume take both per shard; fleet enroll takes
+//   --max-attempts as its store-fault budget)
 //   --fi <plan>          fault-injection plan (chaos testing); overrides the
 //                        ROPUF_FI environment variable
 //   --quiet              suppress per-job progress lines
@@ -28,6 +30,9 @@
 //   --progress           live one-line status on stderr (auto-on when stderr
 //                        is a TTY; --no-progress suppresses)
 //   --trace-out <file>   write a Chrome trace-event JSON of the run
+//
+// Every verb rejects an option it would not read (exit 2) instead of
+// silently ignoring it.
 //
 // Observability never changes results: the obs side-key rides outside the
 // deterministic record prefix, so an obs-on run is byte-identical (per
@@ -41,18 +46,22 @@
 // did its quota is "done"); 1 = operational error; 2 = usage error;
 // 3 = incomplete-but-resumable (SIGINT, injected worker_abort, or
 // quarantined jobs) — `ropuf resume` finishes the file.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
 
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/core/attack_engine.hpp"
+#include "ropuf/core/parallel.hpp"
 #include "ropuf/defense/registry.hpp"
 #include "ropuf/fi/fault_plan.hpp"
 #include "ropuf/fi/injector.hpp"
@@ -108,6 +117,8 @@ int usage(std::FILE* out) {
         "fleet enroll/campaign/resume options (plus the above where they apply):\n"
         "  --store <file>       enrollment store path (default <spec name>.fleet)\n"
         "  --max-shards <n>     campaign: dispatch at most n pending shards\n"
+        "  (campaign/resume apply --max-attempts and --job-timeout-ms per shard;\n"
+        "   enroll takes only --store, --max-attempts, --fi and the obs options)\n"
         "\n"
         "exit codes: 0 done, 1 error, 2 usage,\n"
         "            3 incomplete but resumable (interrupt/abort/quarantine)\n",
@@ -146,10 +157,24 @@ bool parse_int_arg(const std::string& token, const char* what, int* out) {
     return true;
 }
 
+/// Options every run-style verb takes: the fault plan, the obs surfaces,
+/// and --quiet (a no-op for the fleet verbs, which print no per-job lines;
+/// accepted so one script flag set serves every verb).
+constexpr std::string_view kCommonOptions[] = {"--fi",       "--quiet",       "--obs",
+                                               "--progress", "--no-progress", "--trace-out"};
+
+/// Parses `args[start..]` for `verb`, which reads the common options plus
+/// `accepted`; any other option is a usage error, never silently ignored.
 bool parse_options(const std::vector<std::string>& args, std::size_t start, CliOptions& opts,
-                   bool fleet = false) {
+                   const char* verb, std::initializer_list<std::string_view> accepted) {
     for (std::size_t i = start; i < args.size(); ++i) {
         const std::string& arg = args[i];
+        if (std::find(std::begin(kCommonOptions), std::end(kCommonOptions), arg) ==
+                std::end(kCommonOptions) &&
+            std::find(accepted.begin(), accepted.end(), arg) == accepted.end()) {
+            std::fprintf(stderr, "ropuf: %s does not take option '%s'\n", verb, arg.c_str());
+            return false;
+        }
         const auto next = [&](const char* what) -> const std::string* {
             if (i + 1 >= args.size()) {
                 std::fprintf(stderr, "ropuf: %s expects a value\n", what);
@@ -199,18 +224,15 @@ bool parse_options(const std::vector<std::string>& args, std::size_t start, CliO
             const std::string* v = next("--trace-out");
             if (v == nullptr) return false;
             opts.trace_out = *v;
-        } else if (fleet && arg == "--store") {
+        } else if (arg == "--store") {
             const std::string* v = next("--store");
             if (v == nullptr) return false;
             opts.store = *v;
-        } else if (fleet && arg == "--max-shards") {
+        } else if (arg == "--max-shards") {
             const std::string* v = next("--max-shards");
             if (v == nullptr || !parse_int_arg(*v, "--max-shards", &opts.max_shards)) {
                 return false;
             }
-        } else {
-            std::fprintf(stderr, "ropuf: unknown option '%s'\n", arg.c_str());
-            return false;
         }
     }
     return true;
@@ -351,6 +373,13 @@ fi::FaultPlan resolve_fault_plan(const CliOptions& opts) {
     return fi::parse_fault_plan(fi_text);
 }
 
+xp::RetryPolicy retry_policy(const CliOptions& opts) {
+    xp::RetryPolicy policy;
+    policy.max_attempts = opts.max_attempts;
+    policy.job_timeout_ms = static_cast<double>(opts.job_timeout_ms);
+    return policy;
+}
+
 int run_or_resume(const xp::SweepSpec& spec, const std::string& spec_path,
                   const CliOptions& opts, bool resume, const std::string& results_path) {
     const xp::Plan plan = xp::plan_spec(spec, attack::default_registry());
@@ -376,8 +405,7 @@ int run_or_resume(const xp::SweepSpec& spec, const std::string& spec_path,
     run_opts.workers = opts.workers;
     run_opts.max_jobs = opts.max_jobs;
     run_opts.progress = opts.quiet ? nullptr : stdout;
-    run_opts.max_attempts = opts.max_attempts;
-    run_opts.job_timeout_ms = static_cast<double>(opts.job_timeout_ms);
+    run_opts.retry = retry_policy(opts);
     if (!fault_plan.empty()) {
         run_opts.injector = &injector;
         writer.set_fault_injector(&injector);
@@ -444,13 +472,6 @@ int cmd_report(const std::string& results_path, bool matrix, bool timings) {
 // --------------------------------------------------------------- fleet
 
 std::string default_store(const fleet::FleetSpec& spec) { return spec.name + ".fleet"; }
-
-/// --workers semantics shared with xp: 0 = hardware concurrency.
-int resolved_workers(int workers) {
-    if (workers > 0) return workers;
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? static_cast<int>(hc) : 1;
-}
 
 int cmd_fleet_info(const std::string& spec_path) {
     const fleet::FleetSpec spec = fleet::load_fleet_spec_file(spec_path);
@@ -582,8 +603,9 @@ int fleet_run_or_resume(const std::string& spec_path, const CliOptions& opts, bo
     const fleet::EnrollmentMap enrollment(store_path);
     xp::ResultWriter writer(results_path, /*truncate=*/false);
     fleet::FleetCampaignOptions run_opts;
-    run_opts.workers = resolved_workers(opts.workers);
+    run_opts.workers = core::resolve_workers(opts.workers);
     run_opts.max_shards = opts.max_shards;
+    run_opts.retry = retry_policy(opts);
     if (!fault_plan.empty()) {
         run_opts.injector = &injector;
         writer.set_fault_injector(&injector);
@@ -617,10 +639,12 @@ int fleet_run_or_resume(const std::string& spec_path, const CliOptions& opts, bo
                     static_cast<unsigned long long>(stats.trials),
                     static_cast<unsigned long long>(stats.bit_errors));
     }
-    if (stats.steals > 0 || stats.store_faults > 0) {
-        std::printf("scheduler: %llu stolen shard(s), %llu store fault(s)\n",
-                    static_cast<unsigned long long>(stats.steals),
-                    static_cast<unsigned long long>(stats.store_faults));
+    if (stats.retries > 0 || stats.store_retries > 0) {
+        std::printf("fault tolerance: %llu shard retr%s, %llu store append retr%s\n",
+                    static_cast<unsigned long long>(stats.retries),
+                    stats.retries == 1 ? "y" : "ies",
+                    static_cast<unsigned long long>(stats.store_retries),
+                    stats.store_retries == 1 ? "y" : "ies");
     }
     if (stats.stopped) std::printf("interrupted: stopped on SIGINT, results flushed\n");
     const std::uint64_t remaining =
@@ -649,26 +673,25 @@ int cmd_fleet(const std::vector<std::string>& args) {
     if (verb == "enroll") {
         if (args.size() < 3) return usage(stderr);
         CliOptions opts;
-        if (!parse_options(args, 3, opts, /*fleet=*/true)) return 2;
-        return cmd_fleet_enroll(args[2], opts);
-    }
-    if (verb == "campaign") {
-        if (args.size() < 3) return usage(stderr);
-        CliOptions opts;
-        if (!parse_options(args, 3, opts, /*fleet=*/true)) return 2;
-        return fleet_run_or_resume(args[2], opts, /*resume=*/false, "");
-    }
-    if (verb == "resume") {
-        if (args.size() < 4) return usage(stderr);
-        CliOptions opts;
-        if (!parse_options(args, 4, opts, /*fleet=*/true)) return 2;
-        if (!opts.output.empty()) {
-            std::fprintf(stderr,
-                         "ropuf: fleet resume writes to its positional results file; -o is "
-                         "not accepted\n");
+        if (!parse_options(args, 3, opts, "fleet enroll", {"--store", "--max-attempts"})) {
             return 2;
         }
-        return fleet_run_or_resume(args[2], opts, /*resume=*/true, args[3]);
+        return cmd_fleet_enroll(args[2], opts);
+    }
+    if (verb == "campaign" || verb == "resume") {
+        const bool resume = verb == "resume";
+        if (args.size() < (resume ? 4u : 3u)) return usage(stderr);
+        CliOptions opts;
+        // resume writes to its positional results file: no -o.
+        const bool parsed =
+            resume ? parse_options(args, 4, opts, "fleet resume",
+                                   {"--store", "--workers", "--max-shards", "--max-attempts",
+                                    "--job-timeout-ms"})
+                   : parse_options(args, 3, opts, "fleet campaign",
+                                   {"-o", "--store", "--workers", "--max-shards",
+                                    "--max-attempts", "--job-timeout-ms"});
+        if (!parsed) return 2;
+        return fleet_run_or_resume(args[2], opts, resume, resume ? args[3] : "");
     }
     std::fprintf(stderr, "ropuf: %s\n",
                  core::unknown_name_message(
@@ -693,7 +716,11 @@ int main(int argc, char** argv) {
         if (command == "run") {
             if (args.size() < 2) return usage(stderr);
             CliOptions opts;
-            if (!parse_options(args, 2, opts)) return 2;
+            if (!parse_options(args, 2, opts, "run",
+                               {"-o", "--workers", "--max-jobs", "--max-attempts",
+                                "--job-timeout-ms"})) {
+                return 2;
+            }
             const xp::SweepSpec spec = xp::load_spec_file(args[1]);
             const std::string out = opts.output.empty() ? default_output(spec) : opts.output;
             return run_or_resume(spec, args[1], opts, /*resume=*/false, out);
@@ -701,11 +728,10 @@ int main(int argc, char** argv) {
         if (command == "resume") {
             if (args.size() < 3) return usage(stderr);
             CliOptions opts;
-            if (!parse_options(args, 3, opts)) return 2;
-            if (!opts.output.empty()) {
-                std::fprintf(stderr,
-                             "ropuf: resume writes to its positional results file; -o is not "
-                             "accepted\n");
+            // resume writes to its positional results file: no -o.
+            if (!parse_options(args, 3, opts, "resume",
+                               {"--workers", "--max-jobs", "--max-attempts",
+                                "--job-timeout-ms"})) {
                 return 2;
             }
             return run_or_resume(xp::load_spec_file(args[1]), args[1], opts, /*resume=*/true,

@@ -170,7 +170,6 @@ SIDE_FIELDS = {
     # inside "timing"
     "workers", "wall_ms", "trial_wall_ms_sum", "measurements_per_s",
     "simd", "hardware_concurrency",
-    "stolen",  # fleet only: shard ran on a thief worker
     # inside "fault"
     "attempts", "class", "message",
     # inside "obs"
