@@ -84,11 +84,9 @@ StoreHeader decode_header(const unsigned char* p, const std::string& path) {
     return h;
 }
 
-/// Encodes one record (excluding its checksum, which is appended last).
-void encode_record(const EnrollmentRecord& rec, const StoreHeader& h,
-                   std::vector<unsigned char>& out) {
-    out.resize(h.record_bytes);
-    unsigned char* p = out.data();
+/// Encodes one record into the record_bytes at `out`, checksum last.
+void encode_record(const EnrollmentRecord& rec, unsigned char* out) {
+    unsigned char* p = out;
     put_u64(p, rec.device);
     p += 8;
     for (std::uint64_t w : rec.key_words) {
@@ -99,7 +97,7 @@ void encode_record(const EnrollmentRecord& rec, const StoreHeader& h,
         put_u16(p, v);
         p += 2;
     }
-    put_u64(p, checksum(out.data(), static_cast<std::size_t>(p - out.data())));
+    put_u64(p, checksum(out, static_cast<std::size_t>(p - out)));
 }
 
 /// True iff the record bytes at `p` are intact and carry device id
@@ -151,8 +149,8 @@ EnrollmentWriter::EnrollmentWriter(const std::string& path, const StoreHeader& h
     if (!truncate) {
         if (std::FILE* existing = std::fopen(path.c_str(), "rb+"); existing != nullptr) {
             // Resume: validate identity, then find the valid record prefix.
-            // Append-one-flush means invalid records only ever form a
-            // contiguous tail, so the first invalid record is where
+            // Appends land in device order, so invalid records only ever
+            // form a contiguous tail, and the first invalid record is where
             // writing resumes (overwriting any torn bytes).
             file_ = existing;
             unsigned char hdr[kStoreHeaderBytes];
@@ -205,50 +203,64 @@ EnrollmentWriter::~EnrollmentWriter() {
     if (file_ != nullptr) std::fclose(file_);
 }
 
-void EnrollmentWriter::append(const EnrollmentRecord& rec) {
-    if (rec.device != next_device_) {
-        throw SpecError("enrollment records must append in device order");
-    }
-    if (rec.helper.size() != header_.key_bits ||
-        rec.key_words.size() != key_word_count(static_cast<int>(header_.key_bits))) {
-        throw SpecError("enrollment record shape does not match the store header");
-    }
-    const long long pos = static_cast<long long>(kStoreHeaderBytes) +
-                          static_cast<long long>(next_device_) * header_.record_bytes;
+void EnrollmentWriter::append(std::span<const EnrollmentRecord> records) {
+    const std::size_t record_bytes = header_.record_bytes;
     if (dirty_) {
         // A previous append tore: re-seek to the record boundary so the
         // retry overwrites the fragment — the binary twin of the JSONL
         // writer's newline-termination recovery.
+        const long long pos = static_cast<long long>(kStoreHeaderBytes) +
+                              static_cast<long long>(next_device_) * record_bytes;
         if (std::fseek(file_, static_cast<long>(pos), SEEK_SET) != 0) {
             throw SpecError("seek failed for enrollment store: " + path_);
         }
         dirty_ = false;
     }
-    std::vector<unsigned char> bytes;
-    encode_record(rec, header_, bytes);
-    if (injector_ != nullptr) {
-        switch (injector_->next_store_fault()) {
-            case fi::Injector::StoreFault::none:
-                break;
-            case fi::Injector::StoreFault::fail:
-                throw fi::InjectedFault(fi::FaultPoint::store_write_fail,
-                                        "injected store write failure");
-            case fi::Injector::StoreFault::torn:
-                // Half a record, then "crash": the fixed-width analogue of
-                // the JSONL torn line.
-                (void)std::fwrite(bytes.data(), 1, bytes.size() / 2, file_);
-                (void)std::fflush(file_);
-                dirty_ = true;
-                throw fi::InjectedFault(fi::FaultPoint::torn_write, "injected torn write");
+    batch_.resize(records.size() * record_bytes);
+    std::size_t encoded = 0;
+    // Writes the `encoded` records plus `tail` bytes of the next one, then
+    // advances past the complete records.
+    const auto write = [&](std::size_t tail) {
+        const std::size_t bytes = encoded * record_bytes + tail;
+        if (bytes == 0) return;
+        if (std::fwrite(batch_.data(), 1, bytes, file_) != bytes || std::fflush(file_) != 0) {
+            dirty_ = true; // unknown how much landed; retry overwrites
+            throw SpecError("write failed for enrollment store: " + path_);
         }
+        next_device_ += encoded;
+        ROPUF_OBS_COUNT("fleet.store.bytes_written",
+                        static_cast<double>(encoded * record_bytes));
+    };
+    for (const EnrollmentRecord& rec : records) {
+        if (rec.device != next_device_ + encoded) {
+            write(0);
+            throw SpecError("enrollment records must append in device order");
+        }
+        if (rec.helper.size() != header_.key_bits ||
+            rec.key_words.size() != key_word_count(static_cast<int>(header_.key_bits))) {
+            write(0);
+            throw SpecError("enrollment record shape does not match the store header");
+        }
+        encode_record(rec, batch_.data() + encoded * record_bytes);
+        if (injector_ != nullptr) {
+            switch (injector_->next_store_fault()) {
+                case fi::Injector::StoreFault::none:
+                    break;
+                case fi::Injector::StoreFault::fail:
+                    write(0);
+                    throw fi::InjectedFault(fi::FaultPoint::store_write_fail,
+                                            "injected store write failure");
+                case fi::Injector::StoreFault::torn:
+                    // Half a record, then "crash": the fixed-width analogue
+                    // of the JSONL torn line.
+                    write(record_bytes / 2);
+                    dirty_ = true;
+                    throw fi::InjectedFault(fi::FaultPoint::torn_write, "injected torn write");
+            }
+        }
+        ++encoded;
     }
-    if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
-        std::fflush(file_) != 0) {
-        dirty_ = true; // unknown how much landed; retry overwrites
-        throw SpecError("write failed for enrollment store: " + path_);
-    }
-    ++next_device_;
-    ROPUF_OBS_COUNT("fleet.store.bytes_written", static_cast<double>(bytes.size()));
+    write(0);
 }
 
 EnrollmentMap::EnrollmentMap(const std::string& path) {

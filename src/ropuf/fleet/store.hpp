@@ -20,12 +20,13 @@
 // records are written in device order, so position doubles as an index
 // and the id field as a second integrity check.
 //
-// Torn-tail tolerance: appends are flushed one record at a time, so a
-// crash (or an injected torn_write) corrupts at most the trailing record.
-// Readers validate from the end backwards and expose only the valid
-// prefix; the writer reopens, finds the first invalid record, and resumes
-// writing over it — mirroring how the JSONL reader skips a torn line and
-// resume re-runs the job.
+// Torn-tail tolerance: records are written in device order, one flushed
+// batch at a time, so a crash corrupts at most the batch in flight and an
+// injected torn_write at most the record it fires on. Either way the
+// invalid bytes form one contiguous tail. Readers validate from the end
+// backwards and expose only the valid prefix; the writer reopens, finds
+// the first invalid record, and resumes writing over it — mirroring how
+// the JSONL reader skips a torn line and resume re-runs the job.
 //
 // The read path maps the file (one mmap, zero copies); random access to
 // record d is O(1) offset arithmetic, which is what keeps a fleet
@@ -34,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,12 +99,16 @@ public:
     /// The device id the next append must carry (== valid records so far).
     std::uint64_t next_device() const noexcept { return next_device_; }
 
-    /// Appends one flushed record; `rec.device` must equal next_device().
-    /// Throws xp::SpecError on real I/O failure and fi::InjectedFault when
-    /// the installed injector fires; either way the writer re-seeks to the
-    /// record boundary before the next append, so a retried record
-    /// overwrites the torn bytes instead of landing after them.
-    void append(const EnrollmentRecord& rec);
+    /// Appends `records` with one write and one flush; record k must carry
+    /// device next_device() + k and the header's shape. Records are checked,
+    /// and the injector consulted, in device order. The first bad record or
+    /// fault leaves the bytes one-record appends would (the records before
+    /// it, plus half of a torn record) and throws: xp::SpecError for a bad
+    /// record or real I/O failure, fi::InjectedFault when the injector
+    /// fires. The writer then re-seeks to the record boundary before the
+    /// next append, so a retried record overwrites the torn bytes instead
+    /// of landing after them.
+    void append(std::span<const EnrollmentRecord> records);
 
     /// Installs (or clears) the store-seam fault injector.
     void set_fault_injector(fi::Injector* injector) { injector_ = injector; }
@@ -116,6 +122,7 @@ private:
     std::uint64_t next_device_ = 0;
     fi::Injector* injector_ = nullptr;
     bool dirty_ = false; ///< last append may have left torn bytes
+    std::vector<unsigned char> batch_; ///< encode buffer, reused across appends
 };
 
 /// Read-only mmap view. Construction validates the header and finds the

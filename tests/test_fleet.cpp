@@ -9,6 +9,9 @@
 //   * the shared fault policy: a watchdog-tripped shard retries to the
 //     clean bytes, and a permanently failing one quarantines after the
 //     whole attempt budget, then resumes to the clean run;
+//   * parallel enrollment: store bytes are identical across {1, 2, 8}
+//     workers, under store faults driven by the CLI's retry loop, and
+//     across a mid-run stop or a mid-file torn tail followed by a resume;
 //   * binary-store crash tolerance: truncating the store at EVERY byte
 //     offset of its tail record loses at most that record, the reader
 //     never throws, and a resumed writer rebuilds the clean file bitwise
@@ -20,11 +23,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ropuf/core/sanitizer.hpp"
@@ -96,11 +101,20 @@ std::vector<std::string> deterministic_lines(const std::string& path) {
     return lines;
 }
 
-void enroll_into(const fleet::Population& population, const std::string& store_path) {
+void enroll_into(const fleet::Population& population, const std::string& store_path,
+                 int workers = 0) {
     fleet::EnrollmentWriter writer(store_path, fleet::make_store_header(population.spec()),
                                    /*truncate=*/true);
-    fleet::enroll_population(population, writer);
+    fleet::enroll_population(population, writer, /*stop=*/nullptr, workers);
     ASSERT_EQ(writer.next_device(), population.devices());
+}
+
+/// kSpecText's population resized to `devices`: enough shards that every
+/// pool worker runs several and the commit ring wraps.
+fleet::FleetSpec spec_with_devices(std::uint64_t devices) {
+    fleet::FleetSpec spec = fleet::parse_fleet_spec(kSpecText);
+    spec.devices = devices;
+    return spec;
 }
 
 fleet::FleetRunStats run_campaign(const fleet::Population& population,
@@ -216,6 +230,111 @@ TEST(FleetEnroll, SingleDeviceEnrollmentMatchesShardedEnrollment) {
     std::remove(store_path.c_str());
 }
 
+TEST(FleetEnroll, StoreBytesAreIdenticalAcrossWorkerCounts) {
+    const fleet::Population population(spec_with_devices(2000)); // 32 shards
+    const std::string path = temp_path("enr_w", ".fleet");
+    enroll_into(population, path, 1);
+    const std::string one = read_bytes(path);
+    ASSERT_EQ(one.size(),
+              fleet::kStoreHeaderBytes + 2000 * fleet::record_bytes_for(12));
+    for (int workers : {2, 8}) {
+        enroll_into(population, path, workers);
+        EXPECT_EQ(read_bytes(path), one) << workers << " workers";
+    }
+    std::remove(path.c_str());
+}
+
+// The CLI's retry loop (enroll_with_retry) over an injected store-fault
+// plan: faults are consulted per record in device order, so one worker and
+// four fire the same faults and both end on the clean store's bytes.
+TEST(FleetEnroll, StoreFaultsFireAlikeAtOneAndFourWorkers) {
+    const fleet::Population population(fleet::parse_fleet_spec(kSpecText));
+    const std::string clean_path = temp_path("enr_clean", ".fleet");
+    enroll_into(population, clean_path);
+    const std::string clean = read_bytes(clean_path);
+    const std::string path = temp_path("enr_fault", ".fleet");
+    for (const char* plan : {"seed(7);torn_write(every=3)", "seed(3);store_write_fail(p=0.2)"}) {
+        int retries[2] = {0, 0};
+        const int worker_counts[2] = {1, 4};
+        for (int k = 0; k < 2; ++k) {
+            std::remove(path.c_str());
+            fi::Injector injector(fi::parse_fault_plan(plan));
+            fleet::EnrollmentWriter writer(path, fleet::make_store_header(population.spec()));
+            writer.set_fault_injector(&injector);
+            const fleet::EnrollRunStats stats = fleet::enroll_with_retry(
+                population, writer, /*max_attempts=*/10, /*stop=*/nullptr, worker_counts[k]);
+            EXPECT_EQ(stats.enrolled, population.devices()) << plan;
+            retries[k] = stats.store_retries;
+        }
+        EXPECT_GT(retries[0], 0) << plan;
+        EXPECT_EQ(retries[1], retries[0]) << plan;
+        EXPECT_EQ(read_bytes(path), clean) << plan;
+    }
+
+    // A single attempt stops at the first fault with exactly the bytes
+    // one-record appends leave: the whole records before it, then half of
+    // the torn one.
+    std::remove(path.c_str());
+    {
+        fi::Injector injector(fi::parse_fault_plan("seed(7);torn_write(every=3)"));
+        fleet::EnrollmentWriter writer(path, fleet::make_store_header(population.spec()));
+        writer.set_fault_injector(&injector);
+        EXPECT_THROW(fleet::enroll_population(population, writer, /*stop=*/nullptr, 4),
+                     fi::InjectedFault);
+        EXPECT_EQ(writer.next_device(), 2u);
+    }
+    const std::size_t record_bytes = fleet::record_bytes_for(population.spec().key_bits);
+    EXPECT_EQ(read_bytes(path),
+              clean.substr(0, fleet::kStoreHeaderBytes + 2 * record_bytes + record_bytes / 2));
+    std::remove(clean_path.c_str());
+    std::remove(path.c_str());
+}
+
+// SIGINT's store, from another thread, once the first shard has committed:
+// the store ends on a whole-record prefix and a resume completes it to the
+// clean bytes.
+TEST(FleetEnroll, StopMidEnrollLeavesAValidPrefixThatResumes) {
+    const fleet::Population population(spec_with_devices(50000)); // 782 shards
+    const std::string clean_path = temp_path("stop_clean", ".fleet");
+    enroll_into(population, clean_path, 1);
+    const std::string clean = read_bytes(clean_path);
+
+    const std::string path = temp_path("stop", ".fleet");
+    obs::Registry reg;
+    obs::install(&reg);
+    std::atomic<bool> stop{false};
+    std::thread interrupter([&] {
+        while (reg.snapshot().counter_or("fleet.devices_enrolled", 0.0) == 0.0) {
+            std::this_thread::yield();
+        }
+        stop.store(true);
+    });
+    std::uint64_t stopped_at = 0;
+    {
+        fleet::EnrollmentWriter writer(path, fleet::make_store_header(population.spec()),
+                                       /*truncate=*/true);
+        fleet::enroll_population(population, writer, &stop, 4);
+        stopped_at = writer.next_device();
+    }
+    interrupter.join();
+    obs::install(nullptr);
+    EXPECT_GT(stopped_at, 0u);
+    EXPECT_LT(stopped_at, population.devices());
+    {
+        const fleet::EnrollmentMap store(path);
+        EXPECT_EQ(store.valid_records(), stopped_at);
+        EXPECT_EQ(store.torn_tail_bytes(), 0u);
+    }
+    {
+        fleet::EnrollmentWriter writer(path, fleet::make_store_header(population.spec()));
+        EXPECT_EQ(writer.next_device(), stopped_at);
+        fleet::enroll_population(population, writer, /*stop=*/nullptr, 4);
+    }
+    EXPECT_EQ(read_bytes(path), clean);
+    std::remove(clean_path.c_str());
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Binary store: torn tails at every byte offset (the fixed-width mirror of
 // test_xp_store's torn-line property)
@@ -249,6 +368,29 @@ TEST(FleetStore, TruncationAtEveryTailOffsetLosesAtMostOneRecord) {
         EXPECT_EQ(writer.next_device(), 159u);
         fleet::enroll_population(population, writer);
         EXPECT_EQ(writer.next_device(), 160u);
+    }
+    EXPECT_EQ(read_bytes(store_path), clean);
+    std::remove(store_path.c_str());
+}
+
+// A torn tail mid-file (a crash while a batch was in flight, far from the
+// end of the population): a four-worker resume rewrites from the first
+// torn record and restores the never-torn bytes.
+TEST(FleetStore, FourWorkerResumeOverAMidFileTornTailRebuildsTheCleanBytes) {
+    const fleet::Population population(spec_with_devices(2000));
+    const std::string store_path = temp_path("midtorn", ".fleet");
+    enroll_into(population, store_path, 1);
+    const std::string clean = read_bytes(store_path);
+    const std::size_t record_bytes =
+        fleet::record_bytes_for(population.spec().key_bits);
+    write_bytes(store_path,
+                clean.substr(0, fleet::kStoreHeaderBytes + 700 * record_bytes +
+                                    record_bytes / 2));
+    {
+        fleet::EnrollmentWriter writer(store_path,
+                                       fleet::make_store_header(population.spec()));
+        EXPECT_EQ(writer.next_device(), 700u);
+        EXPECT_EQ(fleet::enroll_population(population, writer, /*stop=*/nullptr, 4), 1300u);
     }
     EXPECT_EQ(read_bytes(store_path), clean);
     std::remove(store_path.c_str());

@@ -4,8 +4,9 @@
 // obs registry snapshots racing owner-thread slot updates, trace emission
 // from many tracks racing close(), the progress heartbeat, the shared
 // AttemptRunner's watchdog + zombie parking + reaper with a late-finishing
-// abandoned attempt (xp jobs, and fleet shards on the pool), and the
-// SIGINT-style cooperative stop flag.
+// abandoned attempt (xp jobs, and fleet shards on the pool), parallel fleet
+// enrollment's in-order committer, and the SIGINT-style cooperative stop
+// flag.
 //
 // The assertions are intentionally light: on a plain build this is a smoke
 // test of orderly teardown; under TSan the pass/fail signal is the
@@ -18,9 +19,12 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ropuf/attack/scenarios.hpp"
@@ -47,6 +51,11 @@ using namespace ropuf;
 
 std::string temp_path(const char* stem) {
     return testing::TempDir() + stem + std::to_string(::getpid());
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 /// RAII install/uninstall of the full obs stack, so every exit path of a
@@ -232,9 +241,12 @@ TEST(TsanStress, WatchdogZombieReaperVsRetryAttempt) {
 }
 
 // The fleet twin: the same watchdog / zombie / retry interleaving on the
-// shared pool. Several workers each abandon a hung shard attempt and retry
-// it concurrently with their own zombie, all parking into one reaper, while
-// a snapshotter reads the registry the attempts write.
+// shared pool. Enrollment runs its shards on four pool workers, whose
+// in-order committer appends while a snapshotter reads the counters they
+// write; the store must equal a one-worker enrollment. Then several
+// workers each abandon a hung shard attempt and retry it concurrently with
+// their own zombie, all parking into one reaper, while the snapshotter
+// reads the registry the attempts write.
 TEST(TsanStress, FleetWatchdogZombiesVsRetriesOnThePool) {
     ObsStack obs_stack(temp_path("tsan_fleet_trace") + ".json");
     const fleet::Population population(fleet::parse_fleet_spec(
@@ -249,11 +261,19 @@ TEST(TsanStress, FleetWatchdogZombiesVsRetriesOnThePool) {
         "trials = 2\n"
         "base_seed = 5\n"));
     const std::string store = temp_path("tsan_fleet") + ".fleet";
-    {
-        fleet::EnrollmentWriter writer(store, fleet::make_store_header(population.spec()),
+    const std::string store_w1 = temp_path("tsan_fleet_w1") + ".fleet";
+    std::atomic<bool> done{false};
+    std::thread snapshotter([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            (void)obs_stack.registry.snapshot();
+        }
+    });
+    for (const auto& [path, workers] : {std::pair{store_w1, 1}, std::pair{store, 4}}) {
+        fleet::EnrollmentWriter writer(path, fleet::make_store_header(population.spec()),
                                        /*truncate=*/true);
-        fleet::enroll_population(population, writer);
+        fleet::enroll_population(population, writer, /*stop=*/nullptr, workers);
     }
+    EXPECT_EQ(read_file(store), read_file(store_w1));
     // Every shard hangs past the watchdog on attempt 1 (hang >> timeout >>
     // an honest shard, scaled for the sanitizer slowdown).
     const double scale = core::sanitized_build() ? 10.0 : 1.0;
@@ -263,12 +283,6 @@ TEST(TsanStress, FleetWatchdogZombiesVsRetriesOnThePool) {
     fi::Injector injector(fi::parse_fault_plan(hang_plan));
     const std::string out = temp_path("tsan_fleet") + ".jsonl";
 
-    std::atomic<bool> done{false};
-    std::thread snapshotter([&] {
-        while (!done.load(std::memory_order_acquire)) {
-            (void)obs_stack.registry.snapshot();
-        }
-    });
     fleet::FleetRunStats stats;
     {
         const fleet::EnrollmentMap enrollment(store);
@@ -287,6 +301,7 @@ TEST(TsanStress, FleetWatchdogZombiesVsRetriesOnThePool) {
     EXPECT_EQ(stats.failed, 0u);
     EXPECT_EQ(stats.retries, 4u); // each shard burned attempt 1 on the hang
     std::remove(store.c_str());
+    std::remove(store_w1.c_str());
     std::remove(out.c_str());
 }
 

@@ -21,7 +21,7 @@
 //   --max-attempts <n>   per-job attempts before quarantine (default 3)
 //   --job-timeout-ms <n> per-attempt watchdog timeout (0 = none)
 //   (fleet campaign/resume take both per shard; fleet enroll takes
-//   --max-attempts as its store-fault budget)
+//   --max-attempts as its store-fault budget and --workers for its shards)
 //   --fi <plan>          fault-injection plan (chaos testing); overrides the
 //                        ROPUF_FI environment variable
 //   --quiet              suppress per-job progress lines
@@ -118,7 +118,8 @@ int usage(std::FILE* out) {
         "  --store <file>       enrollment store path (default <spec name>.fleet)\n"
         "  --max-shards <n>     campaign: dispatch at most n pending shards\n"
         "  (campaign/resume apply --max-attempts and --job-timeout-ms per shard;\n"
-        "   enroll takes only --store, --max-attempts, --fi and the obs options)\n"
+        "   enroll takes only --store, --workers, --max-attempts, --fi and the obs\n"
+        "   options; every --workers count writes the same store bytes)\n"
         "\n"
         "exit codes: 0 done, 1 error, 2 usage,\n"
         "            3 incomplete but resumable (interrupt/abort/quarantine)\n",
@@ -544,24 +545,15 @@ int cmd_fleet_enroll(const std::string& spec_path, const CliOptions& opts) {
     }
 
     int store_retries = 0;
-    int consecutive_faults = 0;
-    while (writer.next_device() < spec.devices && !stop.load()) {
-        const std::uint64_t before = writer.next_device();
-        try {
-            fleet::enroll_population(population, writer, &stop);
-        } catch (const fi::InjectedFault& e) {
-            // Store fault: the writer has re-seeked to the record boundary,
-            // so retrying overwrites the torn bytes. Give up only when no
-            // record at all lands within the attempt budget.
-            ++store_retries;
-            consecutive_faults = writer.next_device() > before ? 1 : consecutive_faults + 1;
-            if (consecutive_faults >= opts.max_attempts) {
-                obs_session.finish();
-                std::fprintf(stderr, "ropuf: store fault persisted across %d attempts: %s\n",
-                             consecutive_faults, e.what());
-                return 1;
-            }
-        }
+    try {
+        store_retries = fleet::enroll_with_retry(population, writer, opts.max_attempts,
+                                                 &stop, opts.workers)
+                            .store_retries;
+    } catch (const fi::InjectedFault& e) {
+        obs_session.finish();
+        std::fprintf(stderr, "ropuf: store fault persisted across %d attempts: %s\n",
+                     opts.max_attempts, e.what());
+        return 1;
     }
     obs_session.finish();
     const std::uint64_t done = writer.next_device();
@@ -673,7 +665,8 @@ int cmd_fleet(const std::vector<std::string>& args) {
     if (verb == "enroll") {
         if (args.size() < 3) return usage(stderr);
         CliOptions opts;
-        if (!parse_options(args, 3, opts, "fleet enroll", {"--store", "--max-attempts"})) {
+        if (!parse_options(args, 3, opts, "fleet enroll",
+                           {"--store", "--workers", "--max-attempts"})) {
             return 2;
         }
         return cmd_fleet_enroll(args[2], opts);
