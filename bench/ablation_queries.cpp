@@ -31,8 +31,10 @@ int main() {
             attack::GroupBasedAttack::Victim victim(puf, 1303);
             attack::GroupBasedAttack::Config acfg;
             acfg.mode = mode;
-            const auto result = attack::GroupBasedAttack::run(victim, enrollment.helper, g,
-                                                              puf.code(), acfg);
+            attack::GroupSession session(enrollment.helper, g, puf.code(), acfg);
+            auto oracle = attack::make_oracle(victim);
+            attack::run_to_completion(session, oracle);
+            const auto& result = session.result();
             std::printf("  %4dx%-3d %12s %14d %12lld %10s\n", g.cols, g.rows,
                         mode == attack::GroupBasedAttack::Mode::SortMerge ? "sort-merge"
                                                                           : "exhaustive",

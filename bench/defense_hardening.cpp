@@ -30,8 +30,10 @@ int main() {
 
         // Naive device: the attack succeeds.
         attack::SeqPairingAttack::Victim victim(naive, enrollment.key, 1503);
-        const auto attack_result =
-            attack::SeqPairingAttack::run(victim, enrollment.helper, naive.code());
+        attack::SeqPairingSession session(enrollment.helper, naive.code());
+        auto oracle = attack::make_oracle(victim);
+        attack::run_to_completion(session, oracle);
+        const auto& attack_result = session.result();
         std::printf("  naive device      : attack %s (%lld queries)\n",
                     attack_result.resolved && attack_result.recovered_key == enrollment.key
                         ? "RECOVERS THE FULL KEY"
@@ -82,8 +84,10 @@ int main() {
         const auto enrollment = naive.enroll(rng);
 
         attack::GroupBasedAttack::Victim victim(naive, 1507);
-        const auto attack_result = attack::GroupBasedAttack::run(
-            victim, enrollment.helper, chip.geometry(), naive.code());
+        attack::GroupSession session(enrollment.helper, chip.geometry(), naive.code());
+        auto oracle = attack::make_oracle(victim);
+        attack::run_to_completion(session, oracle);
+        const auto& attack_result = session.result();
         std::printf("  naive device      : attack %s (%lld queries)\n",
                     attack_result.complete && attack_result.recovered_key == enrollment.key
                         ? "RECOVERS THE FULL KEY"

@@ -50,8 +50,10 @@ int main() {
 
     benchutil::section("full key recovery");
     attack::GroupBasedAttack::Victim victim(puf, 31);
-    const auto result =
-        attack::GroupBasedAttack::run(victim, enrollment.helper, g, puf.code());
+    attack::GroupSession session(enrollment.helper, g, puf.code());
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     std::printf("  comparator runs : %d\n", result.comparisons);
     std::printf("  oracle queries  : %lld\n", static_cast<long long>(result.queries));
     std::printf("  true key        : %s\n", bits::to_string(enrollment.key).c_str());
@@ -67,8 +69,10 @@ int main() {
         rng::Xoshiro256pp rng2(32);
         const auto enr2 = puf2.enroll(rng2);
         attack::GroupBasedAttack::Victim victim2(puf2, 33);
-        const auto res2 =
-            attack::GroupBasedAttack::run(victim2, enr2.helper, big, puf2.code());
+        attack::GroupSession session2(enr2.helper, big, puf2.code());
+        auto oracle2 = attack::make_oracle(victim2);
+        attack::run_to_completion(session2, oracle2);
+        const auto& res2 = session2.result();
         std::printf("  key bits %zu, comparisons %d, queries %lld => %s\n", enr2.key.size(),
                     res2.comparisons, static_cast<long long>(res2.queries),
                     res2.complete && res2.recovered_key == enr2.key ? "FULL KEY RECOVERED"

@@ -32,7 +32,10 @@ int main() {
 
     benchutil::section("full key recovery");
     attack::MaskedChainAttack::Victim victim(puf, 63);
-    const auto result = attack::MaskedChainAttack::run(victim, enrollment.helper, puf);
+    attack::MaskedChainSession session(puf, enrollment.helper);
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     std::printf("  targets attacked : %d\n", result.targets);
     std::printf("  oracle queries   : %lld (%.2f per key bit)\n",
                 static_cast<long long>(result.queries),
@@ -51,7 +54,10 @@ int main() {
         rng::Xoshiro256pp krng(64);
         const auto kenr = kpuf.enroll(krng);
         attack::MaskedChainAttack::Victim kvictim(kpuf, 65);
-        const auto kres = attack::MaskedChainAttack::run(kvictim, kenr.helper, kpuf);
+        attack::MaskedChainSession ksession(kpuf, kenr.helper);
+        auto koracle = attack::make_oracle(kvictim);
+        attack::run_to_completion(ksession, koracle);
+        const auto& kres = ksession.result();
         std::printf("  %4d %10zu %10lld %10s\n", k, kenr.key.size(),
                     static_cast<long long>(kres.queries),
                     kres.complete && kres.recovered_key == kenr.key ? "FULL" : "no");

@@ -32,7 +32,10 @@ int main() {
 
     benchutil::section("full key recovery");
     attack::OverlapChainAttack::Victim victim(puf, 73);
-    const auto result = attack::OverlapChainAttack::run(victim, enrollment.helper, puf);
+    attack::OverlapChainSession session(puf, enrollment.helper);
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     std::printf("  probes (surface placements) : %d\n", result.probes);
     std::printf("  hypothesis evaluations      : %d\n", result.hypotheses);
     std::printf("  largest simultaneous set    : %d bits (paper: 4 => 2^4 hypotheses)\n",
@@ -57,7 +60,10 @@ int main() {
         rng::Xoshiro256pp srng(74);
         const auto senr = spuf.enroll(srng);
         attack::OverlapChainAttack::Victim svictim(spuf, 75);
-        const auto sres = attack::OverlapChainAttack::run(svictim, senr.helper, spuf);
+        attack::OverlapChainSession ssession(spuf, senr.helper);
+        auto soracle = attack::make_oracle(svictim);
+        attack::run_to_completion(ssession, soracle);
+        const auto& sres = ssession.result();
         const int sdiff = bits::hamming(sres.recovered_key, senr.key);
         std::printf("  largest set %d bits, queries %lld => %s\n", sres.max_set_size,
                     static_cast<long long>(sres.queries),

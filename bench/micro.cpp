@@ -148,8 +148,10 @@ void BM_SeqPairAttackFullKey(benchmark::State& state) {
     const auto enrollment = puf.enroll(rng);
     for (auto _ : state) {
         attack::SeqPairingAttack::Victim victim(puf, enrollment.key, 13);
-        benchmark::DoNotOptimize(
-            attack::SeqPairingAttack::run(victim, enrollment.helper, puf.code()));
+        attack::SeqPairingSession session(enrollment.helper, puf.code());
+        auto oracle = attack::make_oracle(victim);
+        attack::run_to_completion(session, oracle);
+        benchmark::DoNotOptimize(session.result());
     }
 }
 BENCHMARK(BM_SeqPairAttackFullKey)->Unit(benchmark::kMillisecond);

@@ -8,9 +8,9 @@
 //   attack_demo                 run every registered scenario
 //   attack_demo <name> [seed]   run one scenario (e.g. "group/sortmerge")
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "cli_args.hpp"
 #include "ropuf/attack/scenarios.hpp"
 
 int main(int argc, char** argv) {
@@ -20,7 +20,12 @@ int main(int argc, char** argv) {
     const core::AttackEngine engine(registry);
 
     core::ScenarioParams params;
-    if (argc > 2) params.seed = std::strtoull(argv[2], nullptr, 10);
+    unsigned long long seed = params.seed;
+    if (argc > 3 || (argc > 2 && !examples::parse_arg(argv[2], 0, ~0ULL, &seed))) {
+        std::fputs("usage: attack_demo [<scenario> [seed]]\n", stderr);
+        return 2;
+    }
+    params.seed = seed;
 
     std::puts("=== RO PUF helper-data manipulation attacks (registry-driven) ===\n");
     std::printf("%zu registered scenarios:\n", registry.size());

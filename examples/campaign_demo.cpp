@@ -10,35 +10,17 @@
 // Usage:
 //   campaign_demo                          30-trial campaign per scenario
 //   campaign_demo <scenario> [trials] [workers] [master_seed]
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
+#include "cli_args.hpp"
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/core/campaign.hpp"
 
-namespace {
-
-/// Whole-token unsigned parse within [min, max]: garbage, a sign, trailing
-/// junk or overflow is an error, never a silent 0.
-bool parse_arg(const char* text, unsigned long long min, unsigned long long max,
-               unsigned long long* out) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE || v < min || v > max) {
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-} // namespace
-
 int main(int argc, char** argv) {
     using namespace ropuf;
+    using examples::parse_arg;
 
     auto& registry = attack::default_registry();
     const core::CampaignRunner runner(registry);

@@ -11,12 +11,14 @@
 // The device ("chip") is simulated deterministically from the seed, so a
 // blob enrolled with seed S can only be regenerated against the same seed —
 // exactly like helper data bound to one physical IC.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "ropuf/attack/seqpair_attack.hpp"
 #include "ropuf/helperdata/sanity.hpp"
 
@@ -110,7 +112,10 @@ int cmd_attack(const std::string& path, std::uint64_t seed) {
 
     const auto pristine = pairing::parse_seq_pairing(helperdata::Nvm(read_file(path)));
     attack::SeqPairingAttack::Victim victim(puf, enrollment.key, seed ^ 0xa77ac);
-    const auto result = attack::SeqPairingAttack::run(victim, pristine, puf.code());
+    attack::SeqPairingSession session(pristine, puf.code());
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     std::printf("attack: %d relation tests, %lld oracle queries%s\n", result.relation_tests,
                 static_cast<long long>(result.queries),
                 result.used_sorted_leak ? " (sorted-storage shortcut!)" : "");
@@ -150,17 +155,29 @@ int main(int argc, char** argv) {
         usage();
         return 2;
     }
+    using examples::parse_arg;
     const std::string cmd = argv[1];
     const std::string path = argv[2];
-    const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 2014;
+    // Numbers take strtoull base 0: decimal, 0x-hex or 0-octal.
+    if (cmd == "flip") {
+        unsigned long long byte = 0;
+        unsigned long long bit = 0;
+        if (argc != 5 || !parse_arg(argv[3], 0, SIZE_MAX, &byte, 0) ||
+            !parse_arg(argv[4], 0, INT_MAX, &bit, 0)) {
+            usage();
+            return 2;
+        }
+        return cmd_flip(path, static_cast<std::size_t>(byte), static_cast<int>(bit));
+    }
+    unsigned long long seed = 2014;
+    if (argc > 4 || (argc > 3 && !parse_arg(argv[3], 0, ~0ULL, &seed, 0))) {
+        usage();
+        return 2;
+    }
     if (cmd == "enroll") return cmd_enroll(path, seed);
     if (cmd == "regen") return cmd_regen(path, seed);
     if (cmd == "audit") return cmd_audit(path);
     if (cmd == "attack") return cmd_attack(path, seed);
-    if (cmd == "flip" && argc >= 5) {
-        return cmd_flip(path, static_cast<std::size_t>(std::strtoull(argv[3], nullptr, 0)),
-                        std::atoi(argv[4]));
-    }
     usage();
     return 2;
 }

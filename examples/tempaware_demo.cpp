@@ -41,7 +41,10 @@ int main() {
 
     std::puts("\nSection VI-B attack at T = 25 C:");
     attack::TempAwareAttack::Victim victim(puf, enrollment.key, 25.0, 8);
-    const auto result = attack::TempAwareAttack::run(victim, enrollment.helper, puf.code());
+    attack::TempAwareSession session(enrollment.helper, puf.code(), victim.ambient_c());
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     std::printf("  relation tests : %d\n", result.relation_tests);
     std::printf("  oracle queries : %lld\n", static_cast<long long>(result.queries));
     if (result.resolved) {

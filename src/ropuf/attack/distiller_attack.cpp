@@ -9,7 +9,6 @@
 
 #include "ropuf/attack/adaptive.hpp"
 #include "ropuf/attack/calibration.hpp"
-#include "ropuf/attack/distinguisher.hpp"
 #include "ropuf/pairing/masking.hpp"
 
 namespace ropuf::attack {
@@ -176,16 +175,6 @@ SessionBody MaskedChainSession::body() {
     out_.recovered_key = key_;
     out_.complete = complete;
     out_.queries = probes_answered();
-}
-
-MaskedChainAttack::Result MaskedChainAttack::run(Victim& victim,
-                                                 const pairing::MaskedChainHelper& pristine,
-                                                 const pairing::MaskedChainPuf& puf,
-                                                 const Config& config) {
-    MaskedChainSession session(puf, pristine, config);
-    auto oracle = make_oracle(victim);
-    run_to_completion(session, oracle);
-    return session.result();
 }
 
 // ---------------------------------------------------------------------------
@@ -372,16 +361,6 @@ SessionBody OverlapChainSession::body() {
     out_.recovered_key = key;
     out_.complete = complete;
     out_.queries = probes_answered();
-}
-
-OverlapChainAttack::Result OverlapChainAttack::run(Victim& victim,
-                                                   const pairing::OverlapChainHelper& pristine,
-                                                   const pairing::OverlapChainPuf& puf,
-                                                   const Config& config) {
-    OverlapChainSession session(puf, pristine, config);
-    auto oracle = make_oracle(victim);
-    run_to_completion(session, oracle);
-    return session.result();
 }
 
 } // namespace ropuf::attack

@@ -57,16 +57,6 @@ public:
         int targets = 0; ///< response bits attacked
     };
 
-    /// Recovers every response bit of the enrolled key. `puf` provides the
-    /// public design view (geometry, base pairs, code); `pristine` the
-    /// enrolled helper data.
-    static Result run(Victim& victim, const pairing::MaskedChainHelper& pristine,
-                      const pairing::MaskedChainPuf& puf, const Config& config);
-    static Result run(Victim& victim, const pairing::MaskedChainHelper& pristine,
-                      const pairing::MaskedChainPuf& puf) {
-        return run(victim, pristine, puf, Config{});
-    }
-
     /// The injected surface isolating base pair (u, w): equal on the pair,
     /// forcing everywhere else. Exposed for the Fig. 6b bench.
     static distiller::PolySurface isolation_surface(const sim::ArrayGeometry& geometry, int u,
@@ -132,13 +122,6 @@ public:
         int hypotheses = 0;      ///< total hypothesis evaluations
         int max_set_size = 0;    ///< largest simultaneous unknown set (4 in Fig. 6c)
     };
-
-    static Result run(Victim& victim, const pairing::OverlapChainHelper& pristine,
-                      const pairing::OverlapChainPuf& puf, const Config& config);
-    static Result run(Victim& victim, const pairing::OverlapChainHelper& pristine,
-                      const pairing::OverlapChainPuf& puf) {
-        return run(victim, pristine, puf, Config{});
-    }
 
     /// The probe surfaces of the attack: one vertex quadratic per column
     /// boundary (Fig. 6c's pattern) plus one cross-row plane. Exposed for the

@@ -78,19 +78,6 @@ DistinguishResult distinguish_sprt(const HypothesisProbe& h0_probe,
     return out;
 }
 
-MajorityResult any_pass_probe(const HypothesisProbe& probe, int attempts) {
-    MajorityResult out;
-    for (int i = 0; i < attempts; ++i) {
-        ++out.queries;
-        if (!probe()) {
-            out.failed = false;
-            return out;
-        }
-    }
-    out.failed = true;
-    return out;
-}
-
 MajorityResult majority_probe(const HypothesisProbe& probe, int wins, int max_queries) {
     MajorityResult out;
     int failures = 0;

@@ -9,9 +9,9 @@
 //
 // Each hypothesis is presented as a thunk that performs one oracle query with
 // that hypothesis's helper data and returns whether regeneration failed. Two
-// decision procedures are provided: a fixed per-hypothesis budget (simple,
-// used by the default attacks) and Wald's SPRT (query-optimal, used in the
-// E13 ablation).
+// decision procedures are provided: a fixed per-hypothesis budget and Wald's
+// SPRT (query-optimal). Their users are the E13 ablation and the tests; the
+// attack sessions decide with CoroSession::any_pass (attack/session.hpp).
 #pragma once
 
 #include <cstdint>
@@ -56,13 +56,5 @@ struct MajorityResult {
     std::int64_t queries = 0;
 };
 MajorityResult majority_probe(const HypothesisProbe& probe, int wins = 2, int max_queries = 25);
-
-/// One-sided probe for injected-offset tests: under the *correct* hypothesis
-/// a query passes with probability ~1-q (q = residual-noise failure rate),
-/// while under an incorrect hypothesis a pass requires the decoder to
-/// miscorrect into exactly the reference word (~never). A single success is
-/// therefore near-conclusive: the probe reports failed=true only when
-/// `attempts` consecutive queries all failed (error probability q^attempts).
-MajorityResult any_pass_probe(const HypothesisProbe& probe, int attempts = 4);
 
 } // namespace ropuf::attack

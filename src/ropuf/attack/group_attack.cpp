@@ -8,7 +8,6 @@
 
 #include "ropuf/attack/adaptive.hpp"
 #include "ropuf/attack/calibration.hpp"
-#include "ropuf/attack/distinguisher.hpp"
 #include "ropuf/distiller/poly_surface.hpp"
 #include "ropuf/helperdata/formats.hpp"
 
@@ -149,33 +148,6 @@ GroupBasedAttack::ComparisonInstance GroupBasedAttack::build_comparison(
         }
     }
     return out;
-}
-
-std::optional<bool> GroupBasedAttack::compare_residuals(Victim& victim,
-                                                        const GroupPufHelper& pristine,
-                                                        const sim::ArrayGeometry& geometry,
-                                                        const ecc::BchCode& code, int a, int b,
-                                                        const Config& config, int* comparisons) {
-    const int lo = std::min(a, b);
-    const int hi = std::max(a, b);
-    const auto instance =
-        build_comparison(pristine, geometry, code, lo, hi, config.steep_amp);
-    for (int attempt = 0; attempt < config.max_retries; ++attempt) {
-        for (int h = 0; h < 2; ++h) {
-            if (comparisons) ++(*comparisons);
-            const auto probe = any_pass_probe(
-                [&] {
-                    return victim.regen_fails(instance.helper[h], instance.expected_key[h]);
-                },
-                config.majority_wins);
-            if (!probe.failed) {
-                // h = 1 means residual(hi) > residual(lo).
-                const bool hi_greater = h == 1;
-                return (a == hi) == hi_greater;
-            }
-        }
-    }
-    return std::nullopt;
 }
 
 GroupSession::GroupSession(GroupPufHelper pristine, sim::ArrayGeometry geometry,
@@ -332,15 +304,6 @@ SessionBody GroupSession::body() {
     out_.recovered_key = key;
     out_.complete = all_resolved;
     out_.queries = probes_answered();
-}
-
-GroupBasedAttack::Result GroupBasedAttack::run(Victim& victim, const GroupPufHelper& pristine,
-                                               const sim::ArrayGeometry& geometry,
-                                               const ecc::BchCode& code, const Config& config) {
-    GroupSession session(pristine, geometry, code, config);
-    auto oracle = make_oracle(victim);
-    run_to_completion(session, oracle);
-    return session.result();
 }
 
 } // namespace ropuf::attack

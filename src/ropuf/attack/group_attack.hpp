@@ -65,15 +65,6 @@ public:
         int comparisons = 0;        ///< comparator invocations
     };
 
-    /// One-shot convenience over GroupSession + run_to_completion.
-    static Result run(Victim& victim, const group::GroupPufHelper& pristine,
-                      const sim::ArrayGeometry& geometry, const ecc::BchCode& code,
-                      const Config& config);
-    static Result run(Victim& victim, const group::GroupPufHelper& pristine,
-                      const sim::ArrayGeometry& geometry, const ecc::BchCode& code) {
-        return run(victim, pristine, geometry, code, Config{});
-    }
-
     /// One fully-built comparator experiment: helpers and expected keys for
     /// both hypotheses (h = 1 means "residual of the higher-indexed RO of
     /// {a, b} exceeds the lower-indexed one"). Exposed for the Fig. 6a bench,
@@ -89,14 +80,6 @@ public:
                                                const sim::ArrayGeometry& geometry,
                                                const ecc::BchCode& code, int a, int b,
                                                double steep_amp);
-
-    /// Low-level comparator: true iff residual(a) > residual(b); nullopt when
-    /// the oracle stayed inconclusive within the retry budget.
-    static std::optional<bool> compare_residuals(Victim& victim,
-                                                 const group::GroupPufHelper& pristine,
-                                                 const sim::ArrayGeometry& geometry,
-                                                 const ecc::BchCode& code, int a, int b,
-                                                 const Config& config, int* comparisons);
 };
 
 /// The Section VI-C attack as a propose/observe session: merge-sorts (or
@@ -118,8 +101,8 @@ private:
     SessionBody body();
     /// Comparator as a sub-step: true iff residual(a) > residual(b).
     Sub<std::optional<bool>> compare(int a, int b);
-    /// One merge-sort / win-count comparison on group labels, with the
-    /// inconclusive-comparator fallback of the one-shot attack.
+    /// One merge-sort comparison on group labels; an inconclusive
+    /// comparator falls back to the label order and marks the group failed.
     Sub<bool> cmp_labels(int la, int lb, const std::vector<int>& labels, bool& group_ok);
     /// Largest plane amplitude for (a, b) whose injected coefficients stay
     /// inside the plausibility cap (adaptive fallback).

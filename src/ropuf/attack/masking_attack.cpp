@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ropuf/attack/calibration.hpp"
-#include "ropuf/attack/distinguisher.hpp"
 
 namespace ropuf::attack {
 
@@ -59,15 +58,6 @@ SessionBody SelectionProbeSession::body() {
     // key's entropy, only the (non-key) sibling-pair structure.
     out_.residual_key_entropy_bits = groups;
     out_.queries = probes_answered();
-}
-
-SelectionSubstitutionProbe::Result SelectionSubstitutionProbe::run(
-    Victim& victim, const pairing::MaskedChainHelper& pristine,
-    const pairing::MaskedChainPuf& puf, const Config& config) {
-    SelectionProbeSession session(pristine, puf.code(), config);
-    auto oracle = make_oracle(victim);
-    run_to_completion(session, oracle);
-    return session.result();
 }
 
 } // namespace ropuf::attack

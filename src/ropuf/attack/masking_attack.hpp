@@ -46,14 +46,6 @@ public:
         int residual_key_entropy_bits = 0;
     };
 
-    /// One-shot convenience over SelectionProbeSession + run_to_completion.
-    static Result run(Victim& victim, const pairing::MaskedChainHelper& pristine,
-                      const pairing::MaskedChainPuf& puf, const Config& config);
-    static Result run(Victim& victim, const pairing::MaskedChainHelper& pristine,
-                      const pairing::MaskedChainPuf& puf) {
-        return run(victim, pristine, puf, Config{});
-    }
-
     /// The manipulated helper for one probe: group `g`'s selection re-pointed
     /// to candidate `j`, with `inject` parity flips in g's ECC block.
     static pairing::MaskedChainHelper make_substitution_helper(

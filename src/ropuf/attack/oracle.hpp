@@ -23,13 +23,9 @@
 // Query accounting is shared: every mode counts queries (the attack's primary
 // cost metric) and oscillator measurements (queries x declared device cost).
 //
-// Two query surfaces exist. The typed `regen_fails(Helper)` is the direct
-// white-box path tests and benches use. Attacks go through `make_oracle`,
-// which adapts a Victim into a core::AnyOracle answering *batched* raw-NVM
-// probes — the bytes-on-the-bus threat model — and amortizes measurement
-// noise for a whole batch via sim::RoArray::measure_batch_into. Both paths
-// produce bit-identical verdicts, ledgers and RNG consumption for the same
-// probe sequence.
+// Every query reaches a Victim through `make_oracle`, which adapts it into a
+// core::AnyOracle answering *batched* raw-NVM probes — the bytes-on-the-bus
+// threat model.
 #pragma once
 
 #include <cstdint>
@@ -92,27 +88,14 @@ public:
           ambient_(Traits::condition_at(puf, ambient_c)),
           rng_(noise_seed) {}
 
-    /// One key regeneration with the supplied helper data; true = observable
-    /// failure (wrong key or refusal). Fresh measurement noise every call.
-    /// Throws std::logic_error on a victim constructed without an app key
-    /// (reprogram mode must pass the expectation explicitly).
-    bool regen_fails(const Helper& helper) {
-        return regen_fails(helper, app_key());
-    }
-
-    /// Regeneration compared against an attacker-chosen expected key.
-    bool regen_fails(const Helper& helper, const bits::BitVec& expected_key) {
-        ledger_.charge(puf_->array().count());
-        const auto rec = Traits::reconstruct(*puf_, helper, ambient_, rng_);
-        return !rec.ok || rec.key != expected_key;
-    }
-
-    /// Batched raw-NVM probes — the oracle path. Verdicts land in probe
-    /// order. Per probe: parse (a malformed blob is an observable refusal
-    /// that costs a query but no measurement), then regenerate against the
-    /// probe's expected key (or the app key). RNG consumption, verdicts and
-    /// ledger are identical to evaluating the probes one at a time; the
-    /// whole batch's noise is drawn in one measure_batch_into block.
+    /// Batched raw-NVM probes — the one query path; true = observable
+    /// failure (wrong key or refusal). Verdicts land in probe order. Per
+    /// probe: parse (a malformed blob is an observable refusal that costs a
+    /// query but no measurement), then regenerate against the probe's
+    /// expected key (or the app key; throws std::logic_error when a
+    /// reprogram-mode victim gets a probe without one). RNG consumption,
+    /// verdicts and ledger are identical to evaluating the probes one at a
+    /// time; the whole batch's noise is drawn in one measure_batch_into block.
     void evaluate_probes(std::span<const core::Probe> probes, std::vector<bool>& verdicts) {
         verdicts.clear();
         verdicts.reserve(probes.size());
@@ -130,9 +113,8 @@ public:
                 continue;
             }
             // Only helpers that survive the device's pre-measurement checks
-            // consume a scan — same contract as the sequential path. The
-            // verdict is cached; the check can be expensive (group
-            // partitions) and must not rerun per probe below.
+            // consume a scan. The verdict is cached; the check can be
+            // expensive (group partitions) and must not rerun per probe below.
             if (Traits::helper_consistent(*puf_, *parsed_[i])) {
                 consistent_[i] = 1;
                 ++scans;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "ropuf/attack/calibration.hpp"
-#include "ropuf/attack/distinguisher.hpp"
 
 namespace ropuf::attack {
 
@@ -104,15 +103,6 @@ SessionBody SeqPairingSession::body() {
         }
     }
     out_.queries = probes_answered();
-}
-
-SeqPairingAttack::Result SeqPairingAttack::run(Victim& victim,
-                                               const pairing::SeqPairingHelper& pristine,
-                                               const ecc::BchCode& code, const Config& config) {
-    SeqPairingSession session(pristine, code, config);
-    auto oracle = make_oracle(victim);
-    run_to_completion(session, oracle);
-    return session.result();
 }
 
 } // namespace ropuf::attack

@@ -42,16 +42,6 @@ public:
         int relation_tests = 0;       ///< pairwise hypothesis tests performed
     };
 
-    /// One-shot convenience over SeqPairingSession + run_to_completion.
-    /// `pristine` is the helper data as read from NVM; `code` is the
-    /// (public) ECC parameterization of the device.
-    static Result run(Victim& victim, const pairing::SeqPairingHelper& pristine,
-                      const ecc::BchCode& code, const Config& config);
-    static Result run(Victim& victim, const pairing::SeqPairingHelper& pristine,
-                      const ecc::BchCode& code) {
-        return run(victim, pristine, code, Config{});
-    }
-
     /// Builds the manipulated helper for one relation test: pairs at list
     /// positions `i` and `j` swapped and `inject` parity bits flipped in
     /// every ECC block containing position i or j. Exposed for the Fig. 5

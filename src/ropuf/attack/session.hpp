@@ -1,9 +1,9 @@
 // Budgeted, resumable attack sessions.
 //
 // Every attack in the paper is a loop of "manipulate helper data, query the
-// failure oracle, learn". The one-shot `run()` entry points hid that loop, so
-// attack cost could only be read off *after* the key fell. A Session turns
-// the loop inside out into a propose/observe state machine:
+// failure oracle, learn". A Session turns that loop inside out into a
+// propose/observe state machine, so attack cost can be read off while the
+// attack runs, not only after the key fell:
 //
 //   while (!session.done()) {
 //       auto batch = session.step();          // probes the attack wants next
@@ -13,8 +13,11 @@
 // Between any step/absorb cycle the caller can stop (budget spent), inspect
 // partial_key() (queries-vs-accuracy curves), or interpose middleware on the
 // oracle side (core::BudgetedOracle / SanityCheckingOracle / TracingOracle).
-// run_to_completion() is the thin driver that restores the old one-shot
-// behavior on top.
+// run_to_completion() is the thin driver that runs this loop to the end:
+//
+//   SeqPairingSession session(helper, code);
+//   auto oracle = make_oracle(victim);
+//   run_to_completion(session, oracle);   // then read session.result()
 //
 // Implementation: sessions are C++20 coroutines. Each attack keeps its
 // original control flow (phases, retries, merge sorts, hypothesis
@@ -247,9 +250,12 @@ protected:
         return detail::BatchAwaiter{&channel_};
     }
 
-    /// The one-sided injected-offset probe (distinguisher.hpp semantics):
-    /// asks the same probe up to `attempts` times, stopping at the first
-    /// pass; resumes true only when every attempt failed.
+    /// The one-sided injected-offset probe: asks the same probe up to
+    /// `attempts` times, stopping at the first pass; resumes true only when
+    /// every attempt failed. Under the correct hypothesis a query passes with
+    /// probability ~1-q (q = residual-noise failure rate); under an incorrect
+    /// one a pass needs the decoder to miscorrect into exactly the reference
+    /// word (~never), so one pass is near-conclusive.
     Sub<bool> any_pass(core::Probe probe, int attempts) {
         for (int i = 0; i < attempts; ++i) {
             if (!co_await ask(probe)) co_return false;
@@ -295,8 +301,7 @@ struct DriveResult {
     std::int64_t batches = 0;      ///< step/absorb cycles driven
 };
 
-/// The thin driver that restores one-shot behavior: steps the session until
-/// done, feeding oracle verdicts. A BudgetExhausted from the oracle ends the
+/// The thin driver: steps the session until done, feeding oracle verdicts. A BudgetExhausted from the oracle ends the
 /// run cleanly (the session keeps its partial state). When `truth` and
 /// `trace` are given, appends a (cumulative queries, partial-key accuracy)
 /// point after every batch whose accuracy moved, plus the final point.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ropuf/attack/calibration.hpp"
-#include "ropuf/attack/distinguisher.hpp"
 #include "ropuf/ecc/block_ecc.hpp"
 
 namespace ropuf::attack {
@@ -316,14 +315,6 @@ SessionBody TempAwareSession::body() {
         }
     }
     out.queries = probes_answered();
-}
-
-TempAwareAttack::Result TempAwareAttack::run(Victim& victim, const TempAwareHelper& pristine,
-                                             const ecc::BchCode& code, const Config& config) {
-    TempAwareSession session(pristine, code, victim.ambient_c(), config);
-    auto oracle = make_oracle(victim);
-    run_to_completion(session, oracle);
-    return session.result();
 }
 
 } // namespace ropuf::attack

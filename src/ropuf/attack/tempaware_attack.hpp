@@ -62,15 +62,6 @@ public:
         int relation_tests = 0;
     };
 
-    /// One-shot convenience over TempAwareSession + run_to_completion. The
-    /// ambient temperature is read off the victim's operating point.
-    static Result run(Victim& victim, const tempaware::TempAwareHelper& pristine,
-                      const ecc::BchCode& code, const Config& config);
-    static Result run(Victim& victim, const tempaware::TempAwareHelper& pristine,
-                      const ecc::BchCode& code) {
-        return run(victim, pristine, code, Config{});
-    }
-
     /// Builds the manipulated helper for one assistance-substitution test:
     /// requester's interval widened over `ambient_c`, assistant replaced by
     /// `target` (or mask replaced when `substitute_mask`), plus `inject`

@@ -77,7 +77,11 @@ StoreHeader decode_header(const unsigned char* p, const std::string& path) {
     h.base_seed = get_u64(p + 24);
     h.spec_hash = get_u64(p + 32);
     h.ro_count = get_u32(p + 40);
-    if (h.key_bits == 0 ||
+    // The fleet spec's own shape limits: u16 RO indices and at most one key
+    // bit per disjoint RO pair. They also keep the key width far from the
+    // int conversion and size arithmetic in record_bytes_for, where a wild
+    // value could wrap to a tiny record width.
+    if (h.ro_count > 65535 || h.key_bits == 0 || h.key_bits > h.ro_count / 2 ||
         h.record_bytes != record_bytes_for(static_cast<int>(h.key_bits))) {
         throw SpecError("corrupt enrollment store header in " + path);
     }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "ropuf/obs/trace.hpp"
+
 namespace ropuf::obs {
 
 namespace detail {
@@ -70,28 +72,6 @@ void append_number(std::string& out, double v) {
     out += buf;
 }
 
-// Metric names are free-form (defense tokens ride inside braces), so keys
-// must be escaped like any JSON string.
-void append_escaped(std::string& out, std::string_view text) {
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-}
-
 } // namespace
 
 const Snapshot::Scalar* Snapshot::find_counter(std::string_view name) const {
@@ -118,6 +98,8 @@ double Snapshot::gauge_or(std::string_view name, double fallback) const {
     return s != nullptr ? s->value : fallback;
 }
 
+// Metric names are free-form (defense tokens ride inside braces), so keys are
+// escaped like any JSON string.
 std::string Snapshot::to_json() const {
     std::string out = "{\"counters\":{";
     bool first = true;
@@ -125,7 +107,7 @@ std::string Snapshot::to_json() const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        append_escaped(out, c.name);
+        append_trace_escaped(out, c.name);
         out += "\":";
         append_number(out, c.value);
     }
@@ -135,7 +117,7 @@ std::string Snapshot::to_json() const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        append_escaped(out, g.name);
+        append_trace_escaped(out, g.name);
         out += "\":";
         append_number(out, g.value);
     }
@@ -145,7 +127,7 @@ std::string Snapshot::to_json() const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        append_escaped(out, h.name);
+        append_trace_escaped(out, h.name);
         out += "\":{\"count\":";
         out += std::to_string(h.count);
         out += ",\"mean\":";

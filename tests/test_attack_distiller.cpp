@@ -17,6 +17,14 @@ using ropuf::sim::ArrayGeometry;
 using ropuf::sim::ProcessParams;
 using ropuf::sim::RoArray;
 
+// Drives `session` over the victim's oracle to completion; returns its result.
+template <typename AttackSession, typename Puf>
+auto run_session(AttackSession&& session, Victim<Puf>& victim) {
+    auto oracle = make_oracle(victim);
+    run_to_completion(session, oracle);
+    return session.result();
+}
+
 ProcessParams quiet_params() {
     ProcessParams p{};
     p.sigma_noise_mhz = 0.02;
@@ -63,7 +71,7 @@ class MaskedAttackSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MaskedAttackSeeds, RecoversFullKey) {
     MaskedScenario s(GetParam());
     MaskedChainAttack::Victim victim(s.puf, GetParam() ^ 0x5a5a);
-    const auto result = MaskedChainAttack::run(victim, s.enrollment.helper, s.puf);
+    const auto result = run_session(MaskedChainSession(s.puf, s.enrollment.helper), victim);
     ASSERT_TRUE(result.complete);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
     EXPECT_EQ(result.targets, static_cast<int>(s.enrollment.key.size()));
@@ -74,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MaskedAttackSeeds, ::testing::Values(601u, 602u,
 TEST(MaskedAttack, QueryCostPerBitIsSmall) {
     MaskedScenario s(604);
     MaskedChainAttack::Victim victim(s.puf, 605);
-    const auto result = MaskedChainAttack::run(victim, s.enrollment.helper, s.puf);
+    const auto result = run_session(MaskedChainSession(s.puf, s.enrollment.helper), victim);
     ASSERT_TRUE(result.complete);
     const auto m = static_cast<std::int64_t>(s.enrollment.key.size());
     EXPECT_LE(result.queries, 8 * m);
@@ -123,7 +131,7 @@ class OverlapAttackSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(OverlapAttackSeeds, RecoversFullKeyWith2ToThe4Hypotheses) {
     OverlapScenario s(GetParam());
     OverlapChainAttack::Victim victim(s.puf, GetParam() ^ 0x1441);
-    const auto result = OverlapChainAttack::run(victim, s.enrollment.helper, s.puf);
+    const auto result = run_session(OverlapChainSession(s.puf, s.enrollment.helper), victim);
     ASSERT_TRUE(result.complete);
     // An overlapping chain (no reliability filtering!) can contain pairs
     // with near-zero residual margin whose enrolled value is a coin flip of
@@ -140,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OverlapAttackSeeds, ::testing::Values(611u, 612u
 TEST(OverlapAttack, HypothesisCountStaysPolynomial) {
     OverlapScenario s(614);
     OverlapChainAttack::Victim victim(s.puf, 615);
-    const auto result = OverlapChainAttack::run(victim, s.enrollment.helper, s.puf);
+    const auto result = run_session(OverlapChainSession(s.puf, s.enrollment.helper), victim);
     ASSERT_TRUE(result.complete);
     // 10 probes, each at most 2^4 assignments (plus retries).
     EXPECT_LE(result.hypotheses, 10 * 16 * 3);
@@ -159,7 +167,7 @@ TEST(OverlapAttack, SerpentineChainAlsoRecoverable) {
     Xoshiro256pp rng(617);
     const auto enrollment = puf.enroll(rng);
     OverlapChainAttack::Victim victim(puf, 618);
-    const auto result = OverlapChainAttack::run(victim, enrollment.helper, puf);
+    const auto result = run_session(OverlapChainSession(puf, enrollment.helper), victim);
     ASSERT_TRUE(result.complete);
     EXPECT_LE(ropuf::bits::hamming(result.recovered_key, enrollment.key), 1);
     EXPECT_GT(result.max_set_size, 4); // turn pairs inflate the first set

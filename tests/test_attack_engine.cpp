@@ -272,7 +272,10 @@ TEST(QueryAccounting, VictimLedgerMatchesAttackCounters) {
     Xoshiro256pp rng(6202);
     const auto enrollment = puf.enroll(rng);
     attack::SeqPairingAttack::Victim victim(puf, enrollment.key, 6203);
-    const auto result = attack::SeqPairingAttack::run(victim, enrollment.helper, puf.code());
+    attack::SeqPairingSession session(enrollment.helper, puf.code());
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     EXPECT_EQ(result.queries, victim.queries());
     EXPECT_EQ(victim.measurements(), victim.queries() * chip.count());
     EXPECT_EQ(victim.ledger().queries, victim.queries());

@@ -4,6 +4,7 @@
 #include "ropuf/attack/calibration.hpp"
 #include "ropuf/attack/distinguisher.hpp"
 #include "ropuf/attack/oracle.hpp"
+#include "ropuf/attack/session.hpp"
 #include "ropuf/pairing/puf_pipeline.hpp"
 
 namespace {
@@ -136,17 +137,22 @@ TEST(Calibration, AdaptiveOffsetReportsOvershoot) {
     EXPECT_EQ(result.offset, 2);
 }
 
+using SeqPuf = ropuf::pairing::SeqPairingPuf;
+
 TEST(Oracle, KeyedModeCountsQueriesAndComparesKeys) {
     const ropuf::sim::RoArray arr({16, 8}, ropuf::sim::ProcessParams{}, 271);
-    const ropuf::pairing::SeqPairingPuf puf(arr, ropuf::pairing::SeqPairingConfig{});
+    const SeqPuf puf(arr, ropuf::pairing::SeqPairingConfig{});
     Xoshiro256pp rng(272);
     const auto enrollment = puf.enroll(rng);
-    Victim<ropuf::pairing::SeqPairingPuf> victim(puf, enrollment.key, 273);
-    EXPECT_FALSE(victim.regen_fails(enrollment.helper));
+    Victim<SeqPuf> victim(puf, enrollment.key, 273);
     auto tampered = enrollment.helper;
     std::swap(tampered.pairs[0], tampered.pairs[1]); // may or may not fail...
     tampered.ecc.parity = bits::complement(tampered.ecc.parity); // ...this must
-    EXPECT_TRUE(victim.regen_fails(tampered));
+    const auto verdicts = make_oracle(victim).evaluate(
+        std::vector{make_probe<SeqPuf>(enrollment.helper), make_probe<SeqPuf>(tampered)});
+    ASSERT_EQ(verdicts.size(), 2u);
+    EXPECT_FALSE(verdicts[0]);
+    EXPECT_TRUE(verdicts[1]);
     EXPECT_EQ(victim.queries(), 2);
     // Shared accounting: measurements follow the declared per-query cost.
     EXPECT_EQ(victim.measurements(), 2 * arr.count());
@@ -154,12 +160,16 @@ TEST(Oracle, KeyedModeCountsQueriesAndComparesKeys) {
 
 TEST(Oracle, ReprogramModeComparesAttackerKey) {
     const ropuf::sim::RoArray arr({16, 8}, ropuf::sim::ProcessParams{}, 274);
-    const ropuf::pairing::SeqPairingPuf puf(arr, ropuf::pairing::SeqPairingConfig{});
+    const SeqPuf puf(arr, ropuf::pairing::SeqPairingConfig{});
     Xoshiro256pp rng(275);
     const auto enrollment = puf.enroll(rng);
-    Victim<ropuf::pairing::SeqPairingPuf> victim(puf, 276);
-    EXPECT_FALSE(victim.regen_fails(enrollment.helper, enrollment.key));
-    EXPECT_TRUE(victim.regen_fails(enrollment.helper, bits::complement(enrollment.key)));
+    Victim<SeqPuf> victim(puf, 276);
+    const auto verdicts = make_oracle(victim).evaluate(
+        std::vector{make_probe<SeqPuf>(enrollment.helper, enrollment.key),
+                    make_probe<SeqPuf>(enrollment.helper, bits::complement(enrollment.key))});
+    ASSERT_EQ(verdicts.size(), 2u);
+    EXPECT_FALSE(verdicts[0]);
+    EXPECT_TRUE(verdicts[1]);
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 // Section VI-C attack tests: full key recovery against the group-based PUF.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "ropuf/attack/group_attack.hpp"
 #include "ropuf/helperdata/sanity.hpp"
 
@@ -25,6 +28,14 @@ ProcessParams quiet_params() {
     ProcessParams p{};
     p.sigma_noise_mhz = 0.02;
     return p;
+}
+
+// Drives `session` over the victim's oracle to completion; returns its result.
+template <typename AttackSession, typename Puf>
+auto run_session(AttackSession&& session, Victim<Puf>& victim) {
+    auto oracle = make_oracle(victim);
+    run_to_completion(session, oracle);
+    return session.result();
 }
 
 struct Scenario {
@@ -62,7 +73,8 @@ TEST(GroupAttack, ComparatorMatchesEnrollmentResiduals) {
     Scenario s(502);
     const auto& geom = s.array.geometry();
     GroupBasedAttack::Victim victim(s.puf, 503);
-    GroupBasedAttack::Config cfg;
+    auto oracle = make_oracle(victim);
+    const GroupBasedAttack::Config cfg;
 
     // Ground truth: noiseless residuals under the enrolled surface.
     std::vector<double> freqs(static_cast<std::size_t>(geom.count()));
@@ -74,15 +86,26 @@ TEST(GroupAttack, ComparatorMatchesEnrollmentResiduals) {
     int checked = 0;
     for (const auto& grp : s.enrollment.grouping.members) {
         if (grp.size() < 2) continue;
-        const int a = grp[0];
-        const int b = grp[1];
-        int comparisons = 0;
-        const auto result = GroupBasedAttack::compare_residuals(
-            victim, s.enrollment.helper, geom, s.puf.code(), a, b, cfg, &comparisons);
-        ASSERT_TRUE(result.has_value());
-        EXPECT_EQ(*result,
-                  resid[static_cast<std::size_t>(a)] > resid[static_cast<std::size_t>(b)])
-            << "ROs " << a << " vs " << b;
+        const int lo = std::min(grp[0], grp[1]);
+        const int hi = std::max(grp[0], grp[1]);
+        // The comparator experiment as GroupSession runs it: hypothesis h = 1
+        // ("residual(hi) > residual(lo)") wins when its probe passes once.
+        const auto instance = GroupBasedAttack::build_comparison(
+            s.enrollment.helper, geom, s.puf.code(), lo, hi, cfg.steep_amp);
+        std::optional<bool> hi_greater;
+        for (int attempt = 0; attempt < cfg.max_retries && !hi_greater; ++attempt) {
+            for (int h = 0; h < 2 && !hi_greater; ++h) {
+                for (int q = 0; q < cfg.majority_wins && !hi_greater; ++q) {
+                    const auto probe =
+                        make_probe<GroupBasedPuf>(instance.helper[h], instance.expected_key[h]);
+                    if (!oracle.evaluate_one(probe)) hi_greater = h == 1;
+                }
+            }
+        }
+        ASSERT_TRUE(hi_greater.has_value());
+        EXPECT_EQ(*hi_greater,
+                  resid[static_cast<std::size_t>(hi)] > resid[static_cast<std::size_t>(lo)])
+            << "ROs " << lo << " vs " << hi;
         ++checked;
         if (checked >= 6) break;
     }
@@ -94,8 +117,8 @@ class GroupAttackSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(GroupAttackSeeds, RecoversFullKeySortMode) {
     Scenario s(GetParam());
     GroupBasedAttack::Victim victim(s.puf, GetParam() ^ 0x3c3c);
-    const auto result = GroupBasedAttack::run(victim, s.enrollment.helper,
-                                              s.array.geometry(), s.puf.code());
+    const auto result = run_session(
+        GroupSession(s.enrollment.helper, s.array.geometry(), s.puf.code()), victim);
     ASSERT_TRUE(result.complete);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
 }
@@ -107,8 +130,8 @@ TEST(GroupAttack, ExhaustiveModeAlsoRecoversKey) {
     GroupBasedAttack::Victim victim(s.puf, 515);
     GroupBasedAttack::Config cfg;
     cfg.mode = GroupBasedAttack::Mode::ExhaustivePairs;
-    const auto result = GroupBasedAttack::run(victim, s.enrollment.helper, s.array.geometry(),
-                                              s.puf.code(), cfg);
+    const auto result = run_session(
+        GroupSession(s.enrollment.helper, s.array.geometry(), s.puf.code(), cfg), victim);
     ASSERT_TRUE(result.complete);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
 }
@@ -121,9 +144,11 @@ TEST(GroupAttack, SortModeUsesFewerComparisonsThanExhaustive) {
     GroupBasedAttack::Config exh_cfg;
     exh_cfg.mode = GroupBasedAttack::Mode::ExhaustivePairs;
     const auto r_sort =
-        GroupBasedAttack::run(v1, s.enrollment.helper, s.array.geometry(), s.puf.code(), sort_cfg);
+        run_session(GroupSession(s.enrollment.helper, s.array.geometry(), s.puf.code(), sort_cfg),
+                    v1);
     const auto r_exh =
-        GroupBasedAttack::run(v2, s.enrollment.helper, s.array.geometry(), s.puf.code(), exh_cfg);
+        run_session(GroupSession(s.enrollment.helper, s.array.geometry(), s.puf.code(), exh_cfg),
+                    v2);
     ASSERT_TRUE(r_sort.complete);
     ASSERT_TRUE(r_exh.complete);
     EXPECT_EQ(r_sort.recovered_key, r_exh.recovered_key);
@@ -133,8 +158,8 @@ TEST(GroupAttack, SortModeUsesFewerComparisonsThanExhaustive) {
 TEST(GroupAttack, LargerArrayStillFullRecovery) {
     Scenario s(519, ArrayGeometry{16, 8});
     GroupBasedAttack::Victim victim(s.puf, 520);
-    const auto result = GroupBasedAttack::run(victim, s.enrollment.helper, s.array.geometry(),
-                                              s.puf.code());
+    const auto result = run_session(
+        GroupSession(s.enrollment.helper, s.array.geometry(), s.puf.code()), victim);
     ASSERT_TRUE(result.complete);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
     EXPECT_GT(static_cast<int>(s.enrollment.key.size()), 30);
@@ -158,8 +183,8 @@ TEST(GroupAttack, DeviceSanityChecksBlockTheInjection) {
 TEST(GroupAttack, QueryCountReportedAndBounded) {
     Scenario s(522);
     GroupBasedAttack::Victim victim(s.puf, 523);
-    const auto result = GroupBasedAttack::run(victim, s.enrollment.helper, s.array.geometry(),
-                                              s.puf.code());
+    const auto result = run_session(
+        GroupSession(s.enrollment.helper, s.array.geometry(), s.puf.code()), victim);
     ASSERT_TRUE(result.complete);
     EXPECT_EQ(result.queries, victim.queries());
     EXPECT_GT(result.comparisons, 0);

@@ -13,6 +13,14 @@ namespace {
 namespace bits = ropuf::bits;
 using namespace ropuf;
 
+// Drives `session` over the victim's oracle to completion; returns its result.
+template <typename AttackSession, typename Puf>
+auto run_session(AttackSession&& session, attack::Victim<Puf>& victim) {
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    return session.result();
+}
+
 struct EccParams {
     int m;
     int t;
@@ -30,7 +38,8 @@ TEST_P(SeqAttackVsEcc, StrongerCodesDoNotStopTheAttack) {
     rng::Xoshiro256pp rng(1702);
     const auto enrollment = puf.enroll(rng);
     attack::SeqPairingAttack::Victim victim(puf, enrollment.key, 1703);
-    const auto result = attack::SeqPairingAttack::run(victim, enrollment.helper, puf.code());
+    const auto result =
+        run_session(attack::SeqPairingSession(enrollment.helper, puf.code()), victim);
     ASSERT_TRUE(result.resolved) << "BCH(m=" << m << ",t=" << t << ")";
     EXPECT_EQ(result.recovered_key, enrollment.key);
     // Query cost stays linear in key bits regardless of t: the injection
@@ -58,8 +67,8 @@ TEST_P(GroupAttackVsEcc, StrongerCodesDoNotStopTheAttack) {
     rng::Xoshiro256pp rng(1705);
     const auto enrollment = puf.enroll(rng);
     attack::GroupBasedAttack::Victim victim(puf, 1706);
-    const auto result = attack::GroupBasedAttack::run(victim, enrollment.helper,
-                                                      chip.geometry(), puf.code());
+    const auto result = run_session(
+        attack::GroupSession(enrollment.helper, chip.geometry(), puf.code()), victim);
     ASSERT_TRUE(result.complete) << "BCH(m=" << m << ",t=" << t << ")";
     EXPECT_EQ(result.recovered_key, enrollment.key);
 }
@@ -77,7 +86,7 @@ TEST(AttackRobustness, SeqPairingAcrossArraySizes) {
         const auto enrollment = puf.enroll(rng);
         attack::SeqPairingAttack::Victim victim(puf, enrollment.key, 1709);
         const auto result =
-            attack::SeqPairingAttack::run(victim, enrollment.helper, puf.code());
+            run_session(attack::SeqPairingSession(enrollment.helper, puf.code()), victim);
         ASSERT_TRUE(result.resolved) << g.cols << "x" << g.rows;
         EXPECT_EQ(result.recovered_key, enrollment.key) << g.cols << "x" << g.rows;
     }
@@ -96,7 +105,7 @@ TEST(AttackRobustness, SeqPairingAcrossThresholds) {
         if (enrollment.key.size() < 2) continue;
         attack::SeqPairingAttack::Victim victim(puf, enrollment.key, 1712);
         const auto result =
-            attack::SeqPairingAttack::run(victim, enrollment.helper, puf.code());
+            run_session(attack::SeqPairingSession(enrollment.helper, puf.code()), victim);
         ASSERT_TRUE(result.resolved) << "th = " << th;
         EXPECT_EQ(result.recovered_key, enrollment.key) << "th = " << th;
     }
@@ -114,8 +123,8 @@ TEST(AttackRobustness, GroupAttackAcrossDistillerDegrees) {
         rng::Xoshiro256pp rng(1714);
         const auto enrollment = puf.enroll(rng);
         attack::GroupBasedAttack::Victim victim(puf, 1715);
-        const auto result = attack::GroupBasedAttack::run(victim, enrollment.helper,
-                                                          chip.geometry(), puf.code());
+        const auto result = run_session(
+            attack::GroupSession(enrollment.helper, chip.geometry(), puf.code()), victim);
         ASSERT_TRUE(result.complete) << "degree " << degree;
         EXPECT_EQ(result.recovered_key, enrollment.key) << "degree " << degree;
     }

@@ -24,12 +24,20 @@ struct Scenario {
     }
 };
 
+// Drives `session` over the victim's oracle to completion; returns its result.
+template <typename AttackSession, typename Puf>
+auto run_session(AttackSession&& session, Victim<Puf>& victim) {
+    auto oracle = make_oracle(victim);
+    run_to_completion(session, oracle);
+    return session.result();
+}
+
 class SeqAttackSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeqAttackSeeds, RecoversFullKey) {
     Scenario s(GetParam(), SeqPairingConfig{});
     SeqPairingAttack::Victim victim(s.puf, s.enrollment.key, GetParam() ^ 0x1111);
-    const auto result = SeqPairingAttack::run(victim, s.enrollment.helper, s.puf.code());
+    const auto result = run_session(SeqPairingSession(s.enrollment.helper, s.puf.code()), victim);
     ASSERT_TRUE(result.resolved);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
     EXPECT_FALSE(result.used_sorted_leak);
@@ -45,7 +53,8 @@ TEST(SeqAttack, RecoversKeyUnderRealisticNoise) {
     SeqPairingAttack::Victim victim(s.puf, s.enrollment.key, 312);
     SeqPairingAttack::Config cfg;
     cfg.majority_wins = 3; // noise demands more confirmations
-    const auto result = SeqPairingAttack::run(victim, s.enrollment.helper, s.puf.code(), cfg);
+    const auto result =
+        run_session(SeqPairingSession(s.enrollment.helper, s.puf.code(), cfg), victim);
     ASSERT_TRUE(result.resolved);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
 }
@@ -55,7 +64,7 @@ TEST(SeqAttack, SortedStorageLeaksWithHandfulOfQueries) {
     device_cfg.policy = ropuf::helperdata::PairOrderPolicy::SortedByFrequency;
     Scenario s(313, device_cfg);
     SeqPairingAttack::Victim victim(s.puf, s.enrollment.key, 314);
-    const auto result = SeqPairingAttack::run(victim, s.enrollment.helper, s.puf.code());
+    const auto result = run_session(SeqPairingSession(s.enrollment.helper, s.puf.code()), victim);
     ASSERT_TRUE(result.resolved);
     EXPECT_TRUE(result.used_sorted_leak);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
@@ -66,7 +75,7 @@ TEST(SeqAttack, SortedStorageLeaksWithHandfulOfQueries) {
 TEST(SeqAttack, QueryCostScalesLinearlyInKeyBits) {
     Scenario s(315, SeqPairingConfig{});
     SeqPairingAttack::Victim victim(s.puf, s.enrollment.key, 316);
-    const auto result = SeqPairingAttack::run(victim, s.enrollment.helper, s.puf.code());
+    const auto result = run_session(SeqPairingSession(s.enrollment.helper, s.puf.code()), victim);
     ASSERT_TRUE(result.resolved);
     const auto m = static_cast<std::int64_t>(s.enrollment.key.size());
     // Each relation test costs ~2*wins queries, plus the leak check and the
@@ -127,7 +136,7 @@ TEST(SeqAttack, TinyKeyDegenerateCase) {
     const RoArray arr({4, 2}, ProcessParams{}, 321);
     const SeqPairingPuf puf(arr, SeqPairingConfig{});
     SeqPairingAttack::Victim victim(puf, bits::ones(1), 322);
-    const auto result = SeqPairingAttack::run(victim, helper, puf.code());
+    const auto result = run_session(SeqPairingSession(helper, puf.code()), victim);
     EXPECT_FALSE(result.resolved);
     EXPECT_TRUE(result.recovered_key.empty());
 }

@@ -55,6 +55,14 @@ struct Scenario {
     }
 };
 
+// Drives `session` over the victim's oracle to completion; returns its result.
+template <typename AttackSession, typename Puf>
+auto run_session(AttackSession&& session, Victim<Puf>& victim) {
+    auto oracle = make_oracle(victim);
+    run_to_completion(session, oracle);
+    return session.result();
+}
+
 // Seeds are pre-screened to yield at least two cooperating pairs (the attack
 // needs a requester and a target); the fixture asserts that precondition.
 class TempAttackSeeds : public ::testing::TestWithParam<std::uint64_t> {};
@@ -63,7 +71,8 @@ TEST_P(TempAttackSeeds, RecoversFullKeyAtRoomTemperature) {
     Scenario s(GetParam());
     ASSERT_GE(s.coop_count(), 2) << "seed produced too few cooperating pairs";
     TempAwareAttack::Victim victim(s.puf, s.enrollment.key, 25.0, GetParam() ^ 0x77);
-    const auto result = TempAwareAttack::run(victim, s.enrollment.helper, s.puf.code());
+    const auto result = run_session(
+        TempAwareSession(s.enrollment.helper, s.puf.code(), victim.ambient_c()), victim);
     ASSERT_TRUE(result.resolved);
     EXPECT_EQ(result.recovered_key, s.enrollment.key);
     // Pairs untestable at 25 C are resolved algebraically through the public
@@ -81,7 +90,8 @@ TEST(TempAttack, CoopRelationsAloneMatchGroundTruth) {
     TempAwareAttack::Victim victim(s.puf, s.enrollment.key, 25.0, 406);
     TempAwareAttack::Config cfg;
     cfg.recover_good_pairs = false;
-    const auto result = TempAwareAttack::run(victim, s.enrollment.helper, s.puf.code(), cfg);
+    const auto result = run_session(
+        TempAwareSession(s.enrollment.helper, s.puf.code(), victim.ambient_c(), cfg), victim);
     // Without good-pair recovery the full key cannot be assembled...
     EXPECT_FALSE(result.resolved);
     // ...but the cooperating relations must be consistent on every pair the
@@ -139,7 +149,7 @@ TEST(TempAttack, SubstitutionHelperTestsIntendedHypothesis) {
         if (25.0 >= rec.t_low && 25.0 <= rec.t_high) continue; // unstable at 25C
         const auto variant = TempAwareAttack::make_substitution_helper(
             helper, s.puf.code(), c1, static_cast<int>(cj), false, 25.0, s.puf.code().t());
-        // One-sided observable (cf. any_pass_probe): under the equal
+        // One-sided observable (cf. CoroSession::any_pass): under the equal
         // hypothesis some query passes quickly; under the unequal one the
         // word always carries t+1 errors and every query fails.
         int successes = 0;
@@ -202,7 +212,8 @@ TEST(TempAttack, QueryCostLinearInKeyBits) {
     Scenario s(442);
     ASSERT_GE(s.coop_count(), 2);
     TempAwareAttack::Victim victim(s.puf, s.enrollment.key, 25.0, 443);
-    const auto result = TempAwareAttack::run(victim, s.enrollment.helper, s.puf.code());
+    const auto result = run_session(
+        TempAwareSession(s.enrollment.helper, s.puf.code(), victim.ambient_c()), victim);
     ASSERT_TRUE(result.resolved);
     const auto m = static_cast<std::int64_t>(s.enrollment.key.size());
     EXPECT_LE(result.queries, 8 * m + 30);
@@ -217,7 +228,8 @@ TEST(TempAttack, GracefulWhenTooFewCooperatingPairs) {
     Xoshiro256pp rng(445);
     const auto enrollment = puf.enroll(rng);
     TempAwareAttack::Victim victim(puf, enrollment.key, 25.0, 446);
-    const auto result = TempAwareAttack::run(victim, enrollment.helper, puf.code());
+    const auto result =
+        run_session(TempAwareSession(enrollment.helper, puf.code(), victim.ambient_c()), victim);
     EXPECT_FALSE(result.resolved);
     EXPECT_EQ(result.queries, 0);
 }

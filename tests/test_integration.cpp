@@ -27,8 +27,10 @@ TEST(Integration, SeqPairingAttackThroughSerializedNvm) {
     const auto attacker_view = ropuf::pairing::parse_seq_pairing(nvm);
 
     ropuf::attack::SeqPairingAttack::Victim victim(puf, enrollment.key, 703);
-    const auto result =
-        ropuf::attack::SeqPairingAttack::run(victim, attacker_view, puf.code());
+    ropuf::attack::SeqPairingSession session(attacker_view, puf.code());
+    auto oracle = ropuf::attack::make_oracle(victim);
+    ropuf::attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     ASSERT_TRUE(result.resolved);
     EXPECT_EQ(result.recovered_key, enrollment.key);
 }
@@ -48,8 +50,10 @@ TEST(Integration, GroupAttackRecoversKeyUsableForDecryption) {
     const auto enrollment = puf.enroll(rng);
 
     ropuf::attack::GroupBasedAttack::Victim victim(puf, 706);
-    const auto result = ropuf::attack::GroupBasedAttack::run(
-        victim, enrollment.helper, arr.geometry(), puf.code());
+    ropuf::attack::GroupSession session(enrollment.helper, arr.geometry(), puf.code());
+    auto oracle = ropuf::attack::make_oracle(victim);
+    ropuf::attack::run_to_completion(session, oracle);
+    const auto& result = session.result();
     ASSERT_TRUE(result.complete);
 
     const auto device_app_key =

@@ -11,6 +11,7 @@ namespace {
 
 namespace bits = ropuf::bits;
 using namespace ropuf;
+using attack::SelectionProbeSession;
 using attack::SelectionSubstitutionProbe;
 
 struct Scenario {
@@ -33,6 +34,14 @@ struct Scenario {
     }
 };
 
+// Drives `session` over the victim's oracle to completion; returns its result.
+template <typename AttackSession, typename Puf>
+auto run_session(AttackSession&& session, attack::Victim<Puf>& victim) {
+    auto oracle = attack::make_oracle(victim);
+    attack::run_to_completion(session, oracle);
+    return session.result();
+}
+
 TEST(SelectionProbe, SubstitutionHelperRepointsOneGroup) {
     Scenario s(1001);
     const auto variant = SelectionSubstitutionProbe::make_substitution_helper(
@@ -51,7 +60,7 @@ TEST(SelectionProbe, RecoveredRelationsMatchGroundTruth) {
     Scenario s(1002);
     SelectionSubstitutionProbe::Victim victim(s.puf, s.enrollment.key, 1003);
     const auto result =
-        SelectionSubstitutionProbe::run(victim, s.enrollment.helper, s.puf);
+        run_session(SelectionProbeSession(s.enrollment.helper, s.puf.code()), victim);
 
     // Ground truth from the noiseless enrolled residuals.
     const auto& geom = s.array.geometry();
@@ -91,7 +100,7 @@ TEST(SelectionProbe, KeyEntropyIsUntouched) {
     Scenario s(1004);
     SelectionSubstitutionProbe::Victim victim(s.puf, s.enrollment.key, 1005);
     const auto result =
-        SelectionSubstitutionProbe::run(victim, s.enrollment.helper, s.puf);
+        run_session(SelectionProbeSession(s.enrollment.helper, s.puf.code()), victim);
     EXPECT_EQ(result.residual_key_entropy_bits,
               static_cast<int>(s.enrollment.key.size()));
     // And indeed, nothing in the result determines a single key bit: the
@@ -105,7 +114,7 @@ TEST(SelectionProbe, QueryCostIsKMinusOnePerGroup) {
     Scenario s(1006);
     SelectionSubstitutionProbe::Victim victim(s.puf, s.enrollment.key, 1007);
     const auto result =
-        SelectionSubstitutionProbe::run(victim, s.enrollment.helper, s.puf);
+        run_session(SelectionProbeSession(s.enrollment.helper, s.puf.code()), victim);
     const auto groups = static_cast<std::int64_t>(result.groups.size());
     const auto k = s.enrollment.helper.masking.k;
     // any_pass probes: 1 query when H0 (pass), up to 4 when H1.

@@ -1,7 +1,7 @@
 // Session regression: the propose/observe rewrite must be *bitwise
-// identical* to the pre-Session one-shot attacks. The expected values below
-// were captured from the seed implementation (monolithic Attack::run driving
-// Victim::regen_fails directly) at default params for master seeds 1, 2 and
+// identical* to the pre-Session attacks. The expected values below were
+// captured from the seed implementation (monolithic attack functions querying
+// the victim one typed helper at a time) at default params for master seeds 1, 2 and
 // 7 — including one seed where the overlap-chain attack legitimately fails
 // to resolve every bit. Any drift in probe order, RNG consumption, helper
 // serialization or verdict handling shows up here as a query/accuracy diff.
@@ -87,7 +87,7 @@ TEST(SessionRegression, AllScenariosMatchThePreSessionSeedBitwise) {
 }
 
 // Driving a session by hand through step()/absorb() is the same computation
-// as the one-shot convenience wrapper.
+// as run_to_completion.
 TEST(SessionRegression, ManualStepAbsorbEqualsRunToCompletion) {
     const sim::RoArray chip({16, 8}, sim::ProcessParams{}, 501);
     const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
@@ -95,8 +95,10 @@ TEST(SessionRegression, ManualStepAbsorbEqualsRunToCompletion) {
     const auto enrollment = puf.enroll(rng);
 
     attack::SeqPairingAttack::Victim victim_a(puf, enrollment.key, 503);
-    const auto oneshot =
-        attack::SeqPairingAttack::run(victim_a, enrollment.helper, puf.code());
+    attack::SeqPairingSession driven(enrollment.helper, puf.code());
+    auto oracle_a = attack::make_oracle(victim_a);
+    attack::run_to_completion(driven, oracle_a);
+    const auto& expected = driven.result();
 
     attack::SeqPairingAttack::Victim victim_b(puf, enrollment.key, 503);
     attack::SeqPairingSession session(enrollment.helper, puf.code());
@@ -110,10 +112,10 @@ TEST(SessionRegression, ManualStepAbsorbEqualsRunToCompletion) {
     }
     EXPECT_TRUE(session.done());
     EXPECT_GT(batches, 0);
-    EXPECT_EQ(session.result().recovered_key, oneshot.recovered_key);
-    EXPECT_EQ(session.result().resolved, oneshot.resolved);
-    EXPECT_EQ(session.result().queries, oneshot.queries);
-    EXPECT_EQ(session.result().relation_tests, oneshot.relation_tests);
+    EXPECT_EQ(session.result().recovered_key, expected.recovered_key);
+    EXPECT_EQ(session.result().resolved, expected.resolved);
+    EXPECT_EQ(session.result().queries, expected.queries);
+    EXPECT_EQ(session.result().relation_tests, expected.relation_tests);
     EXPECT_EQ(victim_b.queries(), victim_a.queries());
     EXPECT_EQ(victim_b.measurements(), victim_a.measurements());
 
