@@ -197,19 +197,21 @@ core::AnyOracle make_oracle(Victim<Puf>& victim) {
 
 /// A sanity validator for wrapping this construction's oracle in a
 /// core::SanityCheckingOracle: parse failures and DeviceTraits::sanity
-/// violations are refusals. Captures the puf by reference.
+/// violations are refusals. Assignable to core::HelperValidator; called
+/// directly, the mode defaults to Explain. Captures the puf by reference.
 template <core::Device Puf>
-core::HelperValidator make_sanity_validator(const Puf& puf) {
-    return [&puf](const helperdata::Nvm& nvm) {
-        helperdata::SanityReport report;
+auto make_sanity_validator(const Puf& puf) {
+    return [&puf](const helperdata::Nvm& nvm,
+                  helperdata::SanityMode mode = helperdata::SanityMode::Explain) {
         typename core::DeviceTraits<Puf>::Helper helper;
         try {
             helper = core::DeviceTraits<Puf>::parse(nvm);
         } catch (const helperdata::ParseError& e) {
-            report.fail(std::string("parse: ") + e.what());
+            helperdata::SanityReport report(mode);
+            report.fail([&e] { return std::string("parse: ") + e.what(); });
             return report;
         }
-        return core::DeviceTraits<Puf>::sanity(puf, helper);
+        return core::DeviceTraits<Puf>::sanity(puf, helper, mode);
     };
 }
 

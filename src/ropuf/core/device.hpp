@@ -70,10 +70,13 @@ struct EnrollResult {
 ///                                     // the device's nominal supply — the
 ///                                     // attack layer never reads sim
 ///                                     // parameters directly
-///   static helperdata::SanityReport sanity(const Puf&, const Helper&);
+///   static helperdata::SanityReport sanity(const Puf&, const Helper&,
+///                                          helperdata::SanityMode =
+///                                              helperdata::SanityMode::Explain);
 ///                                     // what a careful device would
 ///                                     // validate (Section VII-C); feeds the
 ///                                     // SanityCheckingOracle countermeasure
+///                                     // (Verdict mode: yes/no, no strings)
 template <typename Puf>
 struct DeviceTraits; // primary template intentionally undefined
 
@@ -100,6 +103,9 @@ concept Device = requires(const P& puf, const typename DeviceTraits<P>::Helper& 
     { DeviceTraits<P>::nominal_condition(puf) } -> std::same_as<sim::Condition>;
     { DeviceTraits<P>::condition_at(puf, ambient_c) } -> std::same_as<sim::Condition>;
     { DeviceTraits<P>::sanity(puf, helper) } -> std::same_as<helperdata::SanityReport>;
+    {
+        DeviceTraits<P>::sanity(puf, helper, helperdata::SanityMode::Verdict)
+    } -> std::same_as<helperdata::SanityReport>;
     { puf.array() } -> std::convertible_to<const sim::RoArray&>;
 };
 

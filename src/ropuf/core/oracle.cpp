@@ -31,6 +31,23 @@ void BudgetedOracle::evaluate(std::span<const Probe> probes, std::vector<bool>& 
     }
 }
 
+void forward_accepted(AnyOracle& inner, std::span<const Probe> probes,
+                      std::span<const char> accepted, std::vector<bool>& verdicts) {
+    std::vector<bool> sub;
+    std::size_t i = 0;
+    while (i < probes.size()) {
+        if (!accepted[i]) {
+            ++i;
+            continue;
+        }
+        std::size_t j = i;
+        while (j < probes.size() && accepted[j]) ++j;
+        inner.impl()->evaluate(probes.subspan(i, j - i), sub);
+        for (std::size_t k = 0; k < sub.size(); ++k) verdicts[i + k] = sub[k];
+        i = j;
+    }
+}
+
 SanityCheckingOracle::SanityCheckingOracle(AnyOracle inner, HelperValidator validator)
     : inner_(std::move(inner)), validator_(std::move(validator)) {
     if (!inner_) throw std::invalid_argument("SanityCheckingOracle: null inner oracle");
@@ -39,32 +56,30 @@ SanityCheckingOracle::SanityCheckingOracle(AnyOracle inner, HelperValidator vali
 
 void SanityCheckingOracle::evaluate(std::span<const Probe> probes,
                                     std::vector<bool>& verdicts) {
-    verdicts.assign(probes.size(), true);
-    // Validate every probe once, then forward contiguous accepted runs so the
-    // inner oracle still sees real batches (and their amortized noise draws).
-    std::vector<char> accepted(probes.size(), 0);
+    verdicts.assign(probes.size(), true); // a refused probe's verdict stays true
+    accepted_.assign(probes.size(), 0);
+    std::optional<std::size_t> last_refused;
     for (std::size_t i = 0; i < probes.size(); ++i) {
-        auto report = validator_(probes[i].helper);
-        if (report.ok) {
-            accepted[i] = 1;
+        if (validator_(probes[i].helper, helperdata::SanityMode::Verdict).ok) {
+            accepted_[i] = 1;
         } else {
             ++refused_;
-            last_violations_ = std::move(report.violations);
+            last_refused = i;
         }
     }
-    std::vector<bool> sub;
-    std::size_t i = 0;
-    while (i < probes.size()) {
-        if (!accepted[i]) {
-            ++i; // verdict stays true: the device refuses to regenerate
-            continue;
-        }
-        std::size_t j = i;
-        while (j < probes.size() && accepted[j]) ++j;
-        inner_.impl()->evaluate(probes.subspan(i, j - i), sub);
-        for (std::size_t k = 0; k < sub.size(); ++k) verdicts[i + k] = sub[k];
-        i = j;
+    if (last_refused) {
+        last_refused_ = probes[*last_refused].helper;
+        explained_ = false;
     }
+    forward_accepted(inner_, probes, accepted_, verdicts);
+}
+
+const std::vector<std::string>& SanityCheckingOracle::last_violations() const {
+    if (!explained_) {
+        last_violations_ = validator_(last_refused_, helperdata::SanityMode::Explain).violations;
+        explained_ = true;
+    }
+    return last_violations_;
 }
 
 OracleStats SanityCheckingOracle::stats() const {

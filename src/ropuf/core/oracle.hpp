@@ -146,13 +146,24 @@ private:
     bool exhausted_ = false;
 };
 
-/// Structural helper-data validation result for one probe blob.
-using HelperValidator = std::function<helperdata::SanityReport(const helperdata::Nvm&)>;
+/// Structural helper-data validation of one probe blob, in the requested
+/// mode: Verdict for the per-probe accept/refuse decision, Explain when a
+/// caller reads the violation list.
+using HelperValidator =
+    std::function<helperdata::SanityReport(const helperdata::Nvm&, helperdata::SanityMode)>;
+
+/// Evaluates `probes` through `inner`, forwarding each contiguous run of
+/// accepted probes (accepted[i] != 0) as one batch, so the victim's amortized
+/// noise draws keep their batch shape, and leaving refused probes at their
+/// preset verdict. The shared core of every refusing middleware.
+void forward_accepted(AnyOracle& inner, std::span<const Probe> probes,
+                      std::span<const char> accepted, std::vector<bool>& verdicts);
 
 /// Routes every probe blob through a validator before the device sees it.
 /// A refused probe reads as an observable failure (the careful device
 /// declines to regenerate), is counted as an attacker query, but performs no
-/// oscillator measurement.
+/// oscillator measurement. Probes are validated in Verdict mode; the last
+/// refused blob is kept and explained only when last_violations() is read.
 class SanityCheckingOracle final : public OracleBase {
 public:
     SanityCheckingOracle(AnyOracle inner, HelperValidator validator);
@@ -161,14 +172,18 @@ public:
     OracleStats stats() const override;
 
     std::int64_t refused() const { return refused_; }
-    /// Violations of the most recently refused probe (diagnostics).
-    const std::vector<std::string>& last_violations() const { return last_violations_; }
+    /// Violations of the most recently refused probe (diagnostics), in
+    /// Explain mode; built on the first read after a refusal and cached.
+    const std::vector<std::string>& last_violations() const;
 
 private:
     AnyOracle inner_;
     HelperValidator validator_;
     std::int64_t refused_ = 0;
-    std::vector<std::string> last_violations_;
+    std::vector<char> accepted_; ///< per-batch scratch, reused across calls
+    helperdata::Nvm last_refused_;
+    mutable bool explained_ = true;
+    mutable std::vector<std::string> last_violations_;
 };
 
 /// One per-batch ledger snapshot recorded by TracingOracle.

@@ -16,27 +16,6 @@ core::OracleStats with_refusals(const core::AnyOracle& inner, std::int64_t refus
     return s;
 }
 
-/// Evaluates `probes` through `inner`, forwarding contiguous accepted runs
-/// as whole batches (so the victim's amortized noise draws keep their batch
-/// shape) and leaving refused probes at their preset verdict.
-template <typename AcceptedFn>
-void forward_accepted(core::AnyOracle& inner, std::span<const core::Probe> probes,
-                      std::vector<bool>& verdicts, const AcceptedFn& accepted) {
-    std::vector<bool> sub;
-    std::size_t i = 0;
-    while (i < probes.size()) {
-        if (!accepted(i)) {
-            ++i;
-            continue;
-        }
-        std::size_t j = i;
-        while (j < probes.size() && accepted(j)) ++j;
-        inner.impl()->evaluate(probes.subspan(i, j - i), sub);
-        for (std::size_t k = 0; k < sub.size(); ++k) verdicts[i + k] = sub[k];
-        i = j;
-    }
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -51,16 +30,15 @@ MacBindingOracle::MacBindingOracle(core::AnyOracle inner, const helperdata::Nvm&
 void MacBindingOracle::evaluate(std::span<const core::Probe> probes,
                                 std::vector<bool>& verdicts) {
     verdicts.assign(probes.size(), true);
-    std::vector<char> accepted(probes.size(), 0);
+    accepted_.assign(probes.size(), 0);
     for (std::size_t i = 0; i < probes.size(); ++i) {
         if (hash::Sha256::hash(probes[i].helper.bytes()) == enrolled_digest_) {
-            accepted[i] = 1;
+            accepted_[i] = 1;
         } else {
             ++refused_;
         }
     }
-    forward_accepted(inner_, probes, verdicts,
-                     [&](std::size_t i) { return accepted[i] != 0; });
+    core::forward_accepted(inner_, probes, accepted_, verdicts);
 }
 
 core::OracleStats MacBindingOracle::stats() const { return with_refusals(inner_, refused_); }
@@ -78,16 +56,15 @@ CanonicalFormOracle::CanonicalFormOracle(core::AnyOracle inner, CanonicalCheck c
 void CanonicalFormOracle::evaluate(std::span<const core::Probe> probes,
                                    std::vector<bool>& verdicts) {
     verdicts.assign(probes.size(), true);
-    std::vector<char> accepted(probes.size(), 0);
+    accepted_.assign(probes.size(), 0);
     for (std::size_t i = 0; i < probes.size(); ++i) {
         if (canonical_(probes[i].helper)) {
-            accepted[i] = 1;
+            accepted_[i] = 1;
         } else {
             ++refused_;
         }
     }
-    forward_accepted(inner_, probes, verdicts,
-                     [&](std::size_t i) { return accepted[i] != 0; });
+    core::forward_accepted(inner_, probes, accepted_, verdicts);
 }
 
 core::OracleStats CanonicalFormOracle::stats() const {
@@ -177,10 +154,10 @@ NoisyRefusalOracle::NoisyRefusalOracle(core::AnyOracle inner, core::HelperValida
 void NoisyRefusalOracle::evaluate(std::span<const core::Probe> probes,
                                   std::vector<bool>& verdicts) {
     verdicts.assign(probes.size(), true);
-    std::vector<char> accepted(probes.size(), 0);
+    accepted_.assign(probes.size(), 0);
     for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (validator_(probes[i].helper).ok) {
-            accepted[i] = 1;
+        if (validator_(probes[i].helper, helperdata::SanityMode::Verdict).ok) {
+            accepted_[i] = 1;
         } else {
             ++refused_;
             // One coin per refusal, drawn in probe order: the refusal answer
@@ -188,8 +165,7 @@ void NoisyRefusalOracle::evaluate(std::span<const core::Probe> probes,
             verdicts[i] = rng_.uniform() < fail_probability_;
         }
     }
-    forward_accepted(inner_, probes, verdicts,
-                     [&](std::size_t i) { return accepted[i] != 0; });
+    core::forward_accepted(inner_, probes, accepted_, verdicts);
 }
 
 core::OracleStats NoisyRefusalOracle::stats() const {

@@ -85,6 +85,7 @@ private:
     core::AnyOracle inner_;
     hash::Digest enrolled_digest_;
     std::int64_t refused_ = 0;
+    std::vector<char> accepted_; ///< per-batch scratch, reused across calls
 };
 
 /// Canonical-form ("CRC/structural") check: the device re-serializes every
@@ -107,6 +108,7 @@ private:
     core::AnyOracle inner_;
     CanonicalCheck canonical_;
     std::int64_t refused_ = 0;
+    std::vector<char> accepted_; ///< per-batch scratch, reused across calls
 };
 
 /// Response-side lockout: after `max_failures` observable regeneration
@@ -178,6 +180,7 @@ private:
     double fail_probability_;
     rng::Xoshiro256pp rng_;
     std::int64_t refused_ = 0;
+    std::vector<char> accepted_; ///< per-batch scratch, reused across calls
 };
 
 } // namespace ropuf::defense

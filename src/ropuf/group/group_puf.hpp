@@ -165,13 +165,14 @@ struct DeviceTraits<group::GroupBasedPuf> {
     /// Strict partition checks plus coefficient plausibility: the Section
     /// VI-C steep-plane injection needs |beta| orders of magnitude above any
     /// honest fit.
-    static helperdata::SanityReport sanity(const group::GroupBasedPuf& puf,
-                                           const Helper& helper) {
+    static helperdata::SanityReport sanity(
+        const group::GroupBasedPuf& puf, const Helper& helper,
+        helperdata::SanityMode mode = helperdata::SanityMode::Explain) {
         auto report =
-            helperdata::check_group_assignment(helper.group_of, puf.array().count());
-        const auto coeffs = helperdata::check_coefficients(
-            helper.beta, 2.5 * puf.array().params().f_nominal_mhz);
-        for (const auto& v : coeffs.violations) report.fail(v);
+            helperdata::check_group_assignment(helper.group_of, puf.array().count(), mode);
+        if (report.settled()) return report;
+        report.merge(helperdata::check_coefficients(
+            helper.beta, 2.5 * puf.array().params().f_nominal_mhz, mode));
         return report;
     }
 };

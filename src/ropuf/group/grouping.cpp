@@ -52,6 +52,11 @@ std::vector<std::vector<int>> members_from_assignment(const std::vector<int>& gr
     int max_group = 0;
     for (int g : group_of) {
         if (g < 1) throw std::invalid_argument("group ids must be >= 1");
+        // n ROs fill at most n groups; a larger id is a gap, and must not
+        // size the members table below.
+        if (static_cast<std::size_t>(g) > group_of.size()) {
+            throw std::invalid_argument("group ids must be dense");
+        }
         max_group = std::max(max_group, g);
     }
     std::vector<std::vector<int>> members(static_cast<std::size_t>(max_group));

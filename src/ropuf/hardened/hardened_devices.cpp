@@ -41,7 +41,8 @@ HardenedSeqPairingPuf::Reconstruction HardenedSeqPairingPuf::reconstruct(
         return out;
     }
     const auto report = helperdata::check_pair_list(helper.pairs, inner_->array().count(),
-                                                    /*forbid_reuse=*/true);
+                                                    /*forbid_reuse=*/true,
+                                                    helperdata::SanityMode::Verdict);
     if (!report.ok) {
         out.refusal = Refusal::StructuralCheck;
         return out;
@@ -67,13 +68,14 @@ HardenedGroupPuf::Enrollment HardenedGroupPuf::enroll(rng::Xoshiro256pp& rng) co
 HardenedGroupPuf::Reconstruction HardenedGroupPuf::reconstruct_checked_only(
     const group::GroupPufHelper& helper, rng::Xoshiro256pp& rng) const {
     Reconstruction out;
-    const auto coeff_report = helperdata::check_coefficients(helper.beta, coefficient_bound_);
+    const auto coeff_report = helperdata::check_coefficients(helper.beta, coefficient_bound_,
+                                                             helperdata::SanityMode::Verdict);
     if (!coeff_report.ok) {
         out.refusal = Refusal::Implausible;
         return out;
     }
-    const auto group_report =
-        helperdata::check_group_assignment(helper.group_of, inner_->array().count());
+    const auto group_report = helperdata::check_group_assignment(
+        helper.group_of, inner_->array().count(), helperdata::SanityMode::Verdict);
     if (!group_report.ok) {
         out.refusal = Refusal::StructuralCheck;
         return out;

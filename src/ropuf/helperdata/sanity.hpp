@@ -15,9 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ropuf/hash/sha256.hpp"
@@ -25,14 +28,46 @@
 
 namespace ropuf::helperdata {
 
+/// How much a structural check reports. Both modes agree on `ok`.
+///  * Explain — every violation in words, in check order (diagnostics,
+///    audits, tests);
+///  * Verdict — the device's yes/no: the check stops at its first violation
+///    and neither allocates nor formats anything.
+enum class SanityMode { Verdict, Explain };
+
 /// Result of a structural validation pass.
 struct SanityReport {
     bool ok = true;
     std::vector<std::string> violations;
+    SanityMode mode = SanityMode::Explain;
 
-    void fail(std::string reason) {
+    SanityReport() = default;
+    explicit SanityReport(SanityMode m) : mode(m) {}
+
+    /// True once a Verdict-mode check has seen a violation: nothing found
+    /// later can change the answer.
+    bool settled() const { return !ok && mode == SanityMode::Verdict; }
+
+    /// Records a violation. `message` is a string or a callable producing
+    /// one; a callable runs only in Explain mode. Returns settled(), so a
+    /// check reads `if (report.fail(...)) return report;`.
+    template <typename Message>
+    bool fail(Message&& message) {
         ok = false;
-        violations.push_back(std::move(reason));
+        if (mode == SanityMode::Verdict) return true;
+        if constexpr (std::is_invocable_v<Message&>) {
+            violations.emplace_back(message());
+        } else {
+            violations.emplace_back(std::forward<Message>(message));
+        }
+        return false;
+    }
+
+    /// Folds a later check's report into this one (its violations appended).
+    void merge(SanityReport other) {
+        ok = ok && other.ok;
+        violations.insert(violations.end(), std::make_move_iterator(other.violations.begin()),
+                          std::make_move_iterator(other.violations.end()));
     }
 };
 
@@ -40,17 +75,21 @@ struct SanityReport {
 /// when `forbid_reuse` — no RO shared across pairs ("the re-use of ROs across
 /// pairs should also be prohibited somehow", Section VII-C).
 SanityReport check_pair_list(const std::vector<IndexPair>& pairs, int ro_count,
-                             bool forbid_reuse);
+                             bool forbid_reuse, SanityMode mode = SanityMode::Explain);
 
 /// Checks a group assignment: every RO in exactly one group, group ids dense
-/// starting at 1 (Algorithm 2's convention), and group sizes >= 1.
-SanityReport check_group_assignment(const std::vector<int>& group_of, int ro_count);
+/// starting at 1 (Algorithm 2's convention), and group sizes >= 1. An id
+/// above the RO count can never be dense and is refused before anything is
+/// sized from it.
+SanityReport check_group_assignment(const std::vector<int>& group_of, int ro_count,
+                                    SanityMode mode = SanityMode::Explain);
 
 /// Checks distiller coefficients against a plausibility bound: an honest fit
 /// of a frequency map can never have |beta| above a few times the systematic
 /// magnitude. Flagging absurd coefficients blocks the steep-surface
 /// injections of Section VI-C/D (at the price of a device-specific bound).
-SanityReport check_coefficients(const std::vector<double>& beta, double magnitude_bound);
+SanityReport check_coefficients(const std::vector<double>& beta, double magnitude_bound,
+                                SanityMode mode = SanityMode::Explain);
 
 /// HMAC-SHA-256 authentication of a helper blob with a device-local key.
 class HelperAuthenticator {

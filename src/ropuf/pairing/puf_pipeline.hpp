@@ -268,10 +268,11 @@ struct DeviceTraits<pairing::SeqPairingPuf> {
     }
     /// What a careful device would validate (paper Section VII-C): index
     /// ranges, no self-pairs, no RO re-use across pairs.
-    static helperdata::SanityReport sanity(const pairing::SeqPairingPuf& puf,
-                                           const Helper& helper) {
+    static helperdata::SanityReport sanity(
+        const pairing::SeqPairingPuf& puf, const Helper& helper,
+        helperdata::SanityMode mode = helperdata::SanityMode::Explain) {
         return helperdata::check_pair_list(helper.pairs, puf.array().count(),
-                                           /*forbid_reuse=*/true);
+                                           /*forbid_reuse=*/true, mode);
     }
 };
 
@@ -313,18 +314,24 @@ struct DeviceTraits<pairing::MaskedChainPuf> {
     }
     /// Coefficient plausibility (blocks the Section VI-D steep-surface
     /// injection) plus masking-selection range checks.
-    static helperdata::SanityReport sanity(const pairing::MaskedChainPuf& puf,
-                                           const Helper& helper) {
+    static helperdata::SanityReport sanity(
+        const pairing::MaskedChainPuf& puf, const Helper& helper,
+        helperdata::SanityMode mode = helperdata::SanityMode::Explain) {
         auto report = helperdata::check_coefficients(
-            helper.beta, 2.5 * puf.array().params().f_nominal_mhz);
+            helper.beta, 2.5 * puf.array().params().f_nominal_mhz, mode);
+        if (report.settled()) return report;
         if (helper.masking.k != puf.config().k) {
-            report.fail("masking: stored k differs from the device design");
+            if (report.fail("masking: stored k differs from the device design")) return report;
         }
         for (std::size_t g = 0; g < helper.masking.selected.size(); ++g) {
             const int sel = helper.masking.selected[g];
             if (sel < 0 || sel >= helper.masking.k) {
-                report.fail("masking: selection of group " + std::to_string(g) +
-                            " out of range");
+                if (report.fail([g] {
+                        return "masking: selection of group " + std::to_string(g) +
+                               " out of range";
+                    })) {
+                    return report;
+                }
             }
         }
         return report;
@@ -370,10 +377,11 @@ struct DeviceTraits<pairing::OverlapChainPuf> {
     /// Coefficient plausibility: an honest fit never exceeds a few times the
     /// nominal frequency; the steep probe surfaces exceed it by orders of
     /// magnitude.
-    static helperdata::SanityReport sanity(const pairing::OverlapChainPuf& puf,
-                                           const Helper& helper) {
-        return helperdata::check_coefficients(helper.beta,
-                                              2.5 * puf.array().params().f_nominal_mhz);
+    static helperdata::SanityReport sanity(
+        const pairing::OverlapChainPuf& puf, const Helper& helper,
+        helperdata::SanityMode mode = helperdata::SanityMode::Explain) {
+        return helperdata::check_coefficients(
+            helper.beta, 2.5 * puf.array().params().f_nominal_mhz, mode);
     }
 };
 

@@ -189,34 +189,40 @@ struct DeviceTraits<tempaware::TempAwarePuf> {
     /// Record plausibility: pair indices in range, known classes, ordered
     /// intervals inside the device's classification range, and record
     /// references pointing at existing pairs.
-    static helperdata::SanityReport sanity(const tempaware::TempAwarePuf& puf,
-                                           const Helper& helper) {
+    static helperdata::SanityReport sanity(
+        const tempaware::TempAwarePuf& puf, const Helper& helper,
+        helperdata::SanityMode mode = helperdata::SanityMode::Explain) {
         auto report = helperdata::check_pair_list(helper.pairs, puf.array().count(),
-                                                  /*forbid_reuse=*/false);
+                                                  /*forbid_reuse=*/false, mode);
+        if (report.settled()) return report;
         const int n = static_cast<int>(helper.pairs.size());
         if (helper.records.size() != helper.pairs.size()) {
-            report.fail("tempaware: record count differs from pair count");
+            if (report.fail("tempaware: record count differs from pair count")) return report;
         }
         const auto& cls_cfg = puf.config().classification;
         for (std::size_t p = 0; p < helper.records.size(); ++p) {
             const auto& rec = helper.records[p];
+            const auto record = [p](const char* what) {
+                return [p, what] { return "record " + std::to_string(p) + ": " + what; };
+            };
             if (rec.cls != tempaware::PairClass::Bad &&
                 rec.cls != tempaware::PairClass::Good &&
                 rec.cls != tempaware::PairClass::Cooperating) {
-                report.fail("record " + std::to_string(p) + ": unknown class");
+                if (report.fail(record("unknown class"))) return report;
                 continue;
             }
             if (rec.cls != tempaware::PairClass::Cooperating) continue;
             if (rec.t_low > rec.t_high) {
-                report.fail("record " + std::to_string(p) + ": inverted interval");
+                if (report.fail(record("inverted interval"))) return report;
             }
             if (rec.t_low < cls_cfg.t_min || rec.t_high > cls_cfg.t_max) {
-                report.fail("record " + std::to_string(p) +
-                            ": interval outside the classification range");
+                if (report.fail(record("interval outside the classification range"))) {
+                    return report;
+                }
             }
             if (rec.helper_pair < 0 || rec.helper_pair >= n || rec.mask_pair < 0 ||
                 rec.mask_pair >= n) {
-                report.fail("record " + std::to_string(p) + ": dangling pair reference");
+                if (report.fail(record("dangling pair reference"))) return report;
             }
         }
         return report;

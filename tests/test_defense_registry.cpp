@@ -176,8 +176,8 @@ TEST(DefenseMiddleware, RateLimitCapsBatchesAndLifetime) {
 }
 
 TEST(DefenseMiddleware, NoisyRefusalAnswersRefusalsFromADeterministicCoin) {
-    const auto validator = [](const Nvm& nvm) {
-        helperdata::SanityReport report;
+    const auto validator = [](const Nvm& nvm, helperdata::SanityMode mode) {
+        helperdata::SanityReport report(mode);
         if (!nvm.bytes().empty() && nvm.bytes()[0] == 2) report.fail("forged");
         return report;
     };

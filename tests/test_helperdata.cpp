@@ -2,6 +2,10 @@
 // (Section VII-C) and the sanity-check / authentication countermeasures.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "ropuf/helperdata/blob.hpp"
 #include "ropuf/helperdata/formats.hpp"
 #include "ropuf/helperdata/sanity.hpp"
@@ -126,6 +130,88 @@ TEST(Sanity, CoefficientPlausibilityBound) {
     EXPECT_FALSE(check_coefficients({1000.0}, 10.0).ok); // the attack surface!
     EXPECT_FALSE(check_coefficients({std::nan("")}, 10.0).ok);
     EXPECT_FALSE(check_coefficients({1e308 * 10}, 10.0).ok); // inf
+}
+
+TEST(Sanity, ExplainModePinsOneViolationTextPerCheck) {
+    using Lines = std::vector<std::string>;
+    EXPECT_EQ(check_pair_list({{0, 9}}, 4, true).violations,
+              (Lines{"pair 0: RO index out of range"}));
+    EXPECT_EQ(check_pair_list({{0, 1}, {2, 2}}, 4, true).violations,
+              (Lines{"pair 1: self-pair"}));
+    EXPECT_EQ(check_pair_list({{0, 1}, {1, 2}}, 4, true).violations,
+              (Lines{"pair 1: RO re-used across pairs"}));
+    EXPECT_EQ(check_group_assignment({1, 2}, 3).violations,
+              (Lines{"group assignment length != RO count"}));
+    EXPECT_EQ(check_group_assignment({1, 0, 1}, 3).violations,
+              (Lines{"RO 1: group id below 1"}));
+    EXPECT_EQ(check_group_assignment({1, 3, 1}, 3).violations,
+              (Lines{"group ids not dense: group 2 empty"}));
+    EXPECT_EQ(check_coefficients({0.0, std::nan("")}, 10.0).violations,
+              (Lines{"coefficient 1: not finite"}));
+    EXPECT_EQ(check_coefficients({0.0, -500000.0}, 2500.0).violations,
+              (Lines{"coefficient 1: magnitude 500000.000000 exceeds bound 2500.000000"}));
+}
+
+TEST(Sanity, ForgedGroupIdIsOneViolationAndSizesNothing) {
+    // An id no assignment of 3 ROs can make dense: one line, not one
+    // "group g empty" line per missing id (and no table of 2^31 slots).
+    const auto report = check_group_assignment({1, 0x7fffffff, 1}, 3);
+    EXPECT_EQ(report.violations,
+              (std::vector<std::string>{"RO 1: group id 2147483647 exceeds RO count 3"}));
+    EXPECT_FALSE(check_group_assignment({1, 4, 1}, 3, SanityMode::Verdict).ok);
+    EXPECT_TRUE(check_group_assignment({1, 3, 2}, 3, SanityMode::Verdict).ok);
+}
+
+TEST(Sanity, VerdictModeAgreesWithExplainModeAndFormatsNothing) {
+    Xoshiro256pp rng(4242);
+    const auto pick = [&](int lo, int hi) {
+        return lo + static_cast<int>(rng.next() % static_cast<std::uint64_t>(hi - lo + 1));
+    };
+    for (int trial = 0; trial < 2000; ++trial) {
+        const int ro_count = pick(1, 300);
+        std::vector<IndexPair> pairs(static_cast<std::size_t>(pick(0, 40)));
+        for (auto& [a, b] : pairs) {
+            a = pick(-2, ro_count + 1);
+            b = pick(-2, ro_count + 1);
+        }
+        std::vector<int> group_of(static_cast<std::size_t>(pick(ro_count - 1, ro_count)));
+        for (auto& g : group_of) g = trial % 7 == 0 ? 0x7fffffff : pick(0, ro_count / 3 + 2);
+        std::vector<double> beta(static_cast<std::size_t>(pick(0, 10)));
+        for (auto& b : beta) b = static_cast<double>(pick(-3000, 3000));
+        if (!beta.empty() && trial % 5 == 0) beta[0] = std::nan("");
+
+        const auto agree = [](const SanityReport& explained, const SanityReport& verdict) {
+            EXPECT_EQ(verdict.ok, explained.ok);
+            EXPECT_EQ(explained.ok, explained.violations.empty());
+            EXPECT_TRUE(verdict.violations.empty());
+        };
+        for (const bool reuse : {false, true}) {
+            agree(check_pair_list(pairs, ro_count, reuse),
+                  check_pair_list(pairs, ro_count, reuse, SanityMode::Verdict));
+        }
+        agree(check_group_assignment(group_of, ro_count),
+              check_group_assignment(group_of, ro_count, SanityMode::Verdict));
+        agree(check_coefficients(beta, 2500.0),
+              check_coefficients(beta, 2500.0, SanityMode::Verdict));
+    }
+}
+
+TEST(Sanity, MessageProducersRunOnlyWhenExplaining) {
+    int formatted = 0;
+    const auto message = [&] {
+        ++formatted;
+        return std::string("bad");
+    };
+    SanityReport verdict(SanityMode::Verdict);
+    EXPECT_TRUE(verdict.fail(message)); // settled: the check may stop here
+    EXPECT_TRUE(verdict.settled());
+    EXPECT_EQ(formatted, 0);
+    SanityReport explained;
+    EXPECT_FALSE(explained.fail(message)); // keep going: list every violation
+    EXPECT_FALSE(explained.fail("literal"));
+    EXPECT_EQ(formatted, 1);
+    EXPECT_EQ(explained.violations, (std::vector<std::string>{"bad", "literal"}));
+    EXPECT_FALSE(explained.settled());
 }
 
 TEST(Authenticator, SealOpenRoundTrip) {

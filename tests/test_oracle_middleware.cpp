@@ -46,9 +46,9 @@ struct Rig {
     /// A probe whose pair list re-uses one RO across two pairs: parses fine,
     /// passes the device's own consistency checks, but violates the careful
     /// device's no-reuse sanity rule.
-    core::Probe reuse_probe() const {
+    core::Probe reuse_probe(std::size_t pair = 1) const {
         auto helper = enrollment.helper;
-        helper.pairs[1].first = helper.pairs[0].first;
+        helper.pairs[pair].first = helper.pairs[0].first;
         return attack::make_probe<pairing::SeqPairingPuf>(helper);
     }
 };
@@ -165,6 +165,34 @@ TEST(OracleMiddleware, SanityRefusalsAreCountedButNeverMeasured) {
 
     // The victim underneath never saw the refused probes at all.
     EXPECT_EQ(victim.queries(), 2);
+}
+
+TEST(OracleMiddleware, LastViolationsExplainTheMostRecentRefusalWhenRead) {
+    Rig rig;
+    auto victim = rig.victim();
+    const auto validator = attack::make_sanity_validator(rig.puf);
+    auto sanity =
+        std::make_shared<core::SanityCheckingOracle>(attack::make_oracle(victim), validator);
+    core::AnyOracle oracle{sanity};
+    EXPECT_TRUE(sanity->last_violations().empty()); // nothing refused yet
+
+    const auto first = rig.reuse_probe(1);
+    const auto second = rig.reuse_probe(2);
+    const auto explained = [&](const core::Probe& p) { return validator(p.helper).violations; };
+    ASSERT_NE(explained(first), explained(second));
+
+    // Two refusals in one batch: the later one is the one explained.
+    (void)oracle.evaluate(std::vector<core::Probe>{first, rig.probe(0), second});
+    EXPECT_EQ(sanity->last_violations(), explained(second));
+    EXPECT_EQ(sanity->last_violations(), explained(second)); // cached read
+
+    // A clean batch refuses nothing and keeps the older list.
+    (void)oracle.evaluate(std::vector<core::Probe>{rig.probe(1), rig.probe(0)});
+    EXPECT_EQ(sanity->last_violations(), explained(second));
+
+    (void)oracle.evaluate(std::vector<core::Probe>{first});
+    EXPECT_EQ(sanity->last_violations(), explained(first));
+    EXPECT_EQ(sanity->refused(), 3);
 }
 
 TEST(OracleMiddleware, TracingRecordsCumulativeSnapshotsPerBatch) {
