@@ -250,6 +250,34 @@ TEST(AttackEngine, ReportJsonEscapesNotes) {
     EXPECT_EQ(quotes % 2, 0);
 }
 
+// Full-byte pin: fixed-decimal accuracy and wall_ms, integer counters,
+// booleans, the outcome token and a progress trace.
+TEST(AttackEngine, ReportJsonIsPinnedToExactBytes) {
+    core::AttackReport r;
+    r.scenario = "seqpair/swap";
+    r.construction = "seqpair";
+    r.attack = "swap";
+    r.paper_ref = "Sec. V-A";
+    r.key_bits = 128;
+    r.queries = 165;
+    r.measurements = 1LL << 40;
+    r.refused = 3;
+    r.accuracy = 0.99609375;
+    r.key_recovered = true;
+    r.complete = true;
+    r.outcome = core::AttackOutcome::recovered;
+    r.wall_ms = 12.3456;
+    r.notes = "tab\there";
+    r.trace = {{0, 0.5}, {80, 0.75}, {165, 1.0}};
+    EXPECT_EQ(core::to_json(r),
+              "{\"scenario\":\"seqpair/swap\",\"construction\":\"seqpair\","
+              "\"attack\":\"swap\",\"paper_ref\":\"Sec. V-A\",\"key_bits\":128,"
+              "\"queries\":165,\"measurements\":1099511627776,\"refused\":3,"
+              "\"accuracy\":0.996094,\"key_recovered\":true,\"complete\":true,"
+              "\"outcome\":\"recovered\",\"wall_ms\":12.346,\"notes\":\"tab\\there\","
+              "\"trace\":[[0,0.500000],[80,0.750000],[165,1.000000]]}");
+}
+
 TEST(AttackEngine, JsonEscapeHelperHandlesEdgeCases) {
     std::string out;
     core::append_json_escaped(out, "plain");

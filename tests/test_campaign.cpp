@@ -191,6 +191,60 @@ TEST(Campaign, JsonIsWellFormed) {
     EXPECT_EQ(json.back(), '}');
 }
 
+// Full-byte pin of the summary with its nested per-trial reports: the
+// fixed-decimal rates, the 64-bit master seed and the metric sub-objects.
+TEST(Campaign, JsonWithReportsIsPinnedToExactBytes) {
+    ropuf::core::CampaignSummary s;
+    s.scenario = "seqpair/swap";
+    s.trials = 2;
+    s.workers = 4;
+    s.master_seed = 0xfedcba9876543210ULL;
+    s.key_recovered_count = 1;
+    s.success_rate = 0.5;
+    s.mean_accuracy = 0.9921875;
+    s.outcomes.recovered = 1;
+    s.outcomes.gave_up = 1;
+    s.queries = {165.5, 2.25, 160.0, 171.0, 171.0};
+    s.measurements = {21184.0, 288.0, 20480.0, 21888.0, 21888.0};
+    s.total_measurements = 42368;
+    s.wall_ms = 3.14159;
+    s.trial_wall_ms_sum = 6.0;
+    s.measurements_per_s = 13486200.4;
+    ropuf::core::AttackReport a;
+    a.scenario = "seqpair/swap";
+    a.key_bits = 64;
+    a.queries = 160;
+    a.accuracy = 1.0;
+    a.key_recovered = true;
+    a.complete = true;
+    a.outcome = ropuf::core::AttackOutcome::recovered;
+    ropuf::core::AttackReport b = a;
+    b.queries = 171;
+    b.accuracy = 0.984375;
+    b.key_recovered = false;
+    b.outcome = ropuf::core::AttackOutcome::gave_up;
+    s.reports = {a, b};
+    EXPECT_EQ(ropuf::core::to_json(s, /*include_reports=*/true),
+              "{\"scenario\":\"seqpair/swap\",\"trials\":2,\"workers\":4,"
+              "\"master_seed\":18364758544493064720,\"key_recovered_count\":1,"
+              "\"success_rate\":0.5000,\"mean_accuracy\":0.992188,"
+              "\"outcomes\":{\"recovered\":1,\"gave_up\":1,\"budget_exhausted\":0,"
+              "\"refused_by_defense\":0,\"locked_out\":0},\"total_measurements\":42368,"
+              "\"wall_ms\":3.142,\"trial_wall_ms_sum\":6.000,"
+              "\"measurements_per_s\":13486200,\"queries\":{\"mean\":165.500,"
+              "\"stddev\":2.250,\"min\":160,\"max\":171,\"p95\":171},"
+              "\"measurements\":{\"mean\":21184.000,\"stddev\":288.000,\"min\":20480,"
+              "\"max\":21888,\"p95\":21888},\"reports\":[{\"scenario\":\"seqpair/swap\","
+              "\"construction\":\"\",\"attack\":\"\",\"paper_ref\":\"\",\"key_bits\":64,"
+              "\"queries\":160,\"measurements\":0,\"refused\":0,\"accuracy\":1.000000,"
+              "\"key_recovered\":true,\"complete\":true,\"outcome\":\"recovered\","
+              "\"wall_ms\":0.000,\"notes\":\"\"},{\"scenario\":\"seqpair/swap\","
+              "\"construction\":\"\",\"attack\":\"\",\"paper_ref\":\"\",\"key_bits\":64,"
+              "\"queries\":171,\"measurements\":0,\"refused\":0,\"accuracy\":0.984375,"
+              "\"key_recovered\":false,\"complete\":true,\"outcome\":\"gave_up\","
+              "\"wall_ms\":0.000,\"notes\":\"\"}]}");
+}
+
 // Regression: one-trial campaigns (spec smoke points, golden tests) must
 // produce well-defined statistics — zero spread, every order statistic equal
 // to the single sample — and never divide by zero or index past the end.

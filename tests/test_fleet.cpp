@@ -42,6 +42,7 @@
 #include "ropuf/fleet/stats.hpp"
 #include "ropuf/fleet/store.hpp"
 #include "ropuf/obs/metrics.hpp"
+#include "ropuf/simd/simd.hpp"
 #include "ropuf/xp/result_store.hpp"
 #include "ropuf/xp/sweep_spec.hpp"
 
@@ -575,6 +576,59 @@ TEST_F(FleetCampaignTest, QuarantinedShardIsRecordedAndResumeRetriesIt) {
     auto clean_lines = deterministic_lines(clean);
     std::sort(clean_lines.begin(), clean_lines.end());
     EXPECT_EQ(ok_lines, clean_lines);
+}
+
+/// `line` with the value of its "wall_ms" timing field replaced by "W".
+std::string mask_wall_ms(std::string line) {
+    const std::string key = "\"wall_ms\":";
+    const std::size_t at = line.find(key);
+    if (at == std::string::npos) return line;
+    const std::size_t from = at + key.size();
+    line.replace(from, line.find(',', from) - from, "W");
+    return line;
+}
+
+// Full-byte pin of the committed fleet_smoke population's shard lines — an
+// ok shard and a quarantined one — with only the wall clock masked and the
+// host's core count and SIMD path spliced in.
+TEST(FleetRecord, SmokeShardLinesArePinnedToExactBytes) {
+    std::ifstream spec_in(std::string(ROPUF_SOURCE_DIR) + "/specs/fleet_smoke.spec");
+    std::ostringstream spec_text;
+    spec_text << spec_in.rdbuf();
+    const fleet::Population population(fleet::parse_fleet_spec(spec_text.str()));
+    const std::string store_path = temp_path("pin", ".fleet");
+    const std::string path = temp_path("pin");
+    std::remove(path.c_str());
+    enroll_into(population, store_path);
+    fi::Injector injector(fi::parse_fault_plan("seed(1);job_throw(ids=1,times=0)"));
+    xp::RetryPolicy retry;
+    retry.max_attempts = 2;
+    retry.backoff_base_ms = 0.0;
+    (void)run_campaign(population, store_path, path, 1, /*max_shards=*/2, &injector, retry);
+    const std::vector<std::string> lines = read_lines(path);
+    std::remove(store_path.c_str());
+    std::remove(path.c_str());
+    ASSERT_EQ(lines.size(), 2u);
+    const std::string host = ",\"hardware_concurrency\":" +
+                             std::to_string(std::thread::hardware_concurrency()) +
+                             ",\"simd\":\"" +
+                             std::string(simd::path_name(simd::active_path())) + "\"}";
+    EXPECT_EQ(mask_wall_ms(lines[0]),
+              "{\"spec\":\"fleet_smoke\",\"spec_hash\":\"d419be3f8d7cfe4d\","
+              "\"job\":\"d419be3f8d7cfe4d-s00000\",\"shard\":0,\"device_first\":0,"
+              "\"device_count\":64,\"key_bits\":48,\"trials\":3,\"majority_wins\":5,"
+              "\"base_seed\":42,\"devices_ok\":64,\"trials_ok\":192,\"bit_errors\":0,"
+              "\"success_hist\":[0,0,0,64],\"measurements\":122880,\"outcome\":\"ok\","
+              "\"timing\":{\"wall_ms\":W,\"workers\":1" +
+                  host + "}");
+    EXPECT_EQ(mask_wall_ms(lines[1]),
+              "{\"spec\":\"fleet_smoke\",\"spec_hash\":\"d419be3f8d7cfe4d\","
+              "\"job\":\"d419be3f8d7cfe4d-s00001\",\"shard\":1,\"device_first\":64,"
+              "\"device_count\":64,\"outcome\":\"job_failed\","
+              "\"timing\":{\"wall_ms\":W,\"workers\":1" +
+                  host +
+                  ",\"fault\":{\"attempts\":2,\"class\":\"injected_fault\","
+                  "\"message\":\"injected job_throw (job 1, attempt 2)\"}}");
 }
 
 TEST_F(FleetCampaignTest, StoreFaultsAreRetriedThenFatalNeverLost) {

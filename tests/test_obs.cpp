@@ -212,6 +212,24 @@ TEST_F(ObsTest, SnapshotToJsonIsParseable) {
     EXPECT_EQ(h->u64_or("count", 0), 1u);
 }
 
+// Full-byte pin of the debug dump: counters, gauges and histogram
+// summaries in registration order, numbers in the round-trip form.
+TEST_F(ObsTest, SnapshotToJsonIsPinnedToExactBytes) {
+    obs::Registry reg;
+    reg.add(reg.counter("a.count"), 3.0);
+    reg.add(reg.counter("a.frac"), 0.1);
+    reg.set(reg.gauge("a.gauge"), 2.5);
+    const obs::MetricId h = reg.histogram("a.hist_ms");
+    for (double v : {1.0, 2.0, 3.0, 40.0}) reg.observe(h, v);
+    reg.histogram("a.empty");
+    EXPECT_EQ(reg.snapshot().to_json(),
+              "{\"counters\":{\"a.count\":3,\"a.frac\":0.10000000000000001},"
+              "\"gauges\":{\"a.gauge\":2.5},\"hist\":{\"a.hist_ms\":{\"count\":4,"
+              "\"mean\":11.5,\"p50\":2.25,\"p95\":40,\"p99\":40,\"max\":40},"
+              "\"a.empty\":{\"count\":0,\"mean\":0,\"p50\":0,\"p95\":0,\"p99\":0,"
+              "\"max\":0}}}");
+}
+
 // ---------------------------------------------------------------------------
 // Trace sink
 // ---------------------------------------------------------------------------

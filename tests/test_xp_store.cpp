@@ -142,6 +142,62 @@ TEST(JobRecord, TimingIsIsolatedInTheFinalKey) {
     EXPECT_EQ(xp::deterministic_prefix("{\"a\":1}"), "{\"a\":1}");
 }
 
+// Full-byte pins: golden files compare deterministic prefixes only, so
+// these are what fix the side-keys' exact spelling — key order, number
+// forms, escapes — for an ok record carrying fault and obs side-keys and
+// for a quarantine record.
+TEST(JobRecord, OkRecordWithSideKeysSerializesToExactBytes) {
+    xp::JobRecord r = sample_record();
+    r.simd = "avx2";
+    r.hardware_concurrency = 4;
+    r.attempts = 2;
+    r.obs.present = true;
+    r.obs.counters["campaign.trials"] = 10.0;
+    r.obs.counters["store.flush_ms"] = 0.1;
+    r.obs.hists["campaign.trial_wall_ms"] = {10, 4.5, 4.0, 8.0, 9.0, 9.5};
+    EXPECT_EQ(xp::to_jsonl(r),
+              "{\"v\":1,\"spec\":\"sample\",\"spec_hash\":\"0123456789abcdef\","
+              "\"job\":\"0123456789abcdef-00007\",\"index\":7,"
+              "\"scenario\":\"seqpair/swap\",\"point\":{\"cols\":16,\"rows\":8,"
+              "\"sigma_noise_mhz\":0.125,\"ambient_c\":-20,\"majority_wins\":3,\"ecc_m\":6,"
+              "\"ecc_t\":5,\"query_budget\":0,\"defense\":\"none\",\"trials\":10,"
+              "\"root_seed\":18364758544493064720,\"campaign_seed\":16045690984503111693},"
+              "\"result\":{\"key_recovered_count\":9,\"success_rate\":0.90000000000000002,"
+              "\"mean_accuracy\":0.98750000000000004,\"outcomes\":{\"recovered\":0,"
+              "\"gave_up\":0,\"budget_exhausted\":0,\"refused_by_defense\":0,"
+              "\"locked_out\":0},\"total_measurements\":9007199254740995,"
+              "\"queries\":{\"mean\":100.5,\"stddev\":3.25,\"min\":90,\"max\":110,"
+              "\"p95\":108},\"measurements\":{\"mean\":1000.5,\"stddev\":32.5,\"min\":900,"
+              "\"max\":1100,\"p95\":1080}},\"timing\":{\"workers\":4,\"wall_ms\":12.5,"
+              "\"trial_wall_ms_sum\":48,\"measurements_per_s\":10000000,\"simd\":\"avx2\","
+              "\"hardware_concurrency\":4},\"fault\":{\"attempts\":2},"
+              "\"obs\":{\"counters\":{\"campaign.trials\":10,"
+              "\"store.flush_ms\":0.10000000000000001},"
+              "\"hist\":{\"campaign.trial_wall_ms\":{\"count\":10,\"mean\":4.5,\"p50\":4,"
+              "\"p95\":8,\"p99\":9,\"max\":9.5}}}}");
+}
+
+TEST(JobRecord, FailedRecordSerializesToExactBytes) {
+    xp::JobRecord r = sample_record();
+    r.outcome = "job_failed";
+    r.attempts = 3;
+    r.error_class = "watchdog_timeout";
+    r.error_message = "job \"7\" hung:\n\tC:\\tmp\x01";
+    r.params.defense = "lockout(3)";
+    EXPECT_EQ(xp::to_jsonl(r),
+              "{\"v\":1,\"spec\":\"sample\",\"spec_hash\":\"0123456789abcdef\","
+              "\"job\":\"0123456789abcdef-00007\",\"index\":7,"
+              "\"scenario\":\"seqpair/swap\",\"outcome\":\"job_failed\","
+              "\"point\":{\"cols\":16,\"rows\":8,\"sigma_noise_mhz\":0.125,"
+              "\"ambient_c\":-20,\"majority_wins\":3,\"ecc_m\":6,\"ecc_t\":5,"
+              "\"query_budget\":0,\"defense\":\"lockout(3)\",\"trials\":10,"
+              "\"root_seed\":18364758544493064720,\"campaign_seed\":16045690984503111693},"
+              "\"timing\":{\"workers\":4,\"wall_ms\":12.5,\"trial_wall_ms_sum\":48,"
+              "\"measurements_per_s\":10000000,\"simd\":\"\",\"hardware_concurrency\":0},"
+              "\"fault\":{\"attempts\":3,\"class\":\"watchdog_timeout\","
+              "\"message\":\"job \\\"7\\\" hung:\\n\\tC:\\\\tmp\\u0001\"}}");
+}
+
 TEST(JobRecord, ParseRejectsTornAndForeignLines) {
     const std::string line = xp::to_jsonl(sample_record());
     EXPECT_THROW((void)xp::parse_record(line.substr(0, line.size() / 2)), xp::JsonError);
