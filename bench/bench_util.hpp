@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ropuf/core/sanitizer.hpp"
+#include "ropuf/obs/json_writer.hpp"
 
 namespace benchutil {
 
@@ -43,21 +44,25 @@ inline bool warn_if_debug_build(const char* bench_name) {
 /// timing build — tools/check_bench_regression.py refuses anything else,
 /// since TSan/ASan slowdowns make throughput figures fiction), and an
 /// explicit machine-readable warning when it is a debug build.
-inline std::string json_build_context() {
-    std::string out = "\"ropuf_build_type\":\"";
-    out += ropuf_build_type();
-    out += "\",\"ropuf_sanitizer\":\"";
-    out += ropuf::core::sanitizer_name();
-    out += '"';
+inline void write_build_context(ropuf::obs::JsonWriter& w) {
+    w.key("ropuf_build_type").str(ropuf_build_type());
+    w.key("ropuf_sanitizer").str(ropuf::core::sanitizer_name());
     if (!optimized_build()) {
-        out += ",\"warning\":\"DEBUG BUILD - timings unreliable, rebuild with "
-               "CMAKE_BUILD_TYPE=Release\"";
+        w.key("warning").str("DEBUG BUILD - timings unreliable, rebuild with "
+                             "CMAKE_BUILD_TYPE=Release");
     }
     if (ropuf::core::sanitized_build()) {
-        out += ",\"warning_sanitizer\":\"SANITIZED BUILD - timings distorted, "
-               "do not record as baselines\"";
+        w.key("warning_sanitizer").str("SANITIZED BUILD - timings distorted, "
+                                       "do not record as baselines");
     }
-    return out;
+}
+
+/// The same fields as a bare `"key":value,...` member list, for emitters
+/// that splice them into an object they build by hand.
+inline std::string json_build_context() {
+    ropuf::obs::JsonWriter w;
+    write_build_context(w);
+    return w.release();
 }
 
 inline void header(const std::string& experiment, const std::string& paper_ref,

@@ -118,27 +118,20 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
         return 1;
     }
-    std::string json = "{\"context\":{";
-    json += benchutil::json_build_context();
-    char buf[160];
-    std::snprintf(buf, sizeof buf, ",\"hardware_concurrency\":%u,\"deterministic\":%s},",
-                  std::thread::hardware_concurrency(), deterministic ? "true" : "false");
-    json += buf;
-    json += "\"campaigns\":[";
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-        if (i > 0) json += ',';
-        json += ropuf::core::to_json(summaries[i]);
+    ropuf::obs::JsonWriter json;
+    json.begin_object().key("context").begin_object();
+    benchutil::write_build_context(json);
+    json.key("hardware_concurrency").integer(std::thread::hardware_concurrency());
+    json.key("deterministic").boolean(deterministic).end_object();
+    json.key("campaigns").begin_array();
+    for (const auto& s : summaries) json.raw(ropuf::core::to_json(s));
+    json.end_array().key("speedup_vs_1_worker").begin_array();
+    for (const auto& s : summaries) {
+        json.begin_object().key("workers").integer(s.workers);
+        json.key("speedup").fixed(s.wall_ms > 0.0 ? base_wall / s.wall_ms : 0.0, 3).end_object();
     }
-    json += "],\"speedup_vs_1_worker\":[";
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-        if (i > 0) json += ',';
-        std::snprintf(buf, sizeof buf, "{\"workers\":%d,\"speedup\":%.3f}",
-                      summaries[i].workers,
-                      summaries[i].wall_ms > 0.0 ? base_wall / summaries[i].wall_ms : 0.0);
-        json += buf;
-    }
-    json += "]}\n";
-    std::fputs(json.c_str(), out);
+    json.end_array().end_object();
+    std::fprintf(out, "%s\n", json.release().c_str());
     std::fclose(out);
     std::printf("\nwrote %s\n", out_path.c_str());
     return deterministic ? 0 : 2;

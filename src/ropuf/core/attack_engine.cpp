@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "ropuf/obs/json_writer.hpp"
+
 namespace ropuf::core {
 
 ScenarioRegistry& ScenarioRegistry::instance() {
@@ -151,64 +153,23 @@ double bit_accuracy(const bits::BitVec& recovered, const bits::BitVec& truth) {
     return static_cast<double>(matches) / static_cast<double>(truth.size());
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-    for (char ch : s) {
-        switch (ch) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(static_cast<unsigned char>(ch)));
-                    out += buf;
-                } else {
-                    out.push_back(ch);
-                }
-        }
-    }
-}
-
 std::string to_json(const AttackReport& r) {
-    char buf[256];
-    std::string out = "{\"scenario\":\"";
-    append_json_escaped(out, r.scenario);
-    out += "\",\"construction\":\"";
-    append_json_escaped(out, r.construction);
-    out += "\",\"attack\":\"";
-    append_json_escaped(out, r.attack);
-    out += "\",\"paper_ref\":\"";
-    append_json_escaped(out, r.paper_ref);
-    std::snprintf(buf, sizeof buf,
-                  "\",\"key_bits\":%d,\"queries\":%lld,\"measurements\":%lld,"
-                  "\"refused\":%lld,\"accuracy\":%.6f,\"key_recovered\":%s,\"complete\":%s,"
-                  "\"outcome\":\"%s\",\"wall_ms\":%.3f",
-                  r.key_bits, static_cast<long long>(r.queries),
-                  static_cast<long long>(r.measurements), static_cast<long long>(r.refused),
-                  r.accuracy, r.key_recovered ? "true" : "false",
-                  r.complete ? "true" : "false",
-                  std::string(to_string(r.outcome)).c_str(), r.wall_ms);
-    out += buf;
-    out += ",\"notes\":\"";
-    append_json_escaped(out, r.notes);
-    out += "\"";
+    obs::JsonWriter w;
+    w.begin_object().key("scenario").str(r.scenario).key("construction").str(r.construction);
+    w.key("attack").str(r.attack).key("paper_ref").str(r.paper_ref);
+    w.key("key_bits").integer(r.key_bits).key("queries").integer(r.queries);
+    w.key("measurements").integer(r.measurements).key("refused").integer(r.refused);
+    w.key("accuracy").fixed(r.accuracy, 6).key("key_recovered").boolean(r.key_recovered);
+    w.key("complete").boolean(r.complete).key("outcome").str(to_string(r.outcome));
+    w.key("wall_ms").fixed(r.wall_ms, 3).key("notes").str(r.notes);
     if (!r.trace.empty()) {
-        out += ",\"trace\":[";
-        for (std::size_t i = 0; i < r.trace.size(); ++i) {
-            if (i > 0) out += ',';
-            std::snprintf(buf, sizeof buf, "[%lld,%.6f]",
-                          static_cast<long long>(r.trace[i].queries), r.trace[i].accuracy);
-            out += buf;
-        }
-        out += "]";
+        w.key("trace").begin_array();
+        for (const ProgressPoint& p : r.trace)
+            w.begin_array().integer(p.queries).fixed(p.accuracy, 6).end_array();
+        w.end_array();
     }
-    out += "}";
-    return out;
+    w.end_object();
+    return w.release();
 }
 
 std::string report_table_header() {

@@ -164,10 +164,6 @@ std::string closest_match(std::string_view name, const std::vector<std::string>&
 std::string unknown_name_message(std::string_view what, std::string_view name,
                                  const std::vector<std::string>& candidates);
 
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes and
-/// control characters). Shared by every BENCH_*.json emitter.
-void append_json_escaped(std::string& out, std::string_view s);
-
 /// One-line JSON object for machine consumption (BENCH_*.json emitters).
 std::string to_json(const AttackReport& report);
 

@@ -7,6 +7,7 @@
 
 #include "ropuf/core/parallel.hpp"
 #include "ropuf/fi/injector.hpp"
+#include "ropuf/obs/json_writer.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/trace.hpp"
 #include "ropuf/rng/xoshiro.hpp"
@@ -141,52 +142,37 @@ MetricSummary summarize_metric(const std::vector<double>& values) {
 
 namespace {
 
-void append_metric(std::string& out, const char* name, const MetricSummary& m) {
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "\"%s\":{\"mean\":%.3f,\"stddev\":%.3f,\"min\":%.0f,\"max\":%.0f,"
-                  "\"p95\":%.0f}",
-                  name, m.mean, m.stddev, m.min, m.max, m.p95);
-    out += buf;
+void write_metric(obs::JsonWriter& w, std::string_view name, const MetricSummary& m) {
+    w.key(name).begin_object().key("mean").fixed(m.mean, 3).key("stddev").fixed(m.stddev, 3);
+    w.key("min").fixed(m.min, 0).key("max").fixed(m.max, 0).key("p95").fixed(m.p95, 0);
+    w.end_object();
 }
 
 } // namespace
 
 std::string to_json(const CampaignSummary& s, bool include_reports) {
-    std::string out = "{\"scenario\":\"";
-    append_json_escaped(out, s.scenario);
-    // Sized generously: snprintf truncation here once ate a separator comma
-    // when the timing fields grew a digit, producing an unparseable record.
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "\",\"trials\":%d,\"workers\":%d,\"master_seed\":%llu,"
-                  "\"key_recovered_count\":%d,\"success_rate\":%.4f,"
-                  "\"mean_accuracy\":%.6f,"
-                  "\"outcomes\":{\"recovered\":%d,\"gave_up\":%d,"
-                  "\"budget_exhausted\":%d,\"refused_by_defense\":%d,\"locked_out\":%d},"
-                  "\"total_measurements\":%lld,"
-                  "\"wall_ms\":%.3f,\"trial_wall_ms_sum\":%.3f,"
-                  "\"measurements_per_s\":%.0f,",
-                  s.trials, s.workers, static_cast<unsigned long long>(s.master_seed),
-                  s.key_recovered_count, s.success_rate, s.mean_accuracy,
-                  s.outcomes.recovered, s.outcomes.gave_up, s.outcomes.budget_exhausted,
-                  s.outcomes.refused_by_defense, s.outcomes.locked_out,
-                  static_cast<long long>(s.total_measurements), s.wall_ms,
-                  s.trial_wall_ms_sum, s.measurements_per_s);
-    out += buf;
-    append_metric(out, "queries", s.queries);
-    out += ',';
-    append_metric(out, "measurements", s.measurements);
+    obs::JsonWriter w;
+    w.begin_object().key("scenario").str(s.scenario).key("trials").integer(s.trials);
+    w.key("workers").integer(s.workers).key("master_seed").integer(s.master_seed);
+    w.key("key_recovered_count").integer(s.key_recovered_count);
+    w.key("success_rate").fixed(s.success_rate, 4).key("mean_accuracy").fixed(s.mean_accuracy, 6);
+    w.key("outcomes").begin_object().key("recovered").integer(s.outcomes.recovered);
+    w.key("gave_up").integer(s.outcomes.gave_up);
+    w.key("budget_exhausted").integer(s.outcomes.budget_exhausted);
+    w.key("refused_by_defense").integer(s.outcomes.refused_by_defense);
+    w.key("locked_out").integer(s.outcomes.locked_out).end_object();
+    w.key("total_measurements").integer(s.total_measurements);
+    w.key("wall_ms").fixed(s.wall_ms, 3).key("trial_wall_ms_sum").fixed(s.trial_wall_ms_sum, 3);
+    w.key("measurements_per_s").fixed(s.measurements_per_s, 0);
+    write_metric(w, "queries", s.queries);
+    write_metric(w, "measurements", s.measurements);
     if (include_reports) {
-        out += ",\"reports\":[";
-        for (std::size_t i = 0; i < s.reports.size(); ++i) {
-            if (i > 0) out += ',';
-            out += to_json(s.reports[i]);
-        }
-        out += ']';
+        w.key("reports").begin_array();
+        for (const AttackReport& report : s.reports) w.raw(to_json(report));
+        w.end_array();
     }
-    out += '}';
-    return out;
+    w.end_object();
+    return w.release();
 }
 
 std::string campaign_table_header() {

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "ropuf/core/attack_engine.hpp" // append_json_escaped
 #include "ropuf/core/errors.hpp"
 #include "ropuf/core/parallel.hpp"
 #include "ropuf/fleet/enroll.hpp"
@@ -47,59 +46,33 @@ ShardOutcome shard_identity(const FleetSpec& spec, std::uint64_t shard) {
     return o;
 }
 
-void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
 /// The deterministic record line for one completed shard, xp-style: the
 /// deterministic prefix first, then the "timing" side-key (and "fault"
 /// for quarantines) that diff_results.py / deterministic_prefix() strip.
 std::string shard_record_line(const FleetSpec& spec, const std::string& hash,
                               const ShardOutcome& o, int workers) {
-    std::string line = "{\"spec\":\"";
-    core::append_json_escaped(line, spec.name);
-    line += "\",\"spec_hash\":\"" + hash + "\",\"job\":\"";
-    line += shard_job_id(spec, o.shard);
-    line += "\",\"shard\":";
-    append_u64(line, o.shard);
-    line += ",\"device_first\":";
-    append_u64(line, o.device_first);
-    line += ",\"device_count\":";
-    append_u64(line, o.device_count);
+    obs::JsonWriter w;
+    w.begin_object().key("spec").str(spec.name).key("spec_hash").str(hash);
+    w.key("job").str(shard_job_id(spec, o.shard)).key("shard").integer(o.shard);
+    w.key("device_first").integer(o.device_first).key("device_count").integer(o.device_count);
     if (!o.failed) {
-        line += ",\"key_bits\":" + std::to_string(spec.key_bits);
-        line += ",\"trials\":" + std::to_string(spec.trials);
-        line += ",\"majority_wins\":" + std::to_string(spec.majority_wins);
-        line += ",\"base_seed\":";
-        append_u64(line, spec.base_seed);
-        line += ",\"devices_ok\":";
-        append_u64(line, o.devices_ok);
-        line += ",\"trials_ok\":";
-        append_u64(line, o.trials_ok);
-        line += ",\"bit_errors\":";
-        append_u64(line, o.bit_errors);
-        line += ",\"success_hist\":[";
-        for (std::size_t k = 0; k < o.success_hist.size(); ++k) {
-            if (k > 0) line += ',';
-            append_u64(line, o.success_hist[k]);
-        }
-        line += "],\"measurements\":";
-        append_u64(line, o.measurements);
-        line += ",\"outcome\":\"ok\"";
+        w.key("key_bits").integer(spec.key_bits).key("trials").integer(spec.trials);
+        w.key("majority_wins").integer(spec.majority_wins).key("base_seed").integer(spec.base_seed);
+        w.key("devices_ok").integer(o.devices_ok).key("trials_ok").integer(o.trials_ok);
+        w.key("bit_errors").integer(o.bit_errors).key("success_hist").begin_array();
+        for (const std::uint32_t n : o.success_hist) w.integer(n);
+        w.end_array().key("measurements").integer(o.measurements).key("outcome").str("ok");
     } else {
-        line += ",\"outcome\":\"job_failed\"";
+        w.key("outcome").str("job_failed");
     }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, ",\"timing\":{\"wall_ms\":%.3f,\"workers\":%d",
-                  o.wall_ms, workers);
-    line += buf;
-    line += ",\"hardware_concurrency\":" +
-            std::to_string(std::thread::hardware_concurrency());
-    line += ",\"simd\":\"";
-    line += simd::path_name(simd::active_path());
-    line += "\"}";
-    xp::append_fault_key(line, o.attempts, o.failed, core::job_error_class_name(o.error.cls),
-                         o.error.message);
-    line += "}";
-    return line;
+    w.key("timing").begin_object().key("wall_ms").fixed(o.wall_ms, 3);
+    w.key("workers").integer(workers);
+    w.key("hardware_concurrency").integer(std::thread::hardware_concurrency());
+    w.key("simd").str(simd::path_name(simd::active_path())).end_object();
+    xp::write_fault_key(w, o.attempts, o.failed, core::job_error_class_name(o.error.cls),
+                        o.error.message);
+    w.end_object();
+    return w.release();
 }
 
 /// Measures one shard and reduces it to integer aggregates. Bitwise
@@ -309,9 +282,10 @@ FleetRunStats run_fleet_campaign(const Population& population,
         r.stopped = options.stop != nullptr && options.stop->load();
         if (!r.stopped) {
             r = attempts.run(static_cast<int>(shard), [&population, &enrollment, shard](int) {
-                std::string args;
-                if (obs::trace() != nullptr) args = "{\"shard\":" + std::to_string(shard) + "}";
-                const obs::Span span("fleet.shard", std::move(args));
+                obs::JsonWriter args;
+                if (obs::trace() != nullptr)
+                    args.begin_object().key("shard").integer(shard).end_object();
+                const obs::Span span("fleet.shard", args.release());
                 return run_shard(population, enrollment, shard);
             });
         }

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
-#include "ropuf/obs/trace.hpp"
+#include "ropuf/obs/json_writer.hpp"
 
 namespace ropuf::obs {
 
@@ -57,6 +56,16 @@ double Snapshot::Hist::quantile(double q) const {
     return max;
 }
 
+HistSummary Snapshot::Hist::summary() const {
+    return {count, mean(), quantile(0.50), quantile(0.95), quantile(0.99), max};
+}
+
+void write_hist_summary(JsonWriter& w, const HistSummary& h) {
+    w.begin_object().key("count").integer(h.count).key("mean").number(h.mean);
+    w.key("p50").number(h.p50).key("p95").number(h.p95).key("p99").number(h.p99);
+    w.key("max").number(h.max).end_object();
+}
+
 namespace {
 
 const Snapshot::Scalar* find_scalar(const std::vector<Snapshot::Scalar>& v,
@@ -64,12 +73,6 @@ const Snapshot::Scalar* find_scalar(const std::vector<Snapshot::Scalar>& v,
     for (const auto& s : v)
         if (s.name == name) return &s;
     return nullptr;
-}
-
-void append_number(std::string& out, double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
 }
 
 } // namespace
@@ -98,52 +101,16 @@ double Snapshot::gauge_or(std::string_view name, double fallback) const {
     return s != nullptr ? s->value : fallback;
 }
 
-// Metric names are free-form (defense tokens ride inside braces), so keys are
-// escaped like any JSON string.
 std::string Snapshot::to_json() const {
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto& c : counters) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        append_trace_escaped(out, c.name);
-        out += "\":";
-        append_number(out, c.value);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& g : gauges) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        append_trace_escaped(out, g.name);
-        out += "\":";
-        append_number(out, g.value);
-    }
-    out += "},\"hist\":{";
-    first = true;
-    for (const auto& h : hists) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        append_trace_escaped(out, h.name);
-        out += "\":{\"count\":";
-        out += std::to_string(h.count);
-        out += ",\"mean\":";
-        append_number(out, h.mean());
-        out += ",\"p50\":";
-        append_number(out, h.quantile(0.50));
-        out += ",\"p95\":";
-        append_number(out, h.quantile(0.95));
-        out += ",\"p99\":";
-        append_number(out, h.quantile(0.99));
-        out += ",\"max\":";
-        append_number(out, h.max);
-        out += '}';
-    }
-    out += "}}";
-    return out;
+    JsonWriter w;
+    w.begin_object().key("counters").begin_object();
+    for (const auto& c : counters) w.key(c.name).number(c.value);
+    w.end_object().key("gauges").begin_object();
+    for (const auto& g : gauges) w.key(g.name).number(g.value);
+    w.end_object().key("hist").begin_object();
+    for (const auto& h : hists) write_hist_summary(w.key(h.name), h.summary());
+    w.end_object().end_object();
+    return w.release();
 }
 
 Snapshot diff(const Snapshot& later, const Snapshot& earlier) {

@@ -94,6 +94,23 @@ inline constexpr int kHistBuckets = 4 * 48;
 int hist_bucket_index(double v) noexcept;
 double hist_bucket_value(int index) noexcept; ///< representative midpoint
 
+class JsonWriter;
+
+/// How a histogram is reported — in the metrics dump and in a job record's
+/// "obs" side-key alike. Quantiles come from the log buckets (~12.5%
+/// resolution); count and mean are exact.
+struct HistSummary {
+    std::uint64_t count = 0;
+    double mean = 0.0;
+    double p50 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+    double max = 0.0;
+};
+
+/// Writes `h` as one {"count","mean","p50","p95","p99","max"} object.
+void write_hist_summary(JsonWriter& w, const HistSummary& h);
+
 /// One merged, point-in-time view of every registered metric. Counters and
 /// histograms are summed across all thread shards; gauges are read from
 /// their registry-level slot.
@@ -114,6 +131,7 @@ struct Snapshot {
         /// Nearest-rank quantile from the buckets (~12.5% resolution),
         /// clamped into [min, max].
         double quantile(double q) const;
+        HistSummary summary() const;
     };
 
     std::vector<Scalar> counters;

@@ -14,27 +14,6 @@ void install_trace(TraceSink* sink) noexcept {
     detail::g_trace.store(sink, std::memory_order_release);
 }
 
-void append_trace_escaped(std::string& out, std::string_view text) {
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 namespace {
 
 // Live sinks by unique epoch, mirroring the metrics registry's shard
@@ -127,10 +106,9 @@ void TraceSink::set_thread_name(std::string_view name) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) return;
     Track& track = local_track_locked();
-    std::string args = "{\"name\":\"";
-    append_trace_escaped(args, name);
-    args += "\"}";
-    push_locked(Event{0.0, track.tid, 'M', "thread_name", std::move(args)});
+    JsonWriter args;
+    args.begin_object().key("name").str(name).end_object();
+    push_locked(Event{0.0, track.tid, 'M', "thread_name", args.release()});
 }
 
 void TraceSink::begin(std::string_view name, std::string args_json) {
@@ -197,37 +175,22 @@ bool TraceSink::close() {
     std::FILE* f = std::fopen(path_.c_str(), "wb");
     if (f == nullptr) return false;
 
-    std::string out;
-    out.reserve(events_.size() * 64 + 256);
-    out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"producer\":\"ropuf\"";
-    if (dropped_ > 0) {
-        out += ",\"dropped_events\":";
-        out += std::to_string(dropped_);
-    }
-    out += "},\"traceEvents\":[";
-    bool first = true;
-    char buf[64];
+    JsonWriter w;
+    w.begin_object().key("displayTimeUnit").str("ms");
+    w.key("otherData").begin_object().key("producer").str("ropuf");
+    if (dropped_ > 0) w.key("dropped_events").integer(dropped_);
+    w.end_object().key("traceEvents").begin_array();
     for (const Event& e : events_) {
-        if (!first) out += ',';
-        first = false;
-        out += "{\"ph\":\"";
-        out += e.ph;
-        out += "\",\"pid\":1,\"tid\":";
-        out += std::to_string(e.tid);
-        out += ",\"ts\":";
-        std::snprintf(buf, sizeof(buf), "%.3f", e.ts_us);
-        out += buf;
-        out += ",\"name\":\"";
-        append_trace_escaped(out, e.name);
-        out += '"';
-        if (e.ph == 'i') out += ",\"s\":\"t\""; // thread-scoped instant
-        if (!e.args_json.empty()) {
-            out += ",\"args\":";
-            out += e.args_json;
-        }
-        out += '}';
+        w.begin_object().key("ph").str(std::string_view(&e.ph, 1));
+        w.key("pid").integer(1).key("tid").integer(e.tid);
+        w.key("ts").fixed(e.ts_us, 3).key("name").str(e.name);
+        if (e.ph == 'i') w.key("s").str("t"); // thread-scoped instant
+        if (!e.args_json.empty()) w.key("args").raw(e.args_json);
+        w.end_object();
     }
-    out += "]}\n";
+    w.end_array().end_object();
+    std::string out = w.release();
+    out += '\n';
 
     const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
     const bool closed_ok = std::fclose(f) == 0;

@@ -25,6 +25,10 @@
 #include <string_view>
 #include <vector>
 
+// Span args are built with JsonWriter; this header also carries the
+// escaper, append_trace_escaped, for callers that splice JSON by hand.
+#include "ropuf/obs/json_writer.hpp"
+
 namespace ropuf::obs {
 
 class TraceSink;
@@ -42,11 +46,6 @@ inline TraceSink* trace() noexcept {
 /// and must quiesce instrumented threads before destroying it.
 void install_trace(TraceSink* sink) noexcept;
 
-/// Escapes `text` into `out` as JSON string *content* (no surrounding
-/// quotes). Exposed so call sites can build small `args` objects without
-/// pulling in a JSON library.
-void append_trace_escaped(std::string& out, std::string_view text);
-
 class TraceSink {
 public:
     /// `max_events` caps memory; events beyond it are counted as dropped
@@ -60,8 +59,8 @@ public:
     void set_thread_name(std::string_view name);
 
     /// Begins a duration span on the calling thread's track. `args_json`,
-    /// when non-empty, must be a complete JSON object (e.g. built with
-    /// append_trace_escaped).
+    /// when non-empty, must be a complete JSON object (built with
+    /// JsonWriter).
     void begin(std::string_view name, std::string args_json = {});
 
     /// Ends the calling thread's innermost open span. Unbalanced end()s

@@ -34,16 +34,11 @@ bool stop_requested(const std::atomic<bool>* stop) {
 void trace_instant(const char* name, const core::JobError& error, bool with_class = false) {
     obs::TraceSink* sink = obs::trace();
     if (sink == nullptr) return;
-    std::string args = "{";
-    if (with_class) {
-        args += "\"class\":\"";
-        obs::append_trace_escaped(args, core::job_error_class_name(error.cls));
-        args += "\",";
-    }
-    args += "\"what\":\"";
-    obs::append_trace_escaped(args, error.message);
-    args += "\"}";
-    sink->instant(name, std::move(args));
+    obs::JsonWriter args;
+    args.begin_object();
+    if (with_class) args.key("class").str(core::job_error_class_name(error.cls));
+    args.key("what").str(error.message).end_object();
+    sink->instant(name, args.release());
 }
 
 } // namespace
@@ -126,9 +121,10 @@ Attempts AttemptRunner::run_attempts(
         out.count = attempt;
         std::optional<core::JobError> error;
         {
-            std::string args;
-            if (obs::trace() != nullptr) args = "{\"attempt\":" + std::to_string(attempt) + "}";
-            const obs::Span attempt_span("attempt", std::move(args));
+            obs::JsonWriter args;
+            if (obs::trace() != nullptr)
+                args.begin_object().key("attempt").integer(attempt).end_object();
+            const obs::Span attempt_span("attempt", args.release());
             error = attempt_once(job_index, attempt, make_attempt(attempt));
         }
         if (!error) {
@@ -165,13 +161,12 @@ int append_with_retry(ResultWriter& writer, const std::string& line, const Retry
             return attempt - 1;
         } catch (const std::exception& e) {
             if (obs::TraceSink* sink = obs::trace()) {
-                std::string args = "{\"what\":\"";
-                obs::append_trace_escaped(args, e.what());
-                args += "\"}";
+                obs::JsonWriter args;
+                args.begin_object().key("what").str(e.what()).end_object();
                 sink->instant(dynamic_cast<const fi::InjectedFault*>(&e) != nullptr
                                   ? "fi:store_fault"
                                   : "store_error",
-                              std::move(args));
+                              args.release());
             }
             if (attempt >= policy.max_attempts) throw;
             ROPUF_OBS_COUNT("xp.store_append_retries", 1);
@@ -240,15 +235,12 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         config.injector = options.injector;
         config.fi_job_index = job.index;
 
-        std::string job_args;
+        obs::JsonWriter job_args;
         if (obs::trace() != nullptr) {
-            job_args = "{\"job\":\"";
-            obs::append_trace_escaped(job_args, job.id);
-            job_args += "\",\"scenario\":\"";
-            obs::append_trace_escaped(job_args, job.scenario);
-            job_args += "\",\"trials\":" + std::to_string(job.trials) + "}";
+            job_args.begin_object().key("job").str(job.id).key("scenario").str(job.scenario);
+            job_args.key("trials").integer(job.trials).end_object();
         }
-        const obs::Span job_span("job", std::move(job_args));
+        const obs::Span job_span("job", job_args.release());
         obs::Snapshot obs_before;
         if (reg != nullptr) obs_before = reg->snapshot();
 
@@ -276,11 +268,7 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                 if (c.value != 0.0) record.obs.counters[c.name] = c.value;
             }
             for (const auto& h : delta.hists) {
-                if (h.count == 0) continue;
-                record.obs.hists[h.name] =
-                    ObsHistSummary{h.count,          h.mean(),
-                                   h.quantile(0.50), h.quantile(0.95),
-                                   h.quantile(0.99), h.max};
+                if (h.count != 0) record.obs.hists[h.name] = h.summary();
             }
         }
         stats.store_retries += append_with_retry(writer, to_jsonl(record), options.retry);

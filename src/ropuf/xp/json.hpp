@@ -1,12 +1,12 @@
 // Minimal JSON value + recursive-descent parser.
 //
-// The experiment subsystem both writes JSONL (through the shared
-// core::append_json_escaped emitters) and reads it back — resume needs the
-// job IDs already present in a results file, and `ropuf report` aggregates
-// whole files. The repo is dependency-free by policy, so this is the small
-// reader those paths share: strict enough to reject the truncated final
-// line a crashed run leaves behind, tolerant of unknown keys so old readers
-// survive new record fields.
+// The experiment subsystem both writes JSONL (through obs::JsonWriter, the
+// one encoder) and reads it back — resume needs the job IDs already
+// present in a results file, and `ropuf report` aggregates whole files.
+// The repo is dependency-free by policy, so this is the small reader those
+// paths share: strict enough to reject the truncated final line a crashed
+// run leaves behind, tolerant of unknown keys so old readers survive new
+// record fields.
 #pragma once
 
 #include <cstddef>

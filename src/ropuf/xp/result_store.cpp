@@ -19,26 +19,10 @@ namespace {
 
 constexpr std::string_view kTimingKey = ",\"timing\":";
 
-void append_number(std::string& out, double value) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    out += buf;
-}
-
-void append_metric(std::string& out, const char* name, const core::MetricSummary& m) {
-    out += '"';
-    out += name;
-    out += "\":{\"mean\":";
-    append_number(out, m.mean);
-    out += ",\"stddev\":";
-    append_number(out, m.stddev);
-    out += ",\"min\":";
-    append_number(out, m.min);
-    out += ",\"max\":";
-    append_number(out, m.max);
-    out += ",\"p95\":";
-    append_number(out, m.p95);
-    out += '}';
+void write_metric(obs::JsonWriter& w, std::string_view name, const core::MetricSummary& m) {
+    w.key(name).begin_object().key("mean").number(m.mean).key("stddev").number(m.stddev);
+    w.key("min").number(m.min).key("max").number(m.max).key("p95").number(m.p95);
+    w.end_object();
 }
 
 core::MetricSummary metric_from(const JsonValue& parent, std::string_view key) {
@@ -103,125 +87,68 @@ JobRecord make_failed_record(const Plan& plan, const Job& job, const core::JobEr
     return record;
 }
 
-void append_fault_key(std::string& out, int attempts, bool failed,
-                      std::string_view error_class, std::string_view message) {
+void write_fault_key(obs::JsonWriter& w, int attempts, bool failed,
+                     std::string_view error_class, std::string_view message) {
     if (attempts <= 1 && !failed) return;
-    out += ",\"fault\":{\"attempts\":" + std::to_string(attempts);
-    if (failed) {
-        out += ",\"class\":\"";
-        core::append_json_escaped(out, error_class);
-        out += "\",\"message\":\"";
-        core::append_json_escaped(out, message);
-        out += '"';
-    }
-    out += '}';
+    w.key("fault").begin_object().key("attempts").integer(attempts);
+    if (failed) w.key("class").str(error_class).key("message").str(message);
+    w.end_object();
 }
 
 std::string to_jsonl(const JobRecord& r) {
-    std::string out = "{\"v\":1,\"spec\":\"";
-    core::append_json_escaped(out, r.spec_name);
-    out += "\",\"spec_hash\":\"";
-    core::append_json_escaped(out, r.spec_hash);
-    out += "\",\"job\":\"";
-    core::append_json_escaped(out, r.job_id);
-    out += "\",\"index\":" + std::to_string(r.index);
-    out += ",\"scenario\":\"";
-    core::append_json_escaped(out, r.scenario);
-    out += '"';
+    obs::JsonWriter w;
+    w.begin_object().key("v").integer(1).key("spec").str(r.spec_name);
+    w.key("spec_hash").str(r.spec_hash).key("job").str(r.job_id).key("index").integer(r.index);
+    w.key("scenario").str(r.scenario);
     // Quarantined jobs carry their verdict up front (identity-adjacent, part
     // of the deterministic prefix) so readers can drop them without looking
     // at the side-fields; successful records spell nothing extra.
-    if (r.failed()) out += ",\"outcome\":\"job_failed\"";
-    out += ",\"point\":{\"cols\":" + std::to_string(r.params.cols);
-    out += ",\"rows\":" + std::to_string(r.params.rows);
-    out += ",\"sigma_noise_mhz\":";
-    append_number(out, r.params.sigma_noise_mhz);
-    out += ",\"ambient_c\":";
-    append_number(out, r.params.ambient_c);
-    out += ",\"majority_wins\":" + std::to_string(r.params.majority_wins);
-    out += ",\"ecc_m\":" + std::to_string(r.params.ecc_m);
-    out += ",\"ecc_t\":" + std::to_string(r.params.ecc_t);
-    out += ",\"query_budget\":" + std::to_string(r.params.query_budget);
-    out += ",\"defense\":\"";
-    core::append_json_escaped(out, r.params.defense.empty() ? "none" : r.params.defense);
-    out += '"';
-    out += ",\"trials\":" + std::to_string(r.trials);
-    out += ",\"root_seed\":" + std::to_string(r.root_seed);
-    out += ",\"campaign_seed\":" + std::to_string(r.campaign_seed);
-    out += '}';
+    if (r.failed()) w.key("outcome").str("job_failed");
+    w.key("point").begin_object().key("cols").integer(r.params.cols);
+    w.key("rows").integer(r.params.rows);
+    w.key("sigma_noise_mhz").number(r.params.sigma_noise_mhz);
+    w.key("ambient_c").number(r.params.ambient_c);
+    w.key("majority_wins").integer(r.params.majority_wins);
+    w.key("ecc_m").integer(r.params.ecc_m).key("ecc_t").integer(r.params.ecc_t);
+    w.key("query_budget").integer(r.params.query_budget);
+    w.key("defense").str(r.params.defense.empty() ? "none" : r.params.defense);
+    w.key("trials").integer(r.trials).key("root_seed").integer(r.root_seed);
+    w.key("campaign_seed").integer(r.campaign_seed).end_object();
     if (!r.failed()) {
-        out += ",\"result\":{\"key_recovered_count\":" + std::to_string(r.key_recovered_count);
-        out += ",\"success_rate\":";
-        append_number(out, r.success_rate);
-        out += ",\"mean_accuracy\":";
-        append_number(out, r.mean_accuracy);
-        out += ",\"outcomes\":{\"recovered\":" + std::to_string(r.outcomes.recovered);
-        out += ",\"gave_up\":" + std::to_string(r.outcomes.gave_up);
-        out += ",\"budget_exhausted\":" + std::to_string(r.outcomes.budget_exhausted);
-        out += ",\"refused_by_defense\":" + std::to_string(r.outcomes.refused_by_defense);
-        out += ",\"locked_out\":" + std::to_string(r.outcomes.locked_out);
-        out += "},\"total_measurements\":" + std::to_string(r.total_measurements);
-        out += ',';
-        append_metric(out, "queries", r.queries);
-        out += ',';
-        append_metric(out, "measurements", r.measurements);
-        out += '}';
+        w.key("result").begin_object().key("key_recovered_count").integer(r.key_recovered_count);
+        w.key("success_rate").number(r.success_rate);
+        w.key("mean_accuracy").number(r.mean_accuracy);
+        w.key("outcomes").begin_object().key("recovered").integer(r.outcomes.recovered);
+        w.key("gave_up").integer(r.outcomes.gave_up);
+        w.key("budget_exhausted").integer(r.outcomes.budget_exhausted);
+        w.key("refused_by_defense").integer(r.outcomes.refused_by_defense);
+        w.key("locked_out").integer(r.outcomes.locked_out).end_object();
+        w.key("total_measurements").integer(r.total_measurements);
+        write_metric(w, "queries", r.queries);
+        write_metric(w, "measurements", r.measurements);
+        w.end_object();
     }
-    // Host-bound fields last, in one key, so deterministic_prefix() can
-    // split records without parsing.
-    out += kTimingKey;
-    out += "{\"workers\":" + std::to_string(r.workers);
-    out += ",\"wall_ms\":";
-    append_number(out, r.wall_ms);
-    out += ",\"trial_wall_ms_sum\":";
-    append_number(out, r.trial_wall_ms_sum);
-    out += ",\"measurements_per_s\":";
-    append_number(out, r.measurements_per_s);
-    out += ",\"simd\":\"";
-    core::append_json_escaped(out, r.simd);
-    out += "\",\"hardware_concurrency\":" + std::to_string(r.hardware_concurrency);
-    out += '}';
+    // Host-bound fields last, in one key (kTimingKey), so
+    // deterministic_prefix() can split records without parsing.
+    w.key("timing").begin_object().key("workers").integer(r.workers);
+    w.key("wall_ms").number(r.wall_ms).key("trial_wall_ms_sum").number(r.trial_wall_ms_sum);
+    w.key("measurements_per_s").number(r.measurements_per_s).key("simd").str(r.simd);
+    w.key("hardware_concurrency").integer(r.hardware_concurrency).end_object();
     // Fault-tolerance side-fields ride after timing, outside the
     // deterministic prefix.
-    append_fault_key(out, r.attempts, r.failed(), r.error_class, r.error_message);
+    write_fault_key(w, r.attempts, r.failed(), r.error_class, r.error_message);
     // The obs metrics delta is the last side-key: only present when a
     // registry was installed for the run, so obs-off output is byte-for-byte
     // what pre-obs builds wrote.
     if (r.obs.present) {
-        out += ",\"obs\":{\"counters\":{";
-        bool first = true;
-        for (const auto& [name, value] : r.obs.counters) {
-            if (!first) out += ',';
-            first = false;
-            out += '"';
-            core::append_json_escaped(out, name);
-            out += "\":";
-            append_number(out, value);
-        }
-        out += "},\"hist\":{";
-        first = true;
-        for (const auto& [name, h] : r.obs.hists) {
-            if (!first) out += ',';
-            first = false;
-            out += '"';
-            core::append_json_escaped(out, name);
-            out += "\":{\"count\":" + std::to_string(h.count);
-            out += ",\"mean\":";
-            append_number(out, h.mean);
-            out += ",\"p50\":";
-            append_number(out, h.p50);
-            out += ",\"p95\":";
-            append_number(out, h.p95);
-            out += ",\"p99\":";
-            append_number(out, h.p99);
-            out += ",\"max\":";
-            append_number(out, h.max);
-            out += '}';
-        }
-        out += "}}";
+        w.key("obs").begin_object().key("counters").begin_object();
+        for (const auto& [name, value] : r.obs.counters) w.key(name).number(value);
+        w.end_object().key("hist").begin_object();
+        for (const auto& [name, h] : r.obs.hists) obs::write_hist_summary(w.key(name), h);
+        w.end_object().end_object();
     }
-    out += '}';
-    return out;
+    w.end_object();
+    return w.release();
 }
 
 std::string_view deterministic_prefix(std::string_view line) {
@@ -305,7 +232,7 @@ JobRecord parse_record(std::string_view line) {
             hists != nullptr && hists->is_object()) {
             for (const auto& [name, value] : hists->as_object()) {
                 if (!value.is_object()) continue;
-                ObsHistSummary h;
+                obs::HistSummary h;
                 h.count = value.u64_or("count", 0);
                 h.mean = value.number_or("mean", 0.0);
                 h.p50 = value.number_or("p50", 0.0);
@@ -638,7 +565,7 @@ std::string render_timings(const std::vector<JobRecord>& all_records) {
             ++missing_obs; // pre-obs or obs-off record: skip the trial section
             continue;
         }
-        const ObsHistSummary& h = it->second;
+        const obs::HistSummary& h = it->second;
         const auto n = static_cast<double>(h.count);
         g.trials += h.count;
         g.mean_w += h.mean * n;

@@ -49,6 +49,8 @@
 
 #include "ropuf/core/campaign.hpp"
 #include "ropuf/core/errors.hpp"
+#include "ropuf/obs/json_writer.hpp"
+#include "ropuf/obs/metrics.hpp"
 #include "ropuf/xp/planner.hpp"
 
 namespace ropuf::fi {
@@ -57,24 +59,12 @@ class Injector;
 
 namespace ropuf::xp {
 
-/// Summary of one obs histogram as recorded in a job's "obs" side-key.
-/// Quantiles come from the registry's log-bucketed histograms (~12.5%
-/// resolution); count and mean are exact.
-struct ObsHistSummary {
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-};
-
 /// The per-job metrics delta riding in the "obs" side-key. Absent (present
 /// == false) for obs-off runs and for every pre-obs record.
 struct ObsData {
     bool present = false;
     std::map<std::string, double> counters;         ///< nonzero deltas only
-    std::map<std::string, ObsHistSummary> hists;    ///< histograms with samples
+    std::map<std::string, obs::HistSummary> hists;  ///< histograms with samples
 };
 
 /// One JSONL record: a job identity plus its campaign outcome.
@@ -124,12 +114,12 @@ JobRecord make_record(const Plan& plan, const Job& job, const core::CampaignSumm
 JobRecord make_failed_record(const Plan& plan, const Job& job, const core::JobError& error,
                              int attempts);
 
-/// Appends the "fault" side-key — `,"fault":{"attempts":N}` plus the error
+/// Writes the "fault" side-key — `"fault":{"attempts":N}` plus the error
 /// class and message when `failed` — or nothing for a first-attempt
 /// success, which keeps pre-fault-era records byte-identical. The one
 /// writer of the key, for xp job records and fleet shard records alike.
-void append_fault_key(std::string& out, int attempts, bool failed,
-                      std::string_view error_class, std::string_view message);
+void write_fault_key(obs::JsonWriter& w, int attempts, bool failed,
+                     std::string_view error_class, std::string_view message);
 
 /// One-line JSON serialization; the host-bound side-keys always come last,
 /// in the order timing, fault (if any), obs (if any).

@@ -1,6 +1,7 @@
 // Fixture: the two idioms that must stay clean — (a) iterating an ORDERED
-// container in a serializer, (b) iterating an unordered container in a
-// function that never serializes (order-insensitive aggregation).
+// container in a serializer, string-building or JsonWriter form, (b)
+// iterating an unordered container in a function that never serializes
+// (order-insensitive aggregation).
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -15,6 +16,12 @@ void serialize_sorted(std::string& out,
     for (const auto& entry : counters) {
         append_json_escaped(out, entry.first);
     }
+}
+
+class JsonWriter;
+
+void write_sorted(JsonWriter& w, const std::map<std::string, double>& counters) {
+    for (const auto& [name, value] : counters) w.key(name).number(value);
 }
 
 double sum_values(const std::unordered_map<std::string, double>& counters) {

@@ -278,15 +278,6 @@ TEST(AttackEngine, ReportJsonIsPinnedToExactBytes) {
               "\"trace\":[[0,0.500000],[80,0.750000],[165,1.000000]]}");
 }
 
-TEST(AttackEngine, JsonEscapeHelperHandlesEdgeCases) {
-    std::string out;
-    core::append_json_escaped(out, "plain");
-    EXPECT_EQ(out, "plain");
-    out.clear();
-    core::append_json_escaped(out, "\\\"\n\r\t\b\f\x1f");
-    EXPECT_EQ(out, "\\\\\\\"\\n\\r\\t\\b\\f\\u001f");
-}
-
 // ---------------------------------------------------------------------------
 // Query-accounting parity: the generic Victim must count exactly what the
 // seed's per-construction wrappers counted — one query per regeneration,

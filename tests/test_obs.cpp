@@ -11,8 +11,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,9 +23,11 @@
 #include <vector>
 
 #include "ropuf/attack/scenarios.hpp"
+#include "ropuf/obs/json_writer.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/progress.hpp"
 #include "ropuf/obs/trace.hpp"
+#include "ropuf/rng/xoshiro.hpp"
 #include "ropuf/xp/executor.hpp"
 #include "ropuf/xp/json.hpp"
 #include "ropuf/xp/planner.hpp"
@@ -228,6 +233,104 @@ TEST_F(ObsTest, SnapshotToJsonIsPinnedToExactBytes) {
               "\"mean\":11.5,\"p50\":2.25,\"p95\":40,\"p99\":40,\"max\":40},"
               "\"a.empty\":{\"count\":0,\"mean\":0,\"p50\":0,\"p95\":0,\"p99\":0,"
               "\"max\":0}}}");
+}
+
+// ---------------------------------------------------------------------------
+// JSON writer
+// ---------------------------------------------------------------------------
+
+TEST(JsonWriter, PlacesCommasAcrossNestedAndEmptyContainers) {
+    obs::JsonWriter w;
+    w.begin_object().key("a").begin_array().end_array().key("b").begin_object().end_object();
+    w.key("c").begin_array().integer(1).begin_array().end_array();
+    w.begin_object().key("d").str("e").end_object().integer(2).end_array();
+    w.key("f").boolean(true).key("g").boolean(false).end_object();
+    EXPECT_EQ(w.release(), R"({"a":[],"b":{},"c":[1,[],{"d":"e"},2],"f":true,"g":false})");
+
+    obs::JsonWriter empty;
+    empty.begin_object().end_object();
+    EXPECT_EQ(empty.release(), "{}");
+
+    // Keys outside any object give a bare member list.
+    obs::JsonWriter members;
+    members.key("x").integer(1).key("y").str("z");
+    EXPECT_EQ(members.release(), R"("x":1,"y":"z")");
+}
+
+TEST(JsonWriter, WritesIntegerExtremesExactly) {
+    obs::JsonWriter w;
+    w.begin_array().integer(std::numeric_limits<std::uint64_t>::max());
+    w.integer(std::numeric_limits<std::int64_t>::min()).integer(0).integer(-1).end_array();
+    EXPECT_EQ(w.release(), "[18446744073709551615,-9223372036854775808,0,-1]");
+}
+
+std::string printf_double(const char* format, int precision, double v) {
+    std::vector<char> buf(512);
+    std::snprintf(buf.data(), buf.size(), format, precision, v);
+    return buf.data();
+}
+
+TEST(JsonWriter, NumberIsThePrintfRoundTripForm) {
+    std::vector<double> values = {0.0,    -0.0,   0.1,     1.0 / 3.0, 100.5, -20.0,
+                                  1e7,    1e23,   5e-324,  2.2250738585072014e-308,
+                                  1.7976931348623157e308, 9007199254740993.0};
+    rng::Xoshiro256pp gen(2024);
+    while (values.size() < 20000) {
+        const std::uint64_t bits = gen.next();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof v);
+        if (std::isfinite(v)) values.push_back(v);
+    }
+    for (const double v : values) {
+        obs::JsonWriter w;
+        w.number(v);
+        const std::string text = w.release();
+        ASSERT_EQ(text, printf_double("%.*g", 17, v));
+        EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+    }
+}
+
+TEST(JsonWriter, FixedIsThePrintfFixedDecimalForm) {
+    for (const double v : {0.0, -0.0, 0.5, 0.0005, 2.5, 3.5, 0.9921875, 12.3456, 13486200.4,
+                           -1e300, 1.7976931348623157e308}) {
+        for (const int decimals : {0, 3, 4, 6}) {
+            obs::JsonWriter w;
+            w.fixed(v, decimals);
+            EXPECT_EQ(w.release(), printf_double("%.*f", decimals, v)) << v << " " << decimals;
+        }
+    }
+}
+
+TEST(JsonWriter, RawSplicesEncodedJsonAsOneValue) {
+    obs::JsonWriter w;
+    w.begin_object().key("args").raw(R"({"shard":3})").key("list").begin_array();
+    w.raw("1").raw("[2]").end_array().end_object();
+    EXPECT_EQ(w.release(), R"({"args":{"shard":3},"list":[1,[2]]})");
+}
+
+TEST(JsonWriter, JsonEscapeHelperHandlesEdgeCases) {
+    std::string out;
+    obs::append_trace_escaped(out, "plain");
+    EXPECT_EQ(out, "plain");
+    out.clear();
+    obs::append_trace_escaped(out, "\\\"\n\r\t\b\f\x1f");
+    EXPECT_EQ(out, "\\\\\\\"\\n\\r\\t\\b\\f\\u001f");
+}
+
+// One escaper: a metric name holding \b or \f is spelled alike in the
+// metrics dump and in a job record's "obs" side-key.
+TEST_F(ObsTest, ControlCharacterNamesAreSpelledAlikeInDumpAndRecord) {
+    const std::string name = "odd\bname\f";
+    obs::Registry reg;
+    reg.add(reg.counter(name), 1.0);
+    const std::string dump = reg.snapshot().to_json();
+    xp::JobRecord record;
+    record.obs.present = true;
+    record.obs.counters[name] = 1.0;
+    const std::string line = xp::to_jsonl(record);
+    const std::string spelled = "\"odd\\bname\\f\":1";
+    EXPECT_NE(dump.find(spelled), std::string::npos) << dump;
+    EXPECT_NE(line.find(spelled), std::string::npos) << line;
 }
 
 // ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ TEST(ResultStore, ObsSideKeyRoundTripsAndStaysOutOfThePrefix) {
     ASSERT_TRUE(back.obs.present);
     EXPECT_DOUBLE_EQ(back.obs.counters.at("campaign.trials"), 10.0);
     EXPECT_DOUBLE_EQ(back.obs.counters.at("simd.calls.measure_scans"), 640.0);
-    const xp::ObsHistSummary& h = back.obs.hists.at("campaign.trial_wall_ms");
+    const obs::HistSummary& h = back.obs.hists.at("campaign.trial_wall_ms");
     EXPECT_EQ(h.count, 10u);
     EXPECT_DOUBLE_EQ(h.mean, 4.5);
     EXPECT_DOUBLE_EQ(h.p50, 4.0);

@@ -13,20 +13,23 @@ This linter turns the conventions into mechanically enforced rules:
                        deterministic path is a bug. Wall-clock reads that
                        only feed host-bound side-keys live in allowlisted
                        files (obs/ heartbeat + executor backoff).
-  unordered-iteration  A function that serializes (calls
+  unordered-iteration  A function that serializes (uses obs::JsonWriter
+                       or calls its key(...), or calls
                        append_json_escaped / to_json / to_jsonl /
                        append_trace_escaped) must not iterate an
                        unordered_map/unordered_set: iteration order is
                        hash-seed dependent, so the bytes it writes would
                        differ across hosts and stdlib versions.
-  jsonl-key-registry   Every key the JSONL record serializer emits must be
+  jsonl-key-registry   Every key the JSONL record serializers emit must be
                        registered: either in the deterministic-prefix
                        contract (DETERMINISTIC_KEYS / SIDE_FIELDS below)
                        or as a host-bound side key in the IGNORED_KEYS
                        tuple of tools/diff_results.py. A new key in
                        neither list silently changes what "bitwise
                        identical" compares — this rule makes that a
-                       conscious, reviewed decision.
+                       conscious, reviewed decision. Keys are seen in
+                       both spellings: the JsonWriter form key("name")
+                       and the hand-built escaped literal \"name\":.
   obs-macro-literal    ROPUF_OBS_COUNT/OBSERVE/SET take a literal metric
                        name: the macros cache the interned id per call
                        site, so a runtime-built name would pin the first
@@ -97,8 +100,11 @@ BANNED_SYMBOL_ALLOWLIST = (
 # like, and tools/ are host-side scripts.
 BANNED_SYMBOL_SCOPE = "src/"
 
+# A serializer either names the writer (a JsonWriter parameter or local,
+# or a key(...) call on one) or calls one of the string-building helpers.
 SERIALIZER_CALLS = re.compile(
-    r"\b(?:append_json_escaped|append_trace_escaped|to_json|to_jsonl)\s*\(")
+    r"\b(?:append_json_escaped|append_trace_escaped|to_json|to_jsonl)\s*\("
+    r"|\bJsonWriter\b|\.key\s*\(")
 
 RANGE_FOR = re.compile(r"\bfor\s*\(([^;{]*?):([^)]*)\)")
 UNORDERED_DECL = re.compile(
@@ -172,7 +178,8 @@ SIDE_FIELDS = {
     "simd", "hardware_concurrency",
     # inside "fault"
     "attempts", "class", "message",
-    # inside "obs"
+    # inside "obs" (the histogram summary is written by
+    # obs::write_hist_summary, outside the emitter files below)
     "counters", "hist", "count", "p50", "p99",
 }
 JSONL_EMITTERS = (
@@ -180,8 +187,11 @@ JSONL_EMITTERS = (
     "src/ropuf/fleet/campaign.cpp",
 )
 DIFF_RESULTS = "tools/diff_results.py"
-# Emitted keys appear in C++ source as \"key\": inside string literals.
-ESCAPED_KEY = re.compile(r'\\"([A-Za-z_][A-Za-z0-9_]*)\\":')
+# Emitted keys appear in C++ source as JsonWriter key("key") calls, or as
+# \"key\": inside hand-built string literals.
+EMITTED_KEY = re.compile(
+    r'\bkey\s*\(\s*"([A-Za-z_][A-Za-z0-9_]*)"\s*\)'
+    r'|\\"([A-Za-z_][A-Za-z0-9_]*)\\":')
 
 RULES = {
     "banned-symbol": "nondeterminism sources banned in src/",
@@ -435,7 +445,7 @@ def check_unordered_iteration(path: str, stripped: str, findings: list):
     # bugprone checks cover that corner in CI.
     rpath = rel(path)
     for start, _end, header, body in function_bodies(path, stripped):
-        if not SERIALIZER_CALLS.search(body):
+        if not SERIALIZER_CALLS.search(header + body):
             continue
         unordered_vars = set(UNORDERED_DECL.findall(header)) | \
             set(UNORDERED_DECL.findall(body))
@@ -475,8 +485,8 @@ def check_jsonl_keys(path: str, stripped: str, findings: list,
     side_keys = parse_ignored_keys(diff_results_path)
     registered = DETERMINISTIC_KEYS | SIDE_FIELDS | side_keys
     for line_no, line in enumerate(stripped.split("\n"), start=1):
-        for m in ESCAPED_KEY.finditer(line):
-            key = m.group(1)
+        for m in EMITTED_KEY.finditer(line):
+            key = m.group(1) or m.group(2)
             if key in registered:
                 continue
             findings.append(Finding(
