@@ -29,13 +29,18 @@ std::uint64_t CampaignRunner::job_seed(std::uint64_t root, int index) {
     return seeds.back();
 }
 
-CampaignSummary CampaignRunner::run(std::string_view scenario_name,
-                                    const CampaignConfig& config) const {
-    const Scenario* scenario = registry_->find(scenario_name);
+const Scenario& CampaignRunner::scenario(std::string_view name) const {
+    const Scenario* scenario = registry_->find(name);
     if (scenario == nullptr) {
         throw std::out_of_range(
-            unknown_name_message("attack scenario", scenario_name, registry_->names()));
+            unknown_name_message("attack scenario", name, registry_->names()));
     }
+    return *scenario;
+}
+
+CampaignSummary CampaignRunner::run(std::string_view scenario_name,
+                                    const CampaignConfig& config) const {
+    const Scenario& scenario = this->scenario(scenario_name);
     const int trials = std::max(config.trials, 0);
     const int workers = std::min(resolve_workers(config.workers), std::max(trials, 1));
 
@@ -46,27 +51,40 @@ CampaignSummary CampaignRunner::run(std::string_view scenario_name,
 
     const auto t0 = std::chrono::steady_clock::now();
     parallel_for(seeds.size(), workers, [&](std::size_t t) {
-        if (config.injector != nullptr) {
-            config.injector->trial_probe(config.fi_job_index, static_cast<int>(t),
-                                         config.fi_attempt);
-        }
-        ScenarioParams params = config.base;
-        params.seed = seeds[t];
-        {
-            const obs::Span trial_span("trial");
-            reports[t] = run_scenario(*scenario, params);
-        }
-        ROPUF_OBS_COUNT("campaign.trials", 1);
-        ROPUF_OBS_OBSERVE("campaign.trial_wall_ms", reports[t].wall_ms);
+        reports[t] = run_trial(scenario, config, seeds[t], static_cast<int>(t));
     });
-    const auto t1 = std::chrono::steady_clock::now();
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    return summarize_campaign(scenario_name, config, workers, wall_ms, std::move(reports));
+}
 
+AttackReport run_trial(const Scenario& scenario, const CampaignConfig& config,
+                       std::uint64_t seed, int trial) {
+    if (config.injector != nullptr) {
+        config.injector->trial_probe(config.fi_job_index, trial, config.fi_attempt);
+    }
+    ScenarioParams params = config.base;
+    params.seed = seed;
+    AttackReport report;
+    {
+        const obs::Span trial_span("trial");
+        report = run_scenario(scenario, params);
+    }
+    ROPUF_OBS_COUNT("campaign.trials", 1);
+    ROPUF_OBS_OBSERVE("campaign.trial_wall_ms", report.wall_ms);
+    return report;
+}
+
+CampaignSummary summarize_campaign(std::string_view scenario_name, const CampaignConfig& config,
+                                   int workers, double wall_ms,
+                                   std::vector<AttackReport> reports) {
+    const int trials = static_cast<int>(reports.size());
     CampaignSummary summary;
     summary.scenario = std::string(scenario_name);
     summary.trials = trials;
     summary.workers = workers;
     summary.master_seed = config.master_seed;
-    summary.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    summary.wall_ms = wall_ms;
 
     std::vector<double> queries;
     std::vector<double> measurements;

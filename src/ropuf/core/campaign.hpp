@@ -109,6 +109,10 @@ public:
     /// resume and independent across job indices.
     static std::uint64_t job_seed(std::uint64_t root, int index);
 
+    /// The registered scenario `name`; throws std::out_of_range for
+    /// unknown names.
+    const Scenario& scenario(std::string_view name) const;
+
     /// Runs `trials` independent instances of one scenario on
     /// core::parallel_for; throws std::out_of_range for unknown names. The
     /// first trial exception stops further trials from starting and is
@@ -119,6 +123,20 @@ public:
 private:
     const ScenarioRegistry* registry_;
 };
+
+/// One campaign trial, the body every trial runs through — whether
+/// CampaignRunner::run or the xp executor's plan-wide pool schedules it: the
+/// fi trial_probe seam, the `trial` span around the scenario run with
+/// `seed`, and the campaign.trials / campaign.trial_wall_ms metrics.
+AttackReport run_trial(const Scenario& scenario, const CampaignConfig& config,
+                       std::uint64_t seed, int trial);
+
+/// Folds per-trial reports (in trial order) into a campaign summary;
+/// `wall_ms` is the campaign's wall clock and `workers` the threads it ran
+/// on. Reports are kept in the summary when config.keep_reports.
+CampaignSummary summarize_campaign(std::string_view scenario_name, const CampaignConfig& config,
+                                   int workers, double wall_ms,
+                                   std::vector<AttackReport> reports);
 
 /// Order-stable aggregation helper (mean/stddev/min/max/p95 over `values`
 /// as given; p95 by nearest rank on a sorted copy).

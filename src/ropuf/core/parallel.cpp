@@ -12,12 +12,13 @@
 namespace ropuf::core {
 
 int resolve_workers(int requested) {
-    if (requested > 0) return requested;
-    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    if (requested <= 0) requested = static_cast<int>(std::thread::hardware_concurrency());
+    return std::clamp(requested, 1, kMaxWorkers);
 }
 
 void parallel_for(std::size_t n, int workers, const std::function<void(std::size_t)>& body) {
-    const std::size_t threads = std::min(n, static_cast<std::size_t>(std::max(workers, 1)));
+    const std::size_t threads =
+        std::min(n, static_cast<std::size_t>(std::clamp(workers, 1, kMaxWorkers)));
     if (threads <= 1) {
         for (std::size_t i = 0; i < n; ++i) body(i);
         return;

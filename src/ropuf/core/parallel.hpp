@@ -1,5 +1,6 @@
-// The worker pool: one for every scheduler in the repo — campaign trials
-// (CampaignRunner) and fleet shards (fleet::run_fleet_campaign).
+// The worker pool: one for every scheduler in the repo — the trials of a
+// whole xp plan (xp::execute_plan), campaign trials (CampaignRunner) and
+// fleet shards (fleet::run_fleet_campaign).
 //
 // Items are claimed through one shared atomic cursor. The item list is
 // fixed before any worker starts and never grows, so a single fetch_add
@@ -14,12 +15,19 @@
 
 namespace ropuf::core {
 
+/// The most pool threads any caller gets. The executor's pool spans a
+/// whole plan's trials, so the thread count is bounded by this ceiling,
+/// not by the work; the ropuf CLI rejects a larger --workers outright.
+inline constexpr int kMaxWorkers = 1024;
+
 /// Worker-count convention shared by every driver: `requested` > 0 is
-/// taken as is; 0 (or less) means std::thread::hardware_concurrency(),
-/// at least 1.
+/// taken as is, up to kMaxWorkers; 0 (or less) means
+/// std::thread::hardware_concurrency(), at least 1 (and at most
+/// kMaxWorkers).
 int resolve_workers(int requested);
 
-/// Calls body(i) once for every i in [0, n) on min(workers, n) threads.
+/// Calls body(i) once for every i in [0, n) on min(workers, n, kMaxWorkers)
+/// threads.
 /// At one worker it runs inline on the caller's thread (which keeps its
 /// trace track name); otherwise it spawns threads named "worker" on the
 /// trace. The first exception that escapes `body` stops further claims;

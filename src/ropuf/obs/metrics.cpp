@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "ropuf/obs/json_writer.hpp"
 
@@ -113,45 +114,6 @@ std::string Snapshot::to_json() const {
     return w.release();
 }
 
-Snapshot diff(const Snapshot& later, const Snapshot& earlier) {
-    Snapshot out;
-    out.gauges = later.gauges;
-    out.counters.reserve(later.counters.size());
-    for (const auto& c : later.counters) {
-        const Snapshot::Scalar* base = earlier.find_counter(c.name);
-        out.counters.push_back({c.name, c.value - (base != nullptr ? base->value : 0.0)});
-    }
-    out.hists.reserve(later.hists.size());
-    for (const auto& h : later.hists) {
-        const Snapshot::Hist* base = earlier.find_hist(h.name);
-        Snapshot::Hist d;
-        d.name = h.name;
-        if (base == nullptr) {
-            d = h;
-        } else {
-            d.count = h.count - base->count;
-            d.sum = h.sum - base->sum;
-            for (int i = 0; i < kHistBuckets; ++i) {
-                const auto idx = static_cast<std::size_t>(i);
-                d.buckets[idx] = h.buckets[idx] - base->buckets[idx];
-            }
-            // Exact min/max are cumulative since install; re-derive the
-            // delta's bounds (approximately) from its nonzero buckets.
-            int lo = -1;
-            int hi = -1;
-            for (int i = 0; i < kHistBuckets; ++i) {
-                if (d.buckets[static_cast<std::size_t>(i)] == 0) continue;
-                if (lo < 0) lo = i;
-                hi = i;
-            }
-            d.min = lo >= 0 ? hist_bucket_value(lo) : 0.0;
-            d.max = hi >= 0 ? hist_bucket_value(hi) : 0.0;
-        }
-        out.hists.push_back(std::move(d));
-    }
-    return out;
-}
-
 // ---------------------------------------------------------------------------
 // Registry shards
 // ---------------------------------------------------------------------------
@@ -210,7 +172,24 @@ struct TlsShardSlot {
 
 namespace {
 thread_local TlsShardSlot t_shard;
+// The current scope: the owner keeps it alive, and the update path reads
+// the raw copy — a trivially initialized thread_local is one plain TLS
+// load, with no lazy-init guard.
+thread_local std::shared_ptr<Scope> t_scope_owner;
+thread_local Scope* t_scope = nullptr;
 } // namespace
+
+ScopeGuard::ScopeGuard(std::shared_ptr<Scope> scope) : previous_(std::move(t_scope_owner)) {
+    t_scope_owner = std::move(scope);
+    t_scope = t_scope_owner.get();
+}
+
+ScopeGuard::~ScopeGuard() {
+    t_scope_owner = std::move(previous_);
+    t_scope = t_scope_owner.get();
+}
+
+std::shared_ptr<Scope> current_scope() { return t_scope_owner; }
 
 Registry::Registry() : epoch_(next_epoch()) {
     std::lock_guard<std::mutex> lock(live_mutex());
@@ -352,6 +331,7 @@ void Registry::add(MetricId id, double delta) {
     std::atomic<double>& slot = local_shard().counters[id_index(id)];
     slot.store(slot.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
+    if (t_scope != nullptr && &t_scope->registry_ == this) t_scope->add(id_index(id), delta);
 }
 
 void Registry::set(MetricId id, double value) {
@@ -374,6 +354,65 @@ void Registry::observe(MetricId id, double value) {
         h.buckets[static_cast<std::size_t>(hist_bucket_index(value))];
     bucket.store(bucket.load(std::memory_order_relaxed) + 1,
                  std::memory_order_relaxed);
+    if (t_scope != nullptr && &t_scope->registry_ == this) t_scope->observe(id_index(id), value);
+}
+
+// ---------------------------------------------------------------------------
+// Scope: shared by a job's threads, so every slot update is an atomic RMW
+// (relaxed: the slots are pure sums/extrema, and whoever reads the scope
+// first joins or hands off from its writers — the pool's retire counter or
+// the attempt's verdict mutex orders the last updates before the read).
+// ---------------------------------------------------------------------------
+
+void Scope::add(std::size_t index, double delta) {
+    counters_[index].fetch_add(delta, std::memory_order_relaxed);
+}
+
+namespace {
+
+template <class Better>
+void fold_extreme(std::atomic<double>& slot, double value, Better better) {
+    double seen = slot.load(std::memory_order_relaxed);
+    while (better(value, seen) &&
+           !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+    }
+}
+
+} // namespace
+
+void Scope::observe(std::size_t index, double value) {
+    HistSlot& h = hists_[index];
+    fold_extreme(h.min, value, std::less<>());
+    fold_extreme(h.max, value, std::greater<>());
+    h.sum.fetch_add(value, std::memory_order_relaxed);
+    h.buckets[static_cast<std::size_t>(hist_bucket_index(value))].fetch_add(
+        1, std::memory_order_relaxed);
+    h.count.fetch_add(1, std::memory_order_relaxed);
+}
+
+Snapshot Scope::snapshot() const {
+    Snapshot out;
+    const std::lock_guard<std::mutex> lock(registry_.mutex_);
+    out.counters.resize(registry_.counter_names_.size());
+    for (std::size_t i = 0; i < out.counters.size(); ++i) {
+        out.counters[i].name = registry_.counter_names_[i];
+        out.counters[i].value = counters_[i].load(std::memory_order_relaxed);
+    }
+    out.hists.resize(registry_.hist_names_.size());
+    for (std::size_t i = 0; i < out.hists.size(); ++i) {
+        const HistSlot& slot = hists_[i];
+        Snapshot::Hist& h = out.hists[i];
+        h.name = registry_.hist_names_[i];
+        h.count = slot.count.load(std::memory_order_relaxed);
+        h.sum = slot.sum.load(std::memory_order_relaxed);
+        if (h.count > 0) {
+            h.min = slot.min.load(std::memory_order_relaxed);
+            h.max = slot.max.load(std::memory_order_relaxed);
+        }
+        for (std::size_t b = 0; b < h.buckets.size(); ++b)
+            h.buckets[b] = slot.buckets[b].load(std::memory_order_relaxed);
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------------------

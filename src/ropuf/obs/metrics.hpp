@@ -3,8 +3,10 @@
 // Observability for multi-hour fleet campaigns: named counters, gauges and
 // histograms that the execution seams (campaign trial workers, the xp
 // executor, oracle middleware, the result writer, the SIMD call sites)
-// update while a run is live, and that the progress reporter / the per-job
-// "obs" record side-key read as merged snapshots.
+// update while a run is live, and that the progress reporter reads as
+// merged snapshots. A job's own slice — the "obs" record side-key — is a
+// Scope: every update a thread makes while it has the job's scope
+// installed lands in the registry and in the scope.
 //
 // The contract, in priority order:
 //
@@ -19,7 +21,9 @@
 //     compiles to the same two moves as an ordinary increment — there is no
 //     atomic read-modify-write, no fence, and no lock anywhere on the
 //     update path). Locks exist in exactly two places: registering a new
-//     metric name, and merging shards into a Snapshot.
+//     metric name, and merging shards into a Snapshot. A thread with a job
+//     Scope installed also adds into the scope, which its job's other
+//     threads share: one atomic add per update, still no lock.
 //
 //  3. *Determinism is untouched.* Metrics never feed an RNG, never decide
 //     control flow, and only ever ride in the non-deterministic "obs"
@@ -38,11 +42,20 @@
 //
 //     if (obs::Registry* r = obs::registry())
 //         r->add(r->counter("oracle.refused{defense=" + token + "}"), n);
+//
+// Per-job slices: the executor runs a job's trials on several pool workers
+// at once, each with the job's Scope installed (ScopeGuard), and reads the
+// job's side-key from the scope alone:
+//
+//     auto scope = std::make_shared<obs::Scope>(*reg);
+//     { const obs::ScopeGuard in_job(scope); run_trials(); }
+//     const obs::Snapshot mine = scope->snapshot();
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,7 +136,7 @@ struct Snapshot {
         std::string name;
         std::uint64_t count = 0;
         double sum = 0.0;
-        double min = 0.0; ///< exact for a full snapshot; bucket-derived in a diff
+        double min = 0.0; ///< exact
         double max = 0.0;
         std::array<std::uint64_t, kHistBuckets> buckets{};
 
@@ -147,13 +160,6 @@ struct Snapshot {
     /// One JSON object (counters/gauges/hist summaries) — the debug dump.
     std::string to_json() const;
 };
-
-/// later - earlier, per metric: counters and histogram counts/sums/buckets
-/// subtract (metrics only ever grow, so deltas are well-defined); a diffed
-/// histogram's min/max are re-derived from its nonzero delta buckets
-/// (approximate); gauges keep their `later` value. Metrics absent from
-/// `earlier` pass through unchanged.
-Snapshot diff(const Snapshot& later, const Snapshot& earlier);
 
 /// The registry: name -> slot registration under a lock, per-thread sharded
 /// slots on the update path, merged snapshots on demand. Capacity is fixed
@@ -183,7 +189,8 @@ public:
         return intern_slow(cache, kind, name);
     }
 
-    /// Hot-path updates. Invalid or wrong-kind ids are ignored.
+    /// Hot-path updates; counter adds and samples also land in the calling
+    /// thread's current Scope. Invalid or wrong-kind ids are ignored.
     void add(MetricId id, double delta);     ///< counter += delta
     void set(MetricId id, double value);     ///< gauge = value
     void observe(MetricId id, double value); ///< histogram sample
@@ -204,6 +211,7 @@ public:
 
 private:
     friend struct TlsShardSlot;
+    friend class Scope;
     struct Shard;
 
     MetricId intern_slow(CachedId& cache, MetricKind kind, std::string_view name);
@@ -221,6 +229,60 @@ private:
     std::array<std::atomic<double>, kMaxGauges> gauge_slots_{};
     std::atomic<std::uint64_t> dropped_{0};
 };
+
+/// One job's own slice of the metrics. While a thread has the scope
+/// installed (ScopeGuard), each counter add and histogram sample it makes
+/// lands in its registry shard and in the scope too; gauges stay
+/// registry-only. Several threads may share one scope — a job's trials run
+/// on several pool workers, and a watchdog attempt thread carries its
+/// caller's scope — so scope slots take atomic read-modify-writes: still
+/// lock-free, and paid only by threads with a scope installed.
+class Scope {
+public:
+    explicit Scope(const Registry& registry) : registry_(registry) {}
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+    /// Every registered counter and histogram, valued from this scope
+    /// alone (histogram min/max exact); gauges are left out.
+    Snapshot snapshot() const;
+
+private:
+    friend class Registry;
+    struct HistSlot {
+        std::atomic<std::uint64_t> count{0};
+        std::atomic<double> sum{0.0};
+        std::atomic<double> min{std::numeric_limits<double>::infinity()};
+        std::atomic<double> max{-std::numeric_limits<double>::infinity()};
+        std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
+    };
+
+    void add(std::size_t index, double delta);
+    void observe(std::size_t index, double value);
+
+    const Registry& registry_;
+    std::array<std::atomic<double>, Registry::kMaxCounters> counters_{};
+    std::array<HistSlot, Registry::kMaxHistograms> hists_{};
+};
+
+/// Installs `scope` as the calling thread's current scope for the guard's
+/// lifetime (nullptr = none), then restores the previous one. The thread
+/// shares ownership meanwhile, so a watchdog-abandoned attempt can never
+/// update a freed scope.
+class ScopeGuard {
+public:
+    explicit ScopeGuard(std::shared_ptr<Scope> scope);
+    ~ScopeGuard();
+    ScopeGuard(const ScopeGuard&) = delete;
+    ScopeGuard& operator=(const ScopeGuard&) = delete;
+
+private:
+    std::shared_ptr<Scope> previous_;
+};
+
+/// The calling thread's current scope (nullptr = none) — what an attempt
+/// thread needs to carry its caller's scope.
+std::shared_ptr<Scope> current_scope();
 
 } // namespace ropuf::obs
 

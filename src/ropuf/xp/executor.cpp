@@ -4,8 +4,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <map>
+#include <utility>
 
 #include "ropuf/core/campaign.hpp"
+#include "ropuf/core/parallel.hpp"
 #include "ropuf/fi/injector.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/trace.hpp"
@@ -55,9 +58,10 @@ AttemptRunner::~AttemptRunner() {
     }
 }
 
-std::optional<core::JobError> AttemptRunner::attempt_once(int job_index, int attempt,
-                                                          std::function<void()> work) {
-    auto guarded = [injector = injector_, job_index, attempt,
+std::optional<core::JobError> AttemptRunner::run_once(
+    int job_index, int attempt, bool job_seam, std::chrono::steady_clock::time_point started,
+    std::function<void()> work) {
+    auto guarded = [injector = job_seam ? injector_ : nullptr, job_index, attempt,
                     work = std::move(work)]() -> std::optional<core::JobError> {
         try {
             if (injector != nullptr) {
@@ -79,9 +83,18 @@ std::optional<core::JobError> AttemptRunner::attempt_once(int job_index, int att
     };
     if (policy_.job_timeout_ms <= 0.0) return guarded();
 
-    // Watchdogged: the attempt runs on its own thread so it can be
-    // abandoned. A timed-out thread is parked in zombies_; its late verdict
-    // lands in shared state nobody reads.
+    const core::JobError timeout{core::JobErrorClass::timeout,
+                                 "attempt " + std::to_string(attempt) + " exceeded the " +
+                                     std::to_string(policy_.job_timeout_ms) + " ms watchdog"};
+    const double budget_ms =
+        policy_.job_timeout_ms -
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - started)
+            .count();
+    if (budget_ms <= 0.0) return timeout;
+
+    // Watchdogged: the attempt runs on its own thread, in its caller's obs
+    // scope, so it can be abandoned. A timed-out thread is parked in
+    // zombies_; its late verdict lands in shared state nobody reads.
     struct Shared {
         std::mutex mutex;
         std::condition_variable cv;
@@ -89,7 +102,8 @@ std::optional<core::JobError> AttemptRunner::attempt_once(int job_index, int att
         std::optional<core::JobError> error;
     };
     auto shared = std::make_shared<Shared>();
-    std::thread thread([shared, guarded = std::move(guarded)] {
+    std::thread thread([shared, guarded = std::move(guarded), scope = obs::current_scope()] {
+        const obs::ScopeGuard in_scope(scope);
         std::optional<core::JobError> error = guarded();
         const std::lock_guard<std::mutex> lock(shared->mutex);
         shared->error = std::move(error);
@@ -97,8 +111,7 @@ std::optional<core::JobError> AttemptRunner::attempt_once(int job_index, int att
         shared->cv.notify_all();
     });
     std::unique_lock<std::mutex> lock(shared->mutex);
-    if (shared->cv.wait_for(lock,
-                            std::chrono::duration<double, std::milli>(policy_.job_timeout_ms),
+    if (shared->cv.wait_for(lock, std::chrono::duration<double, std::milli>(budget_ms),
                             [&] { return shared->done; })) {
         lock.unlock();
         thread.join();
@@ -109,45 +122,48 @@ std::optional<core::JobError> AttemptRunner::attempt_once(int job_index, int att
         const std::lock_guard<std::mutex> zombie_lock(zombie_mutex_);
         zombies_.push_back(std::move(thread));
     }
-    return core::JobError{core::JobErrorClass::timeout,
-                          "attempt " + std::to_string(attempt) + " exceeded the " +
-                              std::to_string(policy_.job_timeout_ms) + " ms watchdog"};
+    return timeout;
 }
 
 Attempts AttemptRunner::run_attempts(
-    int job_index, const std::function<std::function<void()>(int)>& make_attempt) {
-    Attempts out;
-    for (int attempt = 1;; ++attempt) {
-        out.count = attempt;
+    int job_index, Attempts out, const std::function<std::function<void()>(int)>& make_attempt) {
+    out.ok = false;
+    out.stopped = false;
+    for (;;) {
+        if (out.count > 0) {
+            // Attempt out.count failed with out.error.
+            if (out.error.cls == core::JobErrorClass::timeout) {
+                ROPUF_OBS_COUNT("xp.watchdog_timeouts", 1);
+                trace_instant("watchdog_timeout", out.error);
+            } else if (out.error.cls == core::JobErrorClass::injected_fault) {
+                ROPUF_OBS_COUNT("fi.injected_faults", 1);
+                trace_instant("fi:injected_fault", out.error);
+            }
+            if (out.count >= policy_.max_attempts) break;
+            backoff_sleep(policy_.backoff_base_ms, out.count);
+            if (stop_requested(stop_)) {
+                // Interrupted between retries: the caller writes nothing, and
+                // resume retries the job from attempt one.
+                out.stopped = true;
+                return out;
+            }
+            ROPUF_OBS_COUNT("xp.retries", 1);
+        }
+        const int attempt = ++out.count;
         std::optional<core::JobError> error;
         {
             obs::JsonWriter args;
             if (obs::trace() != nullptr)
                 args.begin_object().key("attempt").integer(attempt).end_object();
             const obs::Span attempt_span("attempt", args.release());
-            error = attempt_once(job_index, attempt, make_attempt(attempt));
+            error = run_once(job_index, attempt, /*job_seam=*/true,
+                             std::chrono::steady_clock::now(), make_attempt(attempt));
         }
         if (!error) {
             out.ok = true;
             return out;
         }
         out.error = std::move(*error);
-        if (out.error.cls == core::JobErrorClass::timeout) {
-            ROPUF_OBS_COUNT("xp.watchdog_timeouts", 1);
-            trace_instant("watchdog_timeout", out.error);
-        } else if (out.error.cls == core::JobErrorClass::injected_fault) {
-            ROPUF_OBS_COUNT("fi.injected_faults", 1);
-            trace_instant("fi:injected_fault", out.error);
-        }
-        if (attempt >= policy_.max_attempts) break;
-        backoff_sleep(policy_.backoff_base_ms, attempt);
-        if (stop_requested(stop_)) {
-            // Interrupted between retries: the caller writes nothing, and
-            // resume retries the job from attempt one.
-            out.stopped = true;
-            return out;
-        }
-        ROPUF_OBS_COUNT("xp.retries", 1);
     }
     ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
     trace_instant("quarantined", out.error, /*with_class=*/true);
@@ -175,6 +191,148 @@ int append_with_retry(ResultWriter& writer, const std::string& line, const Retry
     }
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// One dispatched job while its trials are on the pool.
+struct JobRun {
+    const Job* job = nullptr;
+    core::CampaignConfig config; ///< attempt 1's campaign
+    std::once_flag started;      ///< the job's first trial to start sets up:
+    Clock::time_point t0{};      ///<   when that was (the watchdog budget's start),
+    std::vector<std::uint64_t> seeds;        ///<   the trial seeds,
+    std::vector<core::AttackReport> reports; ///<   the report slots (trial order)
+    std::shared_ptr<obs::Scope> scope;       ///<   and the job's obs slice (obs on)
+    std::atomic<int> unretired{0};   ///< trials not yet retired; the last one finishes
+    std::atomic<bool> failed{false}; ///< attempt 1 failed: its other trials skip
+    std::atomic<bool> cut{false};    ///< a trial never ran (stop flag, closed committer)
+    std::mutex error_mutex;
+    core::JobError error; ///< attempt 1's first failure, guarded by error_mutex
+};
+
+/// What the worker that retires a job hands the committer.
+struct Finished {
+    bool stopped = false; ///< cut short: no record, and nothing after it either
+    const Job* job = nullptr;
+    Retried<core::CampaignSummary> result;
+    std::string line; ///< the record
+};
+
+/// The `job` span's args: the job, and `trial` when the span covers one
+/// trial of attempt 1 (-1: the whole job, retried).
+std::string job_span_args(const Job& job, int trial) {
+    if (obs::trace() == nullptr) return {};
+    obs::JsonWriter args;
+    args.begin_object().key("job").str(job.id).key("scenario").str(job.scenario);
+    if (trial >= 0) args.key("trial").integer(trial);
+    args.key("trials").integer(job.trials).end_object();
+    return args.release();
+}
+
+void print_progress(std::FILE* out, const Job& job, int total,
+                    const Retried<core::CampaignSummary>& r) {
+    if (r.ok) {
+        char retry_note[32] = "";
+        if (r.count > 1) std::snprintf(retry_note, sizeof retry_note, " [attempt %d]", r.count);
+        std::fprintf(out, "[%d/%d] %s %-24s trials=%-4d success=%.3f queries=%.1f (%.0f ms)%s\n",
+                     job.index + 1, total, job.id.c_str(), job.scenario.c_str(), job.trials,
+                     r.value.success_rate, r.value.queries.mean, r.value.wall_ms, retry_note);
+    } else {
+        std::fprintf(out, "[%d/%d] %s %-24s QUARANTINED %s: %s (%d attempts)\n", job.index + 1,
+                     total, job.id.c_str(), job.scenario.c_str(),
+                     std::string(core::job_error_class_name(r.error.cls)).c_str(),
+                     r.error.message.c_str(), r.count);
+    }
+    std::fflush(out);
+}
+
+/// Appends finished jobs' records in plan order, whatever order their last
+/// trials retire in — the reorder discipline of fleet's shard Committer.
+/// Before each record it applies the gates a serial loop would apply before
+/// each job: the max_jobs quota, the stop flag and an injected
+/// worker_abort. The first gate that holds, or a job cut short, closes the
+/// committer: nothing after it is written, so the file always holds a
+/// plan-order prefix of the dispatch list, and closed() tells the pool to
+/// start no more trials.
+class Committer {
+public:
+    Committer(ResultWriter& writer, const RunOptions& options, std::size_t jobs,
+              RunStats& stats)
+        : writer_(writer), options_(options), jobs_(jobs), stats_(stats) {
+        if (jobs_ > 0) gate();
+    }
+
+    bool closed() const { return closed_.load(std::memory_order_relaxed); }
+
+    /// Commits slot `slot` of the dispatch list.
+    void commit(std::size_t slot, Finished done) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        pending_.emplace(slot, std::move(done));
+        while (!pending_.empty() && pending_.begin()->first == next_) {
+            const Finished ready = std::move(pending_.begin()->second);
+            pending_.erase(pending_.begin());
+            ++next_;
+            if (!closed()) write(ready);
+        }
+    }
+
+private:
+    void close() { closed_.store(true, std::memory_order_relaxed); }
+
+    /// The checks made before dispatching the next job.
+    void gate() {
+        if (options_.max_jobs >= 0 && stats_.executed >= options_.max_jobs) {
+            close();
+        } else if (stop_requested(options_.stop)) {
+            stats_.stopped = true;
+            close();
+        } else if (options_.injector != nullptr &&
+                   options_.injector->abort_due(stats_.executed + stats_.failed)) {
+            stats_.aborted = true; // crash-equivalent early exit: resume completes it
+            close();
+        }
+    }
+
+    void write(const Finished& done) {
+        if (done.stopped || stop_requested(options_.stop)) {
+            stats_.stopped = true;
+            close();
+            return;
+        }
+        try {
+            stats_.store_retries += append_with_retry(writer_, done.line, options_.retry);
+        } catch (...) {
+            close(); // a dead store: the run is over, the pool drains
+            throw;
+        }
+        const Retried<core::CampaignSummary>& result = done.result;
+        stats_.retries += result.count - 1;
+        if (result.ok) {
+            ++stats_.executed;
+            ROPUF_OBS_COUNT("xp.jobs_done", 1);
+            ROPUF_OBS_OBSERVE("xp.job_wall_ms", result.value.wall_ms);
+        } else {
+            ++stats_.failed;
+        }
+        if (options_.progress != nullptr) {
+            print_progress(options_.progress, *done.job, stats_.total, result);
+        }
+        if (next_ < jobs_) gate();
+    }
+
+    ResultWriter& writer_;
+    const RunOptions& options_;
+    const std::size_t jobs_;
+    RunStats& stats_; ///< guarded by mutex_ while the pool runs
+    std::atomic<bool> closed_{false};
+    std::mutex mutex_;
+    std::map<std::size_t, Finished> pending_;
+    std::size_t next_ = 0;
+};
+
+} // namespace
+
 RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                       const std::set<std::string>& skip, ResultWriter& writer,
                       const RunOptions& options) {
@@ -182,12 +340,15 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
     RunStats stats;
     stats.total = static_cast<int>(plan.jobs.size());
 
+    // The dispatch list, in plan order, and its (job, trial) items.
+    std::vector<const Job*> dispatch;
+    for (const Job& job : plan.jobs) {
+        if (skip.count(job.id) == 0) dispatch.push_back(&job);
+    }
+    stats.skipped = stats.total - static_cast<int>(dispatch.size());
+
     obs::Registry* const reg = obs::registry();
     if (reg != nullptr) {
-        int will_skip = 0;
-        for (const Job& job : plan.jobs) {
-            if (skip.count(job.id) != 0) ++will_skip;
-        }
         reg->set(reg->gauge("xp.jobs_total"), static_cast<double>(stats.total));
         // Skipped-completed jobs finish "for free" at dispatch: count them
         // into xp.jobs_done so progress accounting is uniform (every
@@ -196,8 +357,8 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         // from throughput — the ProgressReporter subtracts it from its EMA
         // basis, else a resumed run's first heartbeat reads the skip burst
         // as executed work and the ETA collapses to near zero.
-        reg->add(reg->counter("xp.jobs_done"), static_cast<double>(will_skip));
-        reg->add(reg->counter("xp.jobs_skipped"), static_cast<double>(will_skip));
+        reg->add(reg->counter("xp.jobs_done"), static_cast<double>(stats.skipped));
+        reg->add(reg->counter("xp.jobs_skipped"), static_cast<double>(stats.skipped));
         // One 0/1 gauge per dispatch path keeps path identity greppable in
         // snapshots without a string-valued metric type.
         reg->set(reg->gauge("simd.path." +
@@ -206,101 +367,141 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
     }
     if (obs::TraceSink* sink = obs::trace()) sink->set_thread_name("executor");
 
-    // Declared after `runner`, so abandoned attempts are joined before the
-    // runner they reference dies.
+    const int workers = core::resolve_workers(options.workers);
+    std::vector<JobRun> runs(dispatch.size());
+    std::vector<std::pair<std::size_t, int>> items; // (dispatch slot, trial)
+    for (std::size_t slot = 0; slot < dispatch.size(); ++slot) {
+        const Job& job = *dispatch[slot];
+        JobRun& run = runs[slot];
+        run.job = &job;
+        run.config.trials = job.trials;
+        run.config.workers = std::min(workers, std::max(job.trials, 1));
+        run.config.master_seed = job.campaign_seed;
+        run.config.base = job.params;
+        run.config.keep_reports = false; // records carry aggregates, not trials
+        run.config.injector = options.injector;
+        run.config.fi_job_index = job.index;
+        // A trial-less job still gets one item, so it retires like any other.
+        const int count = std::max(job.trials, 1);
+        run.unretired.store(count, std::memory_order_relaxed);
+        for (int t = 0; t < count; ++t) items.emplace_back(slot, t);
+    }
+
+    Committer committer(writer, options, dispatch.size(), stats);
+    // Declared after `runner` and `runs`, so abandoned attempts — which
+    // read a job's config — are joined before either dies.
     AttemptRunner attempts(options.retry, options.injector, options.stop);
 
-    for (const Job& job : plan.jobs) {
-        if (skip.count(job.id) != 0) {
-            ++stats.skipped;
-            continue;
+    // Attempt 1, one trial of it: fires the job seam on trial 0, runs under
+    // the watchdog with what is left of the job's budget, and fails the
+    // attempt (so its other trials skip) on the first error.
+    const auto run_item = [&](JobRun& run, int trial) {
+        if (committer.closed() || stop_requested(options.stop)) {
+            run.cut.store(true, std::memory_order_relaxed);
+            return;
         }
-        if (options.max_jobs >= 0 && stats.executed >= options.max_jobs) break;
-        if (stop_requested(options.stop)) {
-            stats.stopped = true;
-            break;
-        }
-        if (options.injector != nullptr &&
-            options.injector->abort_due(stats.executed + stats.failed)) {
-            stats.aborted = true; // crash-equivalent early exit: resume completes it
-            break;
-        }
-
-        core::CampaignConfig config;
-        config.trials = job.trials;
-        config.workers = options.workers;
-        config.master_seed = job.campaign_seed;
-        config.base = job.params;
-        config.keep_reports = false; // records carry aggregates, not trials
-        config.injector = options.injector;
-        config.fi_job_index = job.index;
-
-        obs::JsonWriter job_args;
-        if (obs::trace() != nullptr) {
-            job_args.begin_object().key("job").str(job.id).key("scenario").str(job.scenario);
-            job_args.key("trials").integer(job.trials).end_object();
-        }
-        const obs::Span job_span("job", job_args.release());
-        obs::Snapshot obs_before;
-        if (reg != nullptr) obs_before = reg->snapshot();
-
-        const Retried<core::CampaignSummary> result =
-            attempts.run(job.index, [&runner, scenario = job.scenario, config](int attempt) {
-                core::CampaignConfig attempt_config = config;
-                attempt_config.fi_attempt = attempt;
-                return runner.run(scenario, attempt_config);
+        const Job& job = *run.job;
+        std::call_once(run.started, [&] {
+            run.t0 = Clock::now();
+            run.seeds = core::CampaignRunner::trial_seeds(job.campaign_seed, job.trials);
+            run.reports.resize(run.seeds.size());
+            if (reg != nullptr) run.scope = std::make_shared<obs::Scope>(*reg);
+        });
+        if (trial >= job.trials || run.failed.load(std::memory_order_relaxed)) return;
+        const obs::ScopeGuard in_job(run.scope);
+        const obs::Span job_span("job", job_span_args(job, trial));
+        obs::JsonWriter attempt_args;
+        if (obs::trace() != nullptr)
+            attempt_args.begin_object().key("attempt").integer(1).end_object();
+        const obs::Span attempt_span("attempt", attempt_args.release());
+        // An abandoned trial writes into its own report, never into `run`.
+        auto report = std::make_shared<core::AttackReport>();
+        std::optional<core::JobError> error = attempts.run_once(
+            job.index, 1, /*job_seam=*/trial == 0, run.t0,
+            [report, &runner, config = &run.config, name = &job.scenario,
+             seed = run.seeds[static_cast<std::size_t>(trial)], trial] {
+                *report = core::run_trial(runner.scenario(*name), *config, seed, trial);
             });
-        if (result.stopped) {
-            stats.stopped = true;
-            break;
+        if (!error) {
+            run.reports[static_cast<std::size_t>(trial)] = std::move(*report);
+            return;
         }
-        stats.retries += result.count - 1;
+        const std::lock_guard<std::mutex> lock(run.error_mutex);
+        if (!run.failed.exchange(true, std::memory_order_relaxed)) run.error = std::move(*error);
+    };
 
+    // The job's last trial retired: fold attempt 1 into a summary, or retry
+    // the job from attempt 2 from this worker, and build its record.
+    const auto finish = [&](JobRun& run) {
+        Finished done;
+        if (run.cut.load(std::memory_order_relaxed)) {
+            done.stopped = true;
+            return done;
+        }
+        const Job& job = *run.job;
+        done.job = &job;
+        Retried<core::CampaignSummary>& result = done.result;
+        {
+            const obs::ScopeGuard in_job(run.scope);
+            if (!run.failed.load(std::memory_order_relaxed)) {
+                result.ok = true;
+                result.count = 1;
+                result.value = core::summarize_campaign(
+                    job.scenario, run.config, run.config.workers,
+                    std::chrono::duration<double, std::milli>(Clock::now() - run.t0).count(),
+                    std::move(run.reports));
+            } else {
+                Attempts prior;
+                prior.count = 1;
+                {
+                    const std::lock_guard<std::mutex> lock(run.error_mutex);
+                    prior.error = run.error;
+                }
+                const obs::Span job_span("job", job_span_args(job, -1));
+                result = attempts.run(
+                    job.index,
+                    [&runner, scenario = job.scenario, config = run.config](int attempt) {
+                        // A campaign of its own, as if the job ran alone:
+                        // its trials get their own pool.
+                        core::CampaignConfig attempt_config = config;
+                        attempt_config.fi_attempt = attempt;
+                        return runner.run(scenario, attempt_config);
+                    },
+                    prior);
+                if (result.stopped) {
+                    done.stopped = true;
+                    return done;
+                }
+            }
+        }
         JobRecord record = result.ok ? make_record(plan, job, result.value)
                                      : make_failed_record(plan, job, result.error, result.count);
         record.attempts = result.count;
-        if (reg != nullptr) {
-            // This job's slice of the metrics: everything the attempts (and
-            // their campaign workers) recorded since the pre-job snapshot.
-            const obs::Snapshot delta = obs::diff(reg->snapshot(), obs_before);
+        if (run.scope != nullptr) {
+            // This job's own slice of the metrics: every update its trials
+            // and attempts made, on whichever threads ran them.
+            const obs::Snapshot mine = run.scope->snapshot();
+            run.scope.reset();
             record.obs.present = true;
-            for (const auto& c : delta.counters) {
+            for (const auto& c : mine.counters) {
                 if (c.value != 0.0) record.obs.counters[c.name] = c.value;
             }
-            for (const auto& h : delta.hists) {
+            for (const auto& h : mine.hists) {
                 if (h.count != 0) record.obs.hists[h.name] = h.summary();
             }
         }
-        stats.store_retries += append_with_retry(writer, to_jsonl(record), options.retry);
-        if (result.ok) {
-            ++stats.executed;
-            ROPUF_OBS_COUNT("xp.jobs_done", 1);
-            ROPUF_OBS_OBSERVE("xp.job_wall_ms", result.value.wall_ms);
-        } else {
-            ++stats.failed;
-        }
+        done.line = to_jsonl(record);
+        return done;
+    };
 
-        if (options.progress != nullptr) {
-            if (result.ok) {
-                char retry_note[32] = "";
-                if (result.count > 1) {
-                    std::snprintf(retry_note, sizeof retry_note, " [attempt %d]", result.count);
-                }
-                std::fprintf(options.progress,
-                             "[%d/%d] %s %-24s trials=%-4d success=%.3f queries=%.1f "
-                             "(%.0f ms)%s\n",
-                             job.index + 1, stats.total, job.id.c_str(), job.scenario.c_str(),
-                             job.trials, result.value.success_rate, result.value.queries.mean,
-                             result.value.wall_ms, retry_note);
-            } else {
-                std::fprintf(options.progress, "[%d/%d] %s %-24s QUARANTINED %s: %s (%d attempts)\n",
-                             job.index + 1, stats.total, job.id.c_str(), job.scenario.c_str(),
-                             std::string(core::job_error_class_name(result.error.cls)).c_str(),
-                             result.error.message.c_str(), result.count);
-            }
-            std::fflush(options.progress);
+    core::parallel_for(items.size(), workers, [&](std::size_t i) {
+        const auto [slot, trial] = items[i];
+        JobRun& run = runs[slot];
+        run_item(run, trial);
+        if (run.unretired.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            committer.commit(slot, finish(run));
         }
-    }
+    });
     return stats;
 }
 

@@ -1,30 +1,40 @@
-// Plan execution: jobs -> CampaignRunner -> ResultWriter, plus the one
+// Plan execution: jobs -> one worker pool -> ResultWriter, plus the one
 // fault policy every scheduler shares.
 //
-// The executor walks a Plan in index order, skips every job ID already in
-// the skip set (resume), runs the rest one at a time as Monte-Carlo
-// campaigns on the core::parallel_for pool, and appends one JSONL record
-// per finished job. Per-job results depend only on (spec, job index):
-// trials derive their seeds from the job's campaign_seed, never from which
-// jobs ran before it — so an interrupted run plus a resume produces the
-// same records as one uninterrupted run.
+// The executor walks a Plan in index order and skips every job ID already
+// in the skip set (resume). The trials of every other job go onto ONE
+// core::parallel_for pool as (job, trial) items, in plan order, so a
+// worker that finishes its share of a short job moves straight on to the
+// next job's trials. The worker that retires a job's last trial folds its
+// reports into the job's record, and a reorder committer appends the
+// records in plan order, whatever order the jobs finish in. Per-job results
+// depend only on (spec, job index): trials derive their seeds from the
+// job's campaign_seed, never from which jobs ran before it or which worker
+// ran them — so an interrupted run plus a resume produces the same records
+// as one uninterrupted run, at any worker count.
 //
 // Fault tolerance: AttemptRunner survives, rather than propagates, a
 // failure of one job — an xp job here, a fleet shard in
 // fleet::run_fleet_campaign. Each gets up to RetryPolicy::max_attempts
 // attempts; a thrown exception is captured and classified (core::JobError),
 // an attempt that outlives the watchdog timeout is abandoned, and retries
-// back off with a deterministic exponential schedule. A job whose every
-// attempt failed is quarantined as an `outcome=job_failed` record — the run
-// completes with partial results, and resume retries exactly the
-// quarantined/missing jobs. Store appends get the same budget through
-// append_with_retry (the writer terminates torn tails between attempts). A
-// cooperative stop flag (SIGINT) and the injected worker_abort fault both
-// halt dispatch between jobs, leaving a file a resume completes to
-// bit-identical records.
+// back off with a deterministic exponential schedule. An xp job's attempt 1
+// is its trials on the pool, each under the watchdog with what is left of
+// the job's budget; a failed attempt 1 is retried from attempt 2 by the
+// worker that retires the job, each retry a whole campaign on its own pool
+// as if the job ran alone. A job whose every attempt failed is
+// quarantined as an `outcome=job_failed` record — the run completes with
+// partial results, and resume retries exactly the quarantined/missing
+// jobs. Store appends get the same budget through append_with_retry (the
+// writer terminates torn tails between attempts). The max_jobs quota, a
+// cooperative stop flag (SIGINT) and the injected worker_abort fault all
+// close the committer between records, so the file always holds a
+// plan-order prefix of the jobs that a resume completes to bit-identical
+// records.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -70,12 +80,12 @@ struct Retried : Attempts {
 
 /// Runs jobs under one RetryPolicy. Per attempt it fires the fi job seam
 /// (job_throw, job_hang), runs the work — on its own thread when the
-/// watchdog is armed — and classifies what escaped; between attempts it
-/// backs off and checks the stop flag. It emits the attempt span, the
-/// fi:injected_fault / watchdog_timeout / quarantined trace instants and
-/// the xp.retries / xp.watchdog_timeouts / fi.injected_faults /
-/// xp.jobs_quarantined counters. Thread-safe: pool workers may run jobs
-/// concurrently.
+/// watchdog is armed, carrying the caller's obs::Scope — and classifies
+/// what escaped; between attempts it backs off and checks the stop flag.
+/// It emits the attempt span, the fi:injected_fault / watchdog_timeout /
+/// quarantined trace instants and the xp.retries / xp.watchdog_timeouts /
+/// fi.injected_faults / xp.jobs_quarantined counters. Thread-safe: pool
+/// workers may run jobs concurrently.
 class AttemptRunner {
 public:
     AttemptRunner(const RetryPolicy& policy, fi::Injector* injector,
@@ -91,13 +101,18 @@ public:
     /// spent. A watchdog-abandoned attempt keeps running on its own thread
     /// until this runner dies, so `attempt` is copied and must capture by
     /// value anything that dies sooner; its result lands in a slot nobody
-    /// reads.
+    /// reads. A job whose first `prior.count` attempts ran elsewhere — the
+    /// executor's attempt 1, flattened onto its pool — passes them in:
+    /// the last one's failure, `prior.error`, is counted, traced and backed
+    /// off from as if it had run here, and numbering goes on from
+    /// prior.count + 1 within the same budget.
     template <class F>
-    Retried<std::invoke_result_t<F&, int>> run(int job_index, F attempt) {
+    Retried<std::invoke_result_t<F&, int>> run(int job_index, F attempt,
+                                               const Attempts& prior = {}) {
         using T = std::invoke_result_t<F&, int>;
         Retried<T> out;
         std::shared_ptr<T> slot;
-        static_cast<Attempts&>(out) = run_attempts(job_index, [&](int n) {
+        static_cast<Attempts&>(out) = run_attempts(job_index, prior, [&](int n) {
             slot = std::make_shared<T>();
             return std::function<void()>([slot, attempt, n]() mutable { *slot = attempt(n); });
         });
@@ -105,11 +120,19 @@ public:
         return out;
     }
 
+    /// One attempt, or one piece of one (a trial of a flattened attempt),
+    /// with no retry and no bookkeeping: fires the job seam first when
+    /// `job_seam`, runs `work` — on an abandonable thread when the watchdog
+    /// is armed, within what is left of the budget since `started` — and
+    /// classifies what escaped. As for run(), `work` must own or outlive
+    /// what it touches.
+    std::optional<core::JobError> run_once(int job_index, int attempt, bool job_seam,
+                                           std::chrono::steady_clock::time_point started,
+                                           std::function<void()> work);
+
 private:
-    Attempts run_attempts(int job_index,
+    Attempts run_attempts(int job_index, Attempts prior,
                           const std::function<std::function<void()>(int)>& make_attempt);
-    std::optional<core::JobError> attempt_once(int job_index, int attempt,
-                                               std::function<void()> work);
 
     RetryPolicy policy_;
     fi::Injector* injector_;
@@ -126,14 +149,17 @@ private:
 int append_with_retry(ResultWriter& writer, const std::string& line, const RetryPolicy& policy);
 
 struct RunOptions {
-    int workers = 0;       ///< campaign worker threads; 0 = hardware_concurrency
+    int workers = 0;       ///< pool threads for the plan's trials; 0 = hardware
+                           ///< concurrency (core::resolve_workers)
     int max_jobs = -1;     ///< stop after executing this many jobs (< 0 = all);
                            ///< deterministically emulates an interrupted run
-    std::FILE* progress = nullptr; ///< per-job progress lines (nullptr = silent)
+    std::FILE* progress = nullptr; ///< per-job progress lines, printed as records
+                                   ///< commit (nullptr = silent)
     RetryPolicy retry;     ///< per-job attempts, backoff and watchdog
     fi::Injector* injector = nullptr;        ///< fault-injection seams (nullptr = none)
     const std::atomic<bool>* stop = nullptr; ///< cooperative stop (SIGINT); checked
-                                             ///< between jobs and between retries
+                                             ///< before each trial, each record and
+                                             ///< each retry
 };
 
 struct RunStats {
@@ -153,11 +179,14 @@ struct RunStats {
     }
 };
 
-/// Runs every plan job whose ID is not in `skip`, appending records to
-/// `writer`. Scenario lookups go through `registry` (jobs were validated
-/// against it at plan time). Per-job failures are retried then quarantined
-/// per `options.retry`; only a store that keeps rejecting writes after
-/// retries still throws (a dead disk is not survivable).
+/// Runs every plan job whose ID is not in `skip` on one pool of
+/// options.workers threads, appending records to `writer` in plan order.
+/// Scenario lookups go through `registry` (jobs were validated against it
+/// at plan time). Per-job failures are retried then quarantined per
+/// `options.retry`; only a store that keeps rejecting writes after retries
+/// still throws (a dead disk is not survivable). With a metrics registry
+/// installed, each record's "obs" side-key is read from the job's own
+/// obs::Scope.
 RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                       const std::set<std::string>& skip, ResultWriter& writer,
                       const RunOptions& options = {});

@@ -137,7 +137,7 @@ std::string to_jsonl(const JobRecord& r) {
     // Fault-tolerance side-fields ride after timing, outside the
     // deterministic prefix.
     write_fault_key(w, r.attempts, r.failed(), r.error_class, r.error_message);
-    // The obs metrics delta is the last side-key: only present when a
+    // The job's obs metrics are the last side-key: only present when a
     // registry was installed for the run, so obs-off output is byte-for-byte
     // what pre-obs builds wrote.
     if (r.obs.present) {

@@ -27,8 +27,8 @@
 // retries them — and a later successful record for the same job ID
 // supersedes them.
 //
-// A third optional side-key, "obs", rides after "fault": the per-job delta
-// of the ropuf::obs metrics registry (counter deltas plus histogram
+// A third optional side-key, "obs", rides after "fault": the job's own
+// slice of the ropuf::obs metrics (its obs::Scope: counters plus histogram
 // summaries), captured only when a registry is installed for the run. Like
 // timing and fault it is host-bound and excluded from deterministic
 // comparison; obs-off runs emit no obs key at all, so pre-obs records (and
@@ -59,11 +59,11 @@ class Injector;
 
 namespace ropuf::xp {
 
-/// The per-job metrics delta riding in the "obs" side-key. Absent (present
+/// The job's own metrics riding in the "obs" side-key. Absent (present
 /// == false) for obs-off runs and for every pre-obs record.
 struct ObsData {
     bool present = false;
-    std::map<std::string, double> counters;         ///< nonzero deltas only
+    std::map<std::string, double> counters;         ///< nonzero counters only
     std::map<std::string, obs::HistSummary> hists;  ///< histograms with samples
 };
 

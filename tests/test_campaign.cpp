@@ -307,6 +307,45 @@ TEST(ParallelFor, RunsEachItemOnceThenStopsClaimingAfterAFailure) {
     }
 }
 
+TEST(ParallelFor, ResolveWorkersClampsToTheCeiling) {
+    // Pure arithmetic: no pool is started at these counts.
+    using ropuf::core::kMaxWorkers;
+    using ropuf::core::resolve_workers;
+    EXPECT_EQ(resolve_workers(1 << 20), kMaxWorkers);
+    EXPECT_EQ(resolve_workers(kMaxWorkers + 1), kMaxWorkers);
+    EXPECT_EQ(resolve_workers(kMaxWorkers), kMaxWorkers);
+    EXPECT_EQ(resolve_workers(3), 3);
+    EXPECT_GE(resolve_workers(0), 1);
+    EXPECT_LE(resolve_workers(0), kMaxWorkers);
+    EXPECT_EQ(resolve_workers(-5), resolve_workers(0));
+}
+
+TEST(Campaign, RunIsRunTrialPlusSummarizeCampaign) {
+    // The executor's plan-wide pool builds a job's summary from run_trial
+    // and summarize_campaign; the runner must mean the same thing.
+    CampaignConfig config;
+    config.trials = 3;
+    config.workers = 2;
+    config.master_seed = 11;
+    const CampaignRunner runner(ropuf::attack::default_registry());
+    const CampaignSummary whole = runner.run("seqpair/swap", config);
+    const auto seeds = CampaignRunner::trial_seeds(config.master_seed, config.trials);
+    std::vector<AttackReport> reports;
+    for (int t = 0; t < config.trials; ++t) {
+        reports.push_back(ropuf::core::run_trial(runner.scenario("seqpair/swap"), config,
+                                                 seeds[static_cast<std::size_t>(t)], t));
+        // Wall clock measures the host: take the runner's, compare the rest.
+        reports.back().wall_ms = whole.reports[static_cast<std::size_t>(t)].wall_ms;
+    }
+    const CampaignSummary pieces = ropuf::core::summarize_campaign(
+        "seqpair/swap", config, whole.workers, whole.wall_ms, std::move(reports));
+    EXPECT_EQ(ropuf::core::to_json(pieces), ropuf::core::to_json(whole));
+    ASSERT_EQ(pieces.reports.size(), whole.reports.size());
+    for (std::size_t t = 0; t < whole.reports.size(); ++t) {
+        expect_reports_identical(pieces.reports[t], whole.reports[t]);
+    }
+}
+
 TEST(SummarizeMetric, KnownValues) {
     const std::vector<double> values = {4.0, 1.0, 3.0, 2.0};
     const MetricSummary m = summarize_metric(values);

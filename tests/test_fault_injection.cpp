@@ -8,11 +8,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pt_util.hpp"
@@ -68,19 +71,19 @@ struct ChaosRun {
     std::string path;
 };
 
-/// Runs (or resumes) the plan with an optional fault plan; backoff is
-/// zeroed so retry-heavy tests stay fast.
-xp::RunStats run_with_faults(const xp::Plan& plan, const std::string& path,
-                             const std::string& fi_text, bool resume = false,
-                             double job_timeout_ms = 0.0,
-                             const std::atomic<bool>* stop = nullptr) {
+/// Runs (or resumes) the plan on `workers` pool threads with an optional
+/// fault plan; backoff is zeroed so retry-heavy tests stay fast.
+xp::RunStats run_plan_with_faults(int workers, const xp::Plan& plan, const std::string& path,
+                                  const std::string& fi_text, bool resume = false,
+                                  double job_timeout_ms = 0.0,
+                                  const std::atomic<bool>* stop = nullptr) {
     const fi::FaultPlan fault_plan = fi::parse_fault_plan(fi_text);
     fi::Injector injector(fault_plan);
     const std::set<std::string> skip =
         resume ? xp::completed_job_ids(path, plan.hash) : std::set<std::string>{};
     xp::ResultWriter writer(path, /*truncate=*/!resume);
     xp::RunOptions opts;
-    opts.workers = 1;
+    opts.workers = workers;
     opts.retry.backoff_base_ms = 0.0;
     opts.retry.job_timeout_ms = job_timeout_ms;
     opts.stop = stop;
@@ -292,10 +295,39 @@ TEST(FailureRecords, ErrorClassNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos equivalence: faulted run (+ resume) == clean run, bitwise
+// Chaos equivalence: faulted run (+ resume) == clean run, bitwise — on one
+// worker and on a four-worker pool, where jobs' trials interleave and
+// records still commit in plan order.
 // ---------------------------------------------------------------------------
 
-TEST(Chaos, RetriedJobsMatchCleanRunBitwise) {
+class Chaos : public testing::TestWithParam<int> {
+protected:
+    xp::RunStats run_with_faults(const xp::Plan& plan, const std::string& path,
+                                 const std::string& fi_text, bool resume = false,
+                                 double job_timeout_ms = 0.0,
+                                 const std::atomic<bool>* stop = nullptr) const {
+        return run_plan_with_faults(GetParam(), plan, path, fi_text, resume, job_timeout_ms,
+                                    stop);
+    }
+};
+
+// No instantiation prefix: the cases stay Chaos.<name>/w<workers>, which
+// the chaos_smoke ctest entry selects with Chaos.*.
+INSTANTIATE_TEST_SUITE_P(, Chaos, testing::Values(1, 4),
+                         [](const testing::TestParamInfo<int>& info) {
+                             std::string name = "w";
+                             name += std::to_string(info.param);
+                             return name;
+                         });
+
+/// Job indices of a results file, in file order.
+std::vector<int> record_indices(const std::string& path) {
+    std::vector<int> indices;
+    for (const xp::JobRecord& r : xp::read_results(path)) indices.push_back(r.index);
+    return indices;
+}
+
+TEST_P(Chaos, RetriedJobsMatchCleanRunBitwise) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_retry");
     const std::string chaos = temp_path("chaos_retry");
@@ -313,7 +345,7 @@ TEST(Chaos, RetriedJobsMatchCleanRunBitwise) {
     std::remove(chaos.c_str());
 }
 
-TEST(Chaos, QuarantinedJobIsRetriedByResumeToCleanEquivalence) {
+TEST_P(Chaos, QuarantinedJobIsRetriedByResumeToCleanEquivalence) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_quar");
     const std::string chaos = temp_path("chaos_quar");
@@ -336,7 +368,7 @@ TEST(Chaos, QuarantinedJobIsRetriedByResumeToCleanEquivalence) {
     std::remove(chaos.c_str());
 }
 
-TEST(Chaos, WatchdogTimesOutHungAttemptThenRetrySucceeds) {
+TEST_P(Chaos, WatchdogTimesOutHungAttemptThenRetrySucceeds) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_hang");
     const std::string chaos = temp_path("chaos_hang");
@@ -360,7 +392,7 @@ TEST(Chaos, WatchdogTimesOutHungAttemptThenRetrySucceeds) {
     std::remove(chaos.c_str());
 }
 
-TEST(Chaos, StoreFaultsAreRetriedAndTornTailsSkipped) {
+TEST_P(Chaos, StoreFaultsAreRetriedAndTornTailsSkipped) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_store");
     const std::string chaos = temp_path("chaos_store");
@@ -392,7 +424,7 @@ TEST(Chaos, StoreFaultsAreRetriedAndTornTailsSkipped) {
     std::remove(truncated.c_str());
 }
 
-TEST(Chaos, PersistentStoreFailureIsFatalAfterRetries) {
+TEST_P(Chaos, PersistentStoreFailureIsFatalAfterRetries) {
     const xp::Plan plan = make_plan();
     const std::string chaos = temp_path("chaos_dead_store");
     // p=1: every append attempt fails; the executor must give up loudly
@@ -402,7 +434,7 @@ TEST(Chaos, PersistentStoreFailureIsFatalAfterRetries) {
     std::remove(chaos.c_str());
 }
 
-TEST(Chaos, WorkerAbortIsCrashEquivalentAndResumable) {
+TEST_P(Chaos, WorkerAbortIsCrashEquivalentAndResumable) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_abort");
     const std::string chaos = temp_path("chaos_abort");
@@ -421,7 +453,7 @@ TEST(Chaos, WorkerAbortIsCrashEquivalentAndResumable) {
     std::remove(chaos.c_str());
 }
 
-TEST(Chaos, TrialThrowPropagatesIntoRetryPath) {
+TEST_P(Chaos, TrialThrowPropagatesIntoRetryPath) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_trial");
     const std::string chaos = temp_path("chaos_trial");
@@ -438,7 +470,7 @@ TEST(Chaos, TrialThrowPropagatesIntoRetryPath) {
     std::remove(chaos.c_str());
 }
 
-TEST(Chaos, SigintStopsBetweenJobsAndStaysResumable) {
+TEST_P(Chaos, SigintStopsBetweenJobsAndStaysResumable) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_sig");
     const std::string chaos = temp_path("chaos_sig");
@@ -464,11 +496,53 @@ TEST(Chaos, SigintStopsBetweenJobsAndStaysResumable) {
     std::remove(chaos.c_str());
 }
 
+TEST_P(Chaos, InterruptionsLeaveAPlanOrderPrefix) {
+    const xp::Plan plan = make_plan();
+    const std::string clean = temp_path("clean_prefix");
+    const std::string chaos = temp_path("chaos_prefix");
+    EXPECT_TRUE(run_with_faults(plan, clean, "").complete());
+
+    // worker_abort(after=k): exactly jobs 0..k-1, in plan order, however
+    // far the pool got with the later jobs' trials.
+    for (int k = 1; k <= 3; ++k) {
+        const xp::RunStats stats =
+            run_with_faults(plan, chaos, "worker_abort(after=" + std::to_string(k) + ")");
+        EXPECT_TRUE(stats.aborted);
+        std::vector<int> expected(static_cast<std::size_t>(k));
+        for (int i = 0; i < k; ++i) expected[static_cast<std::size_t>(i)] = i;
+        EXPECT_EQ(record_indices(chaos), expected) << "after=" << k;
+    }
+
+    // The stop flag flips while job 1 hangs: jobs 2 and 3 may finish
+    // first, but nothing after the unfinished job 1 is written.
+    std::atomic<bool> stop{false};
+    std::thread stopper([&] {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(static_cast<int>(100 * kTimeScale)));
+        stop.store(true, std::memory_order_relaxed);
+    });
+    char hang_plan[64];
+    std::snprintf(hang_plan, sizeof hang_plan, "job_hang(ids=1,ms=%d,times=1)",
+                  static_cast<int>(300 * kTimeScale));
+    const xp::RunStats stopped = run_with_faults(plan, chaos, hang_plan, /*resume=*/false,
+                                                 /*job_timeout_ms=*/0.0, &stop);
+    stopper.join();
+    EXPECT_TRUE(stopped.stopped);
+    EXPECT_EQ(stopped.failed, 0);
+    EXPECT_EQ(record_indices(chaos), std::vector<int>{0});
+    const xp::RunStats resumed = run_with_faults(plan, chaos, "", /*resume=*/true);
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_EQ(resumed.skipped, 1);
+    EXPECT_EQ(ok_content(chaos), ok_content(clean));
+    std::remove(clean.c_str());
+    std::remove(chaos.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Property: any truncation point + resume == one uninterrupted run
 // ---------------------------------------------------------------------------
 
-TEST(Chaos, PropertyAnyTruncationPlusResumeMatchesCleanBitwise) {
+TEST_P(Chaos, PropertyAnyTruncationPlusResumeMatchesCleanBitwise) {
     const xp::Plan plan = make_plan();
     const std::string clean = temp_path("clean_prop");
     EXPECT_TRUE(run_with_faults(plan, clean, "").complete());

@@ -1,7 +1,7 @@
 // ropuf::obs — the telemetry subsystem's contracts: sharded metric merge
 // correctness across threads, per-site id caching across registry
 // reinstalls, safe degradation at capacity ceilings, bucketed histogram
-// quantile bounds, snapshot diffs, the Chrome-trace sink's structural
+// quantile bounds, per-job scopes, the Chrome-trace sink's structural
 // invariants (balanced spans, monotonic per-track timestamps, event cap),
 // the progress renderer, and — the hard one — the zero-overhead / bitwise
 // determinism contract: an executor run with the full obs stack installed
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -168,30 +169,84 @@ TEST_F(ObsTest, HistogramBucketIndexCoversTheRange) {
     }
 }
 
-TEST_F(ObsTest, DiffSubtractsCountersAndHistograms) {
+TEST_F(ObsTest, ScopeCollectsOnlyTheUpdatesMadeWhileInstalled) {
     obs::Registry reg;
-    const obs::MetricId c = reg.counter("d.count");
-    const obs::MetricId h = reg.histogram("d.hist");
-    const obs::MetricId g = reg.gauge("d.gauge");
-    reg.add(c, 5.0);
-    reg.observe(h, 2.0);
-    reg.set(g, 1.0);
-    const obs::Snapshot before = reg.snapshot();
-    reg.add(c, 7.0);
-    reg.observe(h, 8.0);
-    reg.observe(h, 8.0);
-    reg.set(g, 3.0);
-    const obs::Snapshot delta = obs::diff(reg.snapshot(), before);
-    EXPECT_DOUBLE_EQ(delta.counter_or("d.count", -1.0), 7.0);
-    EXPECT_DOUBLE_EQ(delta.gauge_or("d.gauge", -1.0), 3.0); // gauges keep `later`
-    const obs::Snapshot::Hist* hist = delta.find_hist("d.hist");
-    ASSERT_NE(hist, nullptr);
-    EXPECT_EQ(hist->count, 2u);
-    EXPECT_DOUBLE_EQ(hist->sum, 16.0);
-    // min/max of a diff are bucket-derived: both samples were 8.0, so both
-    // bounds sit in the bucket containing 8.
-    EXPECT_GE(hist->max, 8.0 * 0.8);
-    EXPECT_LE(hist->min, 8.0 * 1.2);
+    const obs::MetricId c = reg.counter("s.count");
+    const obs::MetricId h = reg.histogram("s.hist");
+    const obs::MetricId g = reg.gauge("s.gauge");
+    auto a = std::make_shared<obs::Scope>(reg);
+    auto b = std::make_shared<obs::Scope>(reg);
+    reg.add(c, 1.0); // no scope installed: registry only
+
+    // Two threads share scope `a` (a job's trials on two workers), one
+    // thread runs in scope `b`.
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+        const obs::ScopeGuard in_a(a);
+        reg.add(c, 2.0);
+        reg.observe(h, 4.0);
+        reg.set(g, 7.0);
+    });
+    threads.emplace_back([&] {
+        const obs::ScopeGuard in_a(a);
+        reg.add(c, 3.0);
+    });
+    threads.emplace_back([&] {
+        const obs::ScopeGuard in_b(b);
+        reg.add(c, 5.0);
+        reg.observe(h, 8.0);
+        reg.observe(h, 16.0);
+    });
+    for (std::thread& t : threads) t.join();
+
+    const obs::Snapshot in_a = a->snapshot();
+    EXPECT_DOUBLE_EQ(in_a.counter_or("s.count", -1.0), 5.0);
+    EXPECT_EQ(in_a.find_gauge("s.gauge"), nullptr); // gauges stay registry-only
+    const obs::Snapshot::Hist* ha = in_a.find_hist("s.hist");
+    ASSERT_NE(ha, nullptr);
+    EXPECT_EQ(ha->count, 1u);
+    EXPECT_DOUBLE_EQ(ha->min, 4.0);
+    EXPECT_DOUBLE_EQ(ha->max, 4.0);
+
+    const obs::Snapshot in_b = b->snapshot();
+    EXPECT_DOUBLE_EQ(in_b.counter_or("s.count", -1.0), 5.0);
+    const obs::Snapshot::Hist* hb = in_b.find_hist("s.hist");
+    ASSERT_NE(hb, nullptr);
+    EXPECT_EQ(hb->count, 2u);
+    EXPECT_DOUBLE_EQ(hb->sum, 24.0);
+    EXPECT_DOUBLE_EQ(hb->min, 8.0); // exact, not bucket-derived
+    EXPECT_DOUBLE_EQ(hb->max, 16.0);
+
+    // The registry still sees every update.
+    EXPECT_DOUBLE_EQ(reg.snapshot().counter_or("s.count", -1.0), 11.0);
+}
+
+TEST_F(ObsTest, ScopeGuardsNestAndIgnoreAForeignRegistry) {
+    obs::Registry reg;
+    obs::Registry other;
+    const obs::MetricId c = reg.counter("n.count");
+    auto outer = std::make_shared<obs::Scope>(reg);
+    auto inner = std::make_shared<obs::Scope>(reg);
+    auto foreign = std::make_shared<obs::Scope>(other);
+    EXPECT_EQ(obs::current_scope(), nullptr);
+    {
+        const obs::ScopeGuard g1(outer);
+        EXPECT_EQ(obs::current_scope(), outer);
+        {
+            const obs::ScopeGuard g2(inner);
+            reg.add(c, 2.0);
+        }
+        reg.add(c, 3.0);
+        {
+            const obs::ScopeGuard g3(foreign); // another registry's scope
+            reg.add(c, 100.0);
+        }
+    }
+    EXPECT_EQ(obs::current_scope(), nullptr);
+    reg.add(c, 1000.0);
+    EXPECT_DOUBLE_EQ(inner->snapshot().counter_or("n.count", -1.0), 2.0);
+    EXPECT_DOUBLE_EQ(outer->snapshot().counter_or("n.count", -1.0), 3.0);
+    EXPECT_DOUBLE_EQ(reg.snapshot().counter_or("n.count", -1.0), 1105.0);
 }
 
 TEST_F(ObsTest, SnapshotToJsonIsParseable) {
@@ -566,14 +621,30 @@ std::vector<std::string> deterministic_lines(const std::string& path) {
     return lines;
 }
 
-void run_plan_into(const xp::Plan& plan, const std::string& path) {
+void run_plan_into(const xp::Plan& plan, const std::string& path, int workers = 1) {
     xp::ResultWriter writer(path, /*truncate=*/true);
     xp::RunOptions opts;
-    opts.workers = 1;
+    opts.workers = workers;
     (void)xp::execute_plan(plan, attack::default_registry(), {}, writer, opts);
 }
 
-TEST_F(ObsTest, ObsOnRunIsBitwiseIdenticalToObsOffAndCarriesObsKeys) {
+// The determinism contract on one worker and on a four-worker pool, where
+// several jobs' trials — and so several jobs' obs scopes — are live at once.
+class ObsExecutorTest : public ObsTest, public testing::WithParamInterface<int> {
+protected:
+    void run_plan_into(const xp::Plan& plan, const std::string& path) const {
+        ::run_plan_into(plan, path, GetParam());
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(, ObsExecutorTest, testing::Values(1, 4),
+                         [](const testing::TestParamInfo<int>& info) {
+                             std::string name = "w";
+                             name += std::to_string(info.param);
+                             return name;
+                         });
+
+TEST_P(ObsExecutorTest, ObsOnRunIsBitwiseIdenticalToObsOffAndCarriesObsKeys) {
     const xp::SweepSpec spec = xp::parse_spec(kSpecText);
     const xp::Plan plan = xp::plan_spec(spec, attack::default_registry());
     const std::string off_path = temp_path("obsoff");
@@ -648,6 +719,40 @@ TEST_F(ObsTest, ObsOnRunIsBitwiseIdenticalToObsOffAndCarriesObsKeys) {
     std::remove(off_path.c_str());
     std::remove(on_path.c_str());
     std::remove(trace_path.c_str());
+}
+
+TEST_P(ObsExecutorTest, MixedPlanSideKeysCountOnlyTheirOwnJobsTrials) {
+    // Jobs of 1, 4 and 40 trials share the pool; each record's side-key is
+    // its own job's scope, so it counts exactly that job's trials however
+    // the pool interleaved them. Obs-on content equals obs-off.
+    const xp::Plan plan = xp::plan_spec(xp::parse_spec("name = mixed_obs\n"
+                                                       "scenarios = seqpair/swap, fuzzy/reference\n"
+                                                       "trials = 1, 4, 40\n"
+                                                       "master_seed = 5\n"),
+                                        attack::default_registry());
+    const std::string off_path = temp_path("mixedoff");
+    const std::string on_path = temp_path("mixedon");
+    run_plan_into(plan, off_path);
+    {
+        obs::Registry reg;
+        obs::install(&reg);
+        run_plan_into(plan, on_path);
+        obs::install(nullptr);
+        EXPECT_DOUBLE_EQ(reg.snapshot().counter_or("campaign.trials", -1.0), 2.0 * 45.0);
+    }
+    EXPECT_EQ(deterministic_lines(off_path), deterministic_lines(on_path));
+    const std::vector<xp::JobRecord> records = xp::read_results(on_path);
+    ASSERT_EQ(records.size(), 6u);
+    for (const xp::JobRecord& record : records) {
+        ASSERT_TRUE(record.obs.present) << record.job_id;
+        EXPECT_DOUBLE_EQ(record.obs.counters.at("campaign.trials"), record.trials)
+            << record.job_id;
+        EXPECT_EQ(record.obs.hists.at("campaign.trial_wall_ms").count,
+                  static_cast<std::uint64_t>(record.trials))
+            << record.job_id;
+    }
+    std::remove(off_path.c_str());
+    std::remove(on_path.c_str());
 }
 
 TEST_F(ObsTest, InstalledRegistryOverheadIsBounded) {

@@ -1,12 +1,13 @@
 // ThreadSanitizer stress surface: every threaded seam the repo owns,
 // deliberately overlapped so a ROPUF_SANITIZE=thread build gets real
-// interleavings to bite on — concurrent campaign worker pools, cross-thread
-// obs registry snapshots racing owner-thread slot updates, trace emission
-// from many tracks racing close(), the progress heartbeat, the shared
-// AttemptRunner's watchdog + zombie parking + reaper with a late-finishing
-// abandoned attempt (xp jobs, and fleet shards on the pool), parallel fleet
-// enrollment's in-order committer, and the SIGINT-style cooperative stop
-// flag.
+// interleavings to bite on — concurrent campaign worker pools, the xp
+// executor's plan-wide pool with several jobs' obs scopes live at once and
+// its in-order record committer, cross-thread obs registry snapshots
+// racing owner-thread slot updates, trace emission from many tracks racing
+// close(), the progress heartbeat, the shared AttemptRunner's watchdog +
+// zombie parking + reaper with a late-finishing abandoned attempt (xp
+// jobs, and fleet shards on the pool), parallel fleet enrollment's
+// in-order committer, and the SIGINT-style cooperative stop flag.
 //
 // The assertions are intentionally light: on a plain build this is a smoke
 // test of orderly teardown; under TSan the pass/fail signal is the
@@ -18,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -344,6 +346,97 @@ TEST(TsanStress, CooperativeStopFlagMidRunThenResume) {
         xp::execute_plan(plan, attack::default_registry(), done_ids, writer, {});
     EXPECT_EQ(static_cast<std::size_t>(resumed.skipped), done_ids.size());
     EXPECT_EQ(resumed.executed + resumed.skipped, resumed.total);
+}
+
+// ---------------------------------------------------------------------------
+// The executor's plan-wide pool: several jobs' trials at once, each worker
+// installing its job's obs scope, with the registry, the trace sink, the
+// progress heartbeat and a snapshotter live. Job 1's attempt 1 hangs past
+// the watchdog on trial 0 and is abandoned (its zombie keeps its job's
+// scope alive); job 4's trial 0 sleeps within budget, holding the run open
+// while the stop flag flips; the retry of job 1 sees the stop, so nothing
+// from job 1 on is written. A resume on the same obs stack completes the
+// file, and every record's side-key counts only its own job's trials.
+// ---------------------------------------------------------------------------
+
+TEST(TsanStress, ConcurrentJobsWithScopesTraceProgressWatchdogAndStop) {
+    ObsStack obs_stack(temp_path("tsan_pool_trace") + ".json");
+    obs::ProgressReporter::Config progress_config;
+    progress_config.interval_s = 0.01;
+    progress_config.ansi = false;
+    std::FILE* devnull = std::fopen("/dev/null", "w");
+    ASSERT_NE(devnull, nullptr);
+    progress_config.out = devnull;
+    obs::ProgressReporter progress(obs_stack.registry, progress_config);
+    progress.start();
+    std::atomic<bool> done{false};
+    std::thread snapshotter([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            (void)obs_stack.registry.snapshot();
+        }
+    });
+
+    const xp::Plan plan = xp::plan_spec(xp::parse_spec("name = tsan_pool\n"
+                                                       "scenarios = seqpair/swap, fuzzy/reference\n"
+                                                       "trials = 1, 4, 8\n"
+                                                       "master_seed = 9\n"),
+                                        attack::default_registry());
+    ASSERT_EQ(plan.jobs.size(), 6u);
+    const std::string out = temp_path("tsan_pool") + ".jsonl";
+    // hang >> timeout > in-budget sleep > stop delay >> an honest trial,
+    // all scaled for the sanitizer slowdown.
+    const double scale = core::sanitized_build() ? 10.0 : 1.0;
+    char fault_plan[96];
+    std::snprintf(fault_plan, sizeof fault_plan,
+                  "job_hang(ids=1,ms=%d,times=1);job_hang(ids=4,ms=%d,times=1)",
+                  static_cast<int>(600 * scale), static_cast<int>(150 * scale));
+    std::atomic<bool> stop{false};
+    {
+        fi::Injector injector(fi::parse_fault_plan(fault_plan));
+        xp::ResultWriter writer(out, /*truncate=*/true);
+        xp::RunOptions options;
+        options.workers = 4;
+        options.retry.backoff_base_ms = 0.0;
+        options.retry.job_timeout_ms = 200.0 * scale;
+        options.injector = &injector;
+        options.stop = &stop;
+        std::thread stopper([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(static_cast<int>(50 * scale)));
+            stop.store(true, std::memory_order_relaxed); // as on_sigint() does
+        });
+        const xp::RunStats stats =
+            xp::execute_plan(plan, attack::default_registry(), {}, writer, options);
+        stopper.join();
+        EXPECT_TRUE(stats.stopped);
+        EXPECT_EQ(stats.failed, 0);
+        EXPECT_LE(stats.executed, 1); // job 1 blocks every later record
+    }
+    const std::vector<xp::JobRecord> partial = xp::read_results(out);
+    for (std::size_t i = 0; i < partial.size(); ++i) {
+        EXPECT_EQ(partial[i].index, static_cast<int>(i)); // a plan-order prefix
+    }
+
+    const std::set<std::string> done_ids = xp::completed_job_ids(out, plan.hash);
+    {
+        xp::ResultWriter writer(out, /*truncate=*/false);
+        xp::RunOptions options;
+        options.workers = 4;
+        const xp::RunStats resumed =
+            xp::execute_plan(plan, attack::default_registry(), done_ids, writer, options);
+        EXPECT_TRUE(resumed.complete());
+    }
+    done.store(true, std::memory_order_release);
+    snapshotter.join();
+    progress.stop();
+    std::fclose(devnull);
+
+    const std::vector<xp::JobRecord> records = xp::read_results(out);
+    ASSERT_EQ(records.size(), 6u);
+    for (const xp::JobRecord& record : records) {
+        ASSERT_TRUE(record.obs.present);
+        EXPECT_DOUBLE_EQ(record.obs.counters.at("campaign.trials"), record.trials);
+    }
+    std::remove(out.c_str());
 }
 
 // ---------------------------------------------------------------------------

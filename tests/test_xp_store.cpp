@@ -52,13 +52,13 @@ std::vector<std::string> deterministic_lines(const std::string& path) {
     return lines;
 }
 
-xp::RunStats run_plan_into(const xp::Plan& plan, const std::string& path, int max_jobs = -1,
-                           bool resume = false) {
+xp::RunStats run_plan_into(int workers, const xp::Plan& plan, const std::string& path,
+                           int max_jobs = -1, bool resume = false) {
     const std::set<std::string> skip =
         resume ? xp::completed_job_ids(path, plan.hash) : std::set<std::string>{};
     xp::ResultWriter writer(path, /*truncate=*/!resume);
     xp::RunOptions opts;
-    opts.workers = 1;
+    opts.workers = workers;
     opts.max_jobs = max_jobs;
     return xp::execute_plan(plan, attack::default_registry(), skip, writer, opts);
 }
@@ -361,10 +361,26 @@ TEST(ResultStore, CompletedJobIdsFiltersBySpecHash) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor: interruption + resume == one uninterrupted run
+// Executor: interruption + resume == one uninterrupted run — on one worker
+// and on a four-worker pool that runs several jobs' trials at once.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, InterruptedThenResumedMatchesUninterruptedBitwise) {
+class Executor : public testing::TestWithParam<int> {
+protected:
+    xp::RunStats run_plan_into(const xp::Plan& plan, const std::string& path, int max_jobs = -1,
+                               bool resume = false) const {
+        return ::run_plan_into(GetParam(), plan, path, max_jobs, resume);
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(, Executor, testing::Values(1, 4),
+                         [](const testing::TestParamInfo<int>& info) {
+                             std::string name = "w";
+                             name += std::to_string(info.param);
+                             return name;
+                         });
+
+TEST_P(Executor, InterruptedThenResumedMatchesUninterruptedBitwise) {
     const xp::SweepSpec spec = xp::parse_spec(kGoldenSpecText);
     const xp::Plan plan = xp::plan_spec(spec, attack::default_registry());
     ASSERT_EQ(plan.jobs.size(), 4u);
@@ -378,6 +394,11 @@ TEST(Executor, InterruptedThenResumedMatchesUninterruptedBitwise) {
     // must be a no-op).
     const auto part = run_plan_into(plan, part_path, /*max_jobs=*/2);
     EXPECT_EQ(part.executed, 2);
+    // The quota leaves the plan's first two jobs, whatever else the pool ran.
+    const auto prefix = xp::read_results(part_path);
+    ASSERT_EQ(prefix.size(), 2u);
+    EXPECT_EQ(prefix[0].index, 0);
+    EXPECT_EQ(prefix[1].index, 1);
     const auto resumed = run_plan_into(plan, part_path, /*max_jobs=*/-1, /*resume=*/true);
     EXPECT_EQ(resumed.executed, 2);
     EXPECT_EQ(resumed.skipped, 2);
@@ -390,7 +411,7 @@ TEST(Executor, InterruptedThenResumedMatchesUninterruptedBitwise) {
     std::remove(part_path.c_str());
 }
 
-TEST(Executor, RepeatedRunsAreByteIdentical) {
+TEST_P(Executor, RepeatedRunsAreByteIdentical) {
     const xp::SweepSpec spec = xp::parse_spec(kGoldenSpecText);
     const xp::Plan plan = xp::plan_spec(spec, attack::default_registry());
     const std::string a = temp_path("runa");
@@ -404,11 +425,34 @@ TEST(Executor, RepeatedRunsAreByteIdentical) {
     std::remove(b.c_str());
 }
 
+// A plan mixing job sizes — 1, 4 and 40 trials — puts short and long
+// jobs' trials on the pool together: the records must not depend on the
+// worker count.
+TEST(ExecutorMixedPlan, DeterministicLinesAreEqualAt1And2And4Workers) {
+    const xp::Plan plan = xp::plan_spec(xp::parse_spec("name = mixed\n"
+                                                       "scenarios = seqpair/swap, fuzzy/reference\n"
+                                                       "trials = 1, 4, 40\n"
+                                                       "master_seed = 5\n"),
+                                        attack::default_registry());
+    ASSERT_EQ(plan.jobs.size(), 6u);
+    const std::string w1 = temp_path("mixed_w1");
+    EXPECT_TRUE(run_plan_into(1, plan, w1).complete());
+    const auto expected = deterministic_lines(w1);
+    ASSERT_EQ(expected.size(), 6u);
+    for (const int workers : {2, 4}) {
+        const std::string path = temp_path("mixed_wn");
+        EXPECT_TRUE(run_plan_into(workers, plan, path).complete());
+        EXPECT_EQ(deterministic_lines(path), expected) << workers << " workers";
+        std::remove(path.c_str());
+    }
+    std::remove(w1.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Golden file: fixed spec + fixed master seed -> byte-identical records
 // ---------------------------------------------------------------------------
 
-TEST(Executor, GoldenFileRecordsReproduceByteForByte) {
+TEST_P(Executor, GoldenFileRecordsReproduceByteForByte) {
     const xp::SweepSpec spec = xp::parse_spec(kGoldenSpecText);
     const xp::Plan plan = xp::plan_spec(spec, attack::default_registry());
     const std::string fresh = temp_path("golden");

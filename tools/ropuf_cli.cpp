@@ -16,7 +16,8 @@
 //
 // run/resume options:
 //   -o <file>            results path (default: <spec name>.jsonl)
-//   --workers <n>        campaign worker threads (0 = hardware concurrency)
+//   --workers <n>        pool threads running the trials of every job (0 =
+//                        hardware concurrency; at most 1024)
 //   --max-jobs <n>       stop after executing n jobs (interruption testing)
 //   --max-attempts <n>   per-job attempts before quarantine (default 3)
 //   --job-timeout-ms <n> per-attempt watchdog timeout (0 = none)
@@ -103,7 +104,8 @@ int usage(std::FILE* out) {
         "\n"
         "run/resume options:\n"
         "  -o <file>            results path (run only; default <spec name>.jsonl)\n"
-        "  --workers <n>        campaign worker threads (0 = hardware concurrency)\n"
+        "  --workers <n>        pool threads for every job's trials (0 = hardware\n"
+        "                       concurrency; at most 1024)\n"
         "  --max-jobs <n>       stop after executing n jobs\n"
         "  --max-attempts <n>   per-job attempts before quarantine (default 3)\n"
         "  --job-timeout-ms <n> per-attempt watchdog timeout in ms (0 = none)\n"
@@ -146,11 +148,12 @@ struct CliOptions {
 
 /// Whole-token integer parse: "abc" and "3x" must be errors, never a
 /// silent 0 (a zero --max-jobs would make the run a no-op that exits 0).
-bool parse_int_arg(const std::string& token, const char* what, int* out) {
+/// Values above `max` are usage errors too.
+bool parse_int_arg(const std::string& token, const char* what, int* out, int max = 1 << 20) {
     char* end = nullptr;
     const long v = std::strtol(token.c_str(), &end, 10);
-    if (token.empty() || end == nullptr || *end != '\0' || v < 0 || v > 1 << 20) {
-        std::fprintf(stderr, "ropuf: %s expects a non-negative integer, got '%s'\n", what,
+    if (token.empty() || end == nullptr || *end != '\0' || v < 0 || v > max) {
+        std::fprintf(stderr, "ropuf: %s expects an integer in [0, %d], got '%s'\n", what, max,
                      token.c_str());
         return false;
     }
@@ -189,7 +192,10 @@ bool parse_options(const std::vector<std::string>& args, std::size_t start, CliO
             opts.output = *v;
         } else if (arg == "--workers") {
             const std::string* v = next("--workers");
-            if (v == nullptr || !parse_int_arg(*v, "--workers", &opts.workers)) return false;
+            if (v == nullptr ||
+                !parse_int_arg(*v, "--workers", &opts.workers, core::kMaxWorkers)) {
+                return false;
+            }
         } else if (arg == "--max-jobs") {
             const std::string* v = next("--max-jobs");
             if (v == nullptr || !parse_int_arg(*v, "--max-jobs", &opts.max_jobs)) return false;
