@@ -309,12 +309,10 @@ void BM_BchSyndrome(benchmark::State& state) {
 }
 BENCHMARK(BM_BchSyndrome)->Arg(5)->Arg(8)->Arg(13);
 
-void BM_OracleBatchedProbes(benchmark::State& state) {
-    // The oracle's amortized hot path: one AnyOracle batch of `range`
-    // identical raw-NVM probes against a seqpair victim. Arg(1) is the
-    // sequential baseline; larger batches amortize parse work and the whole
-    // batch's noise block through measure_batch_into. Items = probes, so
-    // throughput compares directly across batch sizes.
+/// Times one AnyOracle batch of `range` copies of the probe `make` builds
+/// for the enrolled helper, against a seqpair victim; items = probes.
+void oracle_batch_loop(benchmark::State& state,
+                       core::Probe (*make)(const pairing::SeqPairingHelper&)) {
     const int batch_size = static_cast<int>(state.range(0));
     const sim::RoArray chip({16, 8}, sim::ProcessParams{}, 11);
     const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
@@ -322,15 +320,35 @@ void BM_OracleBatchedProbes(benchmark::State& state) {
     const auto enrollment = puf.enroll(rng);
     attack::Victim<pairing::SeqPairingPuf> victim(puf, enrollment.key, 13);
     auto oracle = attack::make_oracle(victim);
-    const std::vector<core::Probe> batch(
-        static_cast<std::size_t>(batch_size),
-        attack::make_probe<pairing::SeqPairingPuf>(enrollment.helper));
+    const std::vector<core::Probe> batch(static_cast<std::size_t>(batch_size),
+                                         make(enrollment.helper));
     for (auto _ : state) {
         benchmark::DoNotOptimize(oracle.evaluate(batch));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch_size);
 }
+
+void BM_OracleBatchedProbes(benchmark::State& state) {
+    // The oracle's amortized hot path: one AnyOracle batch of `range`
+    // identical typed probes (attack::make_probe) against a seqpair victim,
+    // which reads the structured helper without a byte round trip. Arg(1)
+    // is the sequential baseline; larger batches amortize the whole batch's
+    // noise block through measure_batch_into. Items = probes, so throughput
+    // compares directly across batch sizes.
+    oracle_batch_loop(state, [](const pairing::SeqPairingHelper& helper) {
+        return attack::make_probe<pairing::SeqPairingPuf>(helper);
+    });
+}
 BENCHMARK(BM_OracleBatchedProbes)->Arg(1)->Arg(8)->Arg(32);
+
+void BM_OracleBatchedRawProbes(benchmark::State& state) {
+    // The same batches as raw-NVM probes (Probe{store(h)}): the victim
+    // parses every blob, as it does for bytes an attacker wrote directly.
+    oracle_batch_loop(state, [](const pairing::SeqPairingHelper& helper) {
+        return core::Probe{pairing::serialize(helper), std::nullopt};
+    });
+}
+BENCHMARK(BM_OracleBatchedRawProbes)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_GaussianPolar(benchmark::State& state) {
     // The pre-campaign scalar path: Marsaglia polar with pair caching.

@@ -24,8 +24,11 @@
 // cost metric) and oscillator measurements (queries x declared device cost).
 //
 // Every query reaches a Victim through `make_oracle`, which adapts it into a
-// core::AnyOracle answering *batched* raw-NVM probes — the bytes-on-the-bus
-// threat model.
+// core::AnyOracle answering *batched* probes. The attack surface is the raw
+// NVM: a probe built from bytes is parsed exactly as a device parses its
+// NVM, and a typed probe (attack::make_probe) hands over its structured
+// helper only when parsing its bytes would give back that same helper
+// (core::ProbeNvm), so skipping the byte round trip changes no verdict.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +42,7 @@
 #include "ropuf/bits/bitvec.hpp"
 #include "ropuf/core/device.hpp"
 #include "ropuf/core/oracle.hpp"
+#include "ropuf/obs/metrics.hpp"
 #include "ropuf/rng/xoshiro.hpp"
 
 namespace ropuf::attack {
@@ -61,6 +65,19 @@ struct QueryLedger {
         ++refused;
     }
 };
+
+namespace detail {
+
+/// The device's parse of a raw probe's bytes (counted as
+/// helperdata.blob_parses); throws helperdata::ParseError on a malformed
+/// blob. Typed probes skip it: their helper is what this would return.
+template <core::Device Puf>
+typename core::DeviceTraits<Puf>::Helper parse_probe(const core::ProbeNvm& nvm) {
+    ROPUF_OBS_COUNT("helperdata.blob_parses", 1);
+    return core::DeviceTraits<Puf>::parse(nvm);
+}
+
+} // namespace detail
 
 /// The one victim wrapper. `Puf` must conform to core::Device.
 template <core::Device Puf>
@@ -88,14 +105,15 @@ public:
           ambient_(Traits::condition_at(puf, ambient_c)),
           rng_(noise_seed) {}
 
-    /// Batched raw-NVM probes — the one query path; true = observable
-    /// failure (wrong key or refusal). Verdicts land in probe order. Per
-    /// probe: parse (a malformed blob is an observable refusal that costs a
-    /// query but no measurement), then regenerate against the probe's
-    /// expected key (or the app key; throws std::logic_error when a
-    /// reprogram-mode victim gets a probe without one). RNG consumption,
-    /// verdicts and ledger are identical to evaluating the probes one at a
-    /// time; the whole batch's noise is drawn in one measure_batch_into block.
+    /// Batched probes — the one query path; true = observable failure
+    /// (wrong key or refusal). Verdicts land in probe order. Per probe: take
+    /// the typed helper, or parse the raw bytes (a malformed blob is an
+    /// observable refusal that costs a query but no measurement), then
+    /// regenerate against the probe's expected key (or the app key; throws
+    /// std::logic_error when a reprogram-mode victim gets a probe without
+    /// one). RNG consumption, verdicts and ledger are identical to evaluating
+    /// the probes one at a time; the whole batch's noise is drawn in one
+    /// measure_batch_into block.
     void evaluate_probes(std::span<const core::Probe> probes, std::vector<bool>& verdicts) {
         verdicts.clear();
         verdicts.reserve(probes.size());
@@ -104,18 +122,24 @@ public:
 
         parsed_.clear();
         parsed_.resize(probes.size());
+        helpers_.assign(probes.size(), nullptr);
         consistent_.assign(probes.size(), 0);
         int scans = 0;
         for (std::size_t i = 0; i < probes.size(); ++i) {
-            try {
-                parsed_[i] = Traits::parse(probes[i].helper);
-            } catch (const helperdata::ParseError&) {
-                continue;
+            const Helper* helper = probes[i].helper.template typed<Helper>();
+            if (helper == nullptr) {
+                try {
+                    parsed_[i] = detail::parse_probe<Puf>(probes[i].helper);
+                } catch (const helperdata::ParseError&) {
+                    continue;
+                }
+                helper = &*parsed_[i];
             }
+            helpers_[i] = helper;
             // Only helpers that survive the device's pre-measurement checks
             // consume a scan. The verdict is cached; the check can be
             // expensive (group partitions) and must not rerun per probe below.
-            if (Traits::helper_consistent(*puf_, *parsed_[i])) {
+            if (Traits::helper_consistent(*puf_, *helper)) {
                 consistent_[i] = 1;
                 ++scans;
             }
@@ -124,7 +148,7 @@ public:
 
         std::size_t scan = 0;
         for (std::size_t i = 0; i < probes.size(); ++i) {
-            if (!parsed_[i]) {
+            if (helpers_[i] == nullptr) {
                 ledger_.charge_refused();
                 verdicts.push_back(true);
                 continue;
@@ -136,7 +160,7 @@ public:
                     scan_buffer_.data() + scan * static_cast<std::size_t>(cost),
                     static_cast<std::size_t>(cost));
                 ++scan;
-                rec = Traits::reconstruct_measured(*puf_, *parsed_[i], ambient_, freqs);
+                rec = Traits::reconstruct_measured(*puf_, *helpers_[i], ambient_, freqs);
             }
             const bits::BitVec& expected =
                 probes[i].expect ? *probes[i].expect : app_key();
@@ -165,7 +189,8 @@ private:
     rng::Xoshiro256pp rng_;
     QueryLedger ledger_;
     // Batch-evaluation scratch, reused across calls.
-    std::vector<std::optional<Helper>> parsed_;
+    std::vector<std::optional<Helper>> parsed_; ///< raw probes' parsed helpers
+    std::vector<const Helper*> helpers_;        ///< per probe; nullptr = refused
     std::vector<char> consistent_;
     std::vector<double> scan_buffer_;
 };
@@ -197,21 +222,26 @@ core::AnyOracle make_oracle(Victim<Puf>& victim) {
 
 /// A sanity validator for wrapping this construction's oracle in a
 /// core::SanityCheckingOracle: parse failures and DeviceTraits::sanity
-/// violations are refusals. Assignable to core::HelperValidator; called
-/// directly, the mode defaults to Explain. Captures the puf by reference.
+/// violations are refusals. A typed probe's helper is checked directly; a
+/// raw probe's bytes are parsed first. Assignable to core::HelperValidator
+/// (an Nvm converts to a raw probe); called directly, the mode defaults to
+/// Explain. Captures the puf by reference.
 template <core::Device Puf>
 auto make_sanity_validator(const Puf& puf) {
-    return [&puf](const helperdata::Nvm& nvm,
+    return [&puf](const core::ProbeNvm& nvm,
                   helperdata::SanityMode mode = helperdata::SanityMode::Explain) {
-        typename core::DeviceTraits<Puf>::Helper helper;
+        using Traits = core::DeviceTraits<Puf>;
+        using Helper = typename Traits::Helper;
+        if (const Helper* typed = nvm.typed<Helper>()) return Traits::sanity(puf, *typed, mode);
+        Helper helper;
         try {
-            helper = core::DeviceTraits<Puf>::parse(nvm);
+            helper = detail::parse_probe<Puf>(nvm);
         } catch (const helperdata::ParseError& e) {
             helperdata::SanityReport report(mode);
             report.fail([&e] { return std::string("parse: ") + e.what(); });
             return report;
         }
-        return core::DeviceTraits<Puf>::sanity(puf, helper, mode);
+        return Traits::sanity(puf, helper, mode);
     };
 }
 

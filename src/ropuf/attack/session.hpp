@@ -32,6 +32,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <exception>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -41,6 +42,7 @@
 #include "ropuf/attack/oracle.hpp"
 #include "ropuf/core/attack_engine.hpp"
 #include "ropuf/core/oracle.hpp"
+#include "ropuf/obs/metrics.hpp"
 
 namespace ropuf::attack {
 
@@ -281,17 +283,20 @@ private:
     std::int64_t answered_ = 0;
 };
 
-/// Builds the raw-NVM probe for a typed helper (keyed mode).
-template <core::Device Puf>
-core::Probe make_probe(const typename core::DeviceTraits<Puf>::Helper& helper) {
-    return {core::DeviceTraits<Puf>::store(helper), std::nullopt};
-}
-
-/// Same, compared against an attacker-chosen expected key (reprogram mode).
+/// Builds the probe for a structured helper, compared against the enrolled
+/// key (keyed mode) or an attacker-chosen `expect` (reprogram mode). The
+/// probe is typed and serializes on first byte read; a helper whose bytes
+/// would not parse back to it (DeviceTraits::round_trips) is serialized
+/// right away, so every reader sees exactly what the device would parse.
 template <core::Device Puf>
 core::Probe make_probe(const typename core::DeviceTraits<Puf>::Helper& helper,
-                       bits::BitVec expect) {
-    return {core::DeviceTraits<Puf>::store(helper), std::move(expect)};
+                       std::optional<bits::BitVec> expect = std::nullopt) {
+    using Traits = core::DeviceTraits<Puf>;
+    if (!Traits::round_trips(helper)) {
+        ROPUF_OBS_COUNT("helperdata.blob_stores", 1);
+        return {Traits::store(helper), std::move(expect)};
+    }
+    return {core::ProbeNvm::from_helper(helper, &Traits::store), std::move(expect)};
 }
 
 /// Outcome of driving a session against an oracle.

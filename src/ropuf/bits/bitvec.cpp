@@ -18,6 +18,10 @@ void xor_into(BitVec& a, const BitVec& b) {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
 }
 
+bool is_binary(const BitVec& v) {
+    return std::all_of(v.begin(), v.end(), [](std::uint8_t b) { return b <= 1; });
+}
+
 int weight(const BitVec& v) {
     int w = 0;
     for (auto b : v) w += b;

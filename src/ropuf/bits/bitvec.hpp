@@ -28,6 +28,10 @@ void xor_into(BitVec& a, const BitVec& b);
 /// Number of set bits.
 int weight(const BitVec& v);
 
+/// True when every element is 0 or 1 (the BitVec invariant; a helper blob
+/// stores any other element as 1).
+bool is_binary(const BitVec& v);
+
 /// Hamming distance between two equal-length vectors.
 int hamming(const BitVec& a, const BitVec& b);
 

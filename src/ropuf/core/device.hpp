@@ -64,6 +64,11 @@ struct EnrollResult {
 ///                                     // no scan)
 ///   static helperdata::Nvm store(const Helper&);       // serialize
 ///   static Helper parse(const helperdata::Nvm&);       // may throw ParseError
+///   static bool round_trips(const Helper&);
+///                                     // parse(store(h)) reproduces h field
+///                                     // for field — the condition for
+///                                     // handing a probe's structured
+///                                     // helper to the device directly
 ///   static sim::Condition nominal_condition(const Puf&);
 ///   static sim::Condition condition_at(const Puf&, double ambient_c);
 ///                                     // environment-chosen temperature at
@@ -100,6 +105,7 @@ concept Device = requires(const P& puf, const typename DeviceTraits<P>::Helper& 
     { DeviceTraits<P>::helper_consistent(puf, helper) } -> std::same_as<bool>;
     { DeviceTraits<P>::store(helper) } -> std::same_as<helperdata::Nvm>;
     { DeviceTraits<P>::parse(nvm) } -> std::same_as<typename DeviceTraits<P>::Helper>;
+    { DeviceTraits<P>::round_trips(helper) } -> std::same_as<bool>;
     { DeviceTraits<P>::nominal_condition(puf) } -> std::same_as<sim::Condition>;
     { DeviceTraits<P>::condition_at(puf, ambient_c) } -> std::same_as<sim::Condition>;
     { DeviceTraits<P>::sanity(puf, helper) } -> std::same_as<helperdata::SanityReport>;

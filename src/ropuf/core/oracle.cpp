@@ -2,7 +2,15 @@
 
 #include <algorithm>
 
+#include "ropuf/obs/metrics.hpp"
+
 namespace ropuf::core {
+
+void ProbeNvm::build() const {
+    ROPUF_OBS_COUNT("helperdata.blob_stores", 1);
+    nvm_ = typed_->store();
+    built_ = true;
+}
 
 BudgetedOracle::BudgetedOracle(AnyOracle inner, std::int64_t budget)
     : inner_(std::move(inner)), budget_(budget) {

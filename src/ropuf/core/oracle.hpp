@@ -2,11 +2,22 @@
 //
 // The paper's attacker interacts with a victim device through exactly one
 // channel: write helper NVM, trigger a key regeneration, observe pass/fail.
-// AnyOracle is that channel as a value type. A probe is the raw helper blob
-// the attacker programs (plus, for reprogram-mode constructions, the key the
+// AnyOracle is that channel as a value type. A probe is the helper NVM the
+// attacker programs (plus, for reprogram-mode constructions, the key the
 // observable is compared against), and an oracle answers *batches* of probes
 // so the simulation can amortize measurement-noise generation over a whole
 // batch (sim::RoArray::measure_batch_into).
+//
+// The NVM of a probe (ProbeNvm) comes in two kinds. A probe built from raw
+// bytes holds exactly those bytes; every reader parses them, as a device
+// parses its NVM. A probe built from the attacker's structured helper
+// (attack::make_probe) holds that helper and its byte image, which is
+// serialized only when a byte reader asks. The victim and the sanity
+// validator read the structured helper directly; the byte-level defenses
+// (canonical form, MAC binding) read the bytes. The structured form is only
+// kept where the device's parse of the bytes gives back the same helper, so
+// every reader sees what it would have seen in the bytes: the attack surface
+// is still the raw NVM.
 //
 // Middleware wrappers compose around any oracle, innermost first:
 //
@@ -17,7 +28,7 @@
 //   * SanityCheckingOracle — the paper's Section VII countermeasure as a
 //     first-class defended scenario: a validator (typically built from
 //     DeviceTraits::sanity via helperdata/sanity) inspects every probe's
-//     blob; refused probes read as observable failures, are counted as
+//     helper; refused probes read as observable failures, are counted as
 //     attacker queries, but are never charged as oscillator measurements —
 //     the device rejected the helper data before measuring anything.
 //   * TracingOracle        — per-batch snapshots of the cumulative ledger,
@@ -45,11 +56,100 @@
 
 namespace ropuf::core {
 
-/// One oracle query: the helper blob the attacker programs into NVM, and —
-/// for constructions with attacker-reprogrammable keys — the key the
-/// observable is compared against (nullopt = the enrolled application key).
+/// The helper NVM one probe programs: raw bytes, or the attacker's
+/// structured helper plus a byte image built on first read.
+///
+/// A raw probe (constructed from an Nvm) holds its bytes and nothing else.
+/// A typed probe (from_helper) holds a shared, immutable copy of the
+/// helper; typed<Helper>() hands it to readers that know the construction,
+/// and every byte accessor serializes it once and keeps the bytes. The
+/// caller of from_helper() guarantees that the device's parse of the
+/// serialized bytes reproduces the helper field for field, so a typed
+/// reader and a byte reader see the same helper.
+///
+/// Any non-const access to the bytes turns the probe into a raw probe: the
+/// bytes are built, the structured helper is dropped, and every later reader
+/// parses the edited bytes. Copies share the structured helper, never the
+/// bytes, so editing one copy leaves its siblings as they were.
+///
+/// Thread safety: the const byte accessors build the image lazily through
+/// mutable members, so two threads must not read the same ProbeNvm object
+/// at once. That holds because a probe batch never crosses threads: a
+/// session, its oracle stack and its victim run on one thread per trial.
+class ProbeNvm {
+public:
+    ProbeNvm() = default;
+    /// A raw probe: exactly these bytes. Implicit, so Probe{nvm} reads as
+    /// the NVM it programs.
+    ProbeNvm(helperdata::Nvm nvm) : nvm_(std::move(nvm)) {}
+
+    /// A typed probe for `helper`, serialized by `store` when bytes are read.
+    /// Only for helpers whose serialized bytes parse back to `helper`.
+    template <typename Helper>
+    static ProbeNvm from_helper(Helper helper, helperdata::Nvm (*store)(const Helper&)) {
+        ProbeNvm out;
+        out.typed_ = std::make_shared<TypedOf<Helper>>(std::move(helper), store);
+        out.built_ = false;
+        return out;
+    }
+
+    /// The structured helper when this is a typed probe of `Helper`, else
+    /// nullptr (a raw probe, or one whose bytes were edited).
+    template <typename Helper>
+    const Helper* typed() const {
+        if (typed_ == nullptr || typed_->type != &type_tag<Helper>) return nullptr;
+        return &static_cast<const TypedOf<Helper>*>(typed_.get())->helper;
+    }
+
+    /// The byte image (built on first read for a typed probe).
+    const helperdata::Nvm& nvm() const {
+        if (!built_) build();
+        return nvm_;
+    }
+    operator const helperdata::Nvm&() const { return nvm(); }
+    const std::vector<std::uint8_t>& bytes() const { return nvm().bytes(); }
+    std::size_t size() const { return nvm().size(); }
+
+    /// Mutable bytes: drops the structured helper (see the class comment).
+    std::vector<std::uint8_t>& bytes() {
+        if (!built_) build();
+        typed_.reset();
+        return nvm_.bytes();
+    }
+
+private:
+    template <typename Helper>
+    static constexpr char type_tag = 0; ///< its address identifies Helper
+
+    struct Typed {
+        explicit Typed(const void* type) : type(type) {}
+        virtual ~Typed() = default;
+        virtual helperdata::Nvm store() const = 0;
+        const void* type; ///< &type_tag<Helper>
+    };
+    template <typename Helper>
+    struct TypedOf final : Typed {
+        TypedOf(Helper h, helperdata::Nvm (*store_fn)(const Helper&))
+            : Typed(&type_tag<Helper>), helper(std::move(h)), store_fn(store_fn) {}
+        helperdata::Nvm store() const override { return store_fn(helper); }
+        Helper helper;
+        helperdata::Nvm (*store_fn)(const Helper&);
+    };
+
+    /// Serializes the structured helper into nvm_ (counted as
+    /// helperdata.blob_stores).
+    void build() const;
+
+    std::shared_ptr<const Typed> typed_;
+    mutable helperdata::Nvm nvm_;
+    mutable bool built_ = true; ///< false only for a typed probe not yet read as bytes
+};
+
+/// One oracle query: the helper NVM the attacker programs, and — for
+/// constructions with attacker-reprogrammable keys — the key the observable
+/// is compared against (nullopt = the enrolled application key).
 struct Probe {
-    helperdata::Nvm helper;
+    ProbeNvm helper;
     std::optional<bits::BitVec> expect;
 };
 
@@ -146,11 +246,12 @@ private:
     bool exhausted_ = false;
 };
 
-/// Structural helper-data validation of one probe blob, in the requested
-/// mode: Verdict for the per-probe accept/refuse decision, Explain when a
-/// caller reads the violation list.
+/// Structural helper-data validation of one probe's helper, in the
+/// requested mode: Verdict for the per-probe accept/refuse decision, Explain
+/// when a caller reads the violation list. A validator reads a typed probe's
+/// structured helper and parses a raw probe's bytes.
 using HelperValidator =
-    std::function<helperdata::SanityReport(const helperdata::Nvm&, helperdata::SanityMode)>;
+    std::function<helperdata::SanityReport(const ProbeNvm&, helperdata::SanityMode)>;
 
 /// Evaluates `probes` through `inner`, forwarding each contiguous run of
 /// accepted probes (accepted[i] != 0) as one batch, so the victim's amortized
@@ -159,11 +260,11 @@ using HelperValidator =
 void forward_accepted(AnyOracle& inner, std::span<const Probe> probes,
                       std::span<const char> accepted, std::vector<bool>& verdicts);
 
-/// Routes every probe blob through a validator before the device sees it.
+/// Routes every probe's helper through a validator before the device sees it.
 /// A refused probe reads as an observable failure (the careful device
 /// declines to regenerate), is counted as an attacker query, but performs no
 /// oscillator measurement. Probes are validated in Verdict mode; the last
-/// refused blob is kept and explained only when last_violations() is read.
+/// refused helper is kept and explained only when last_violations() is read.
 class SanityCheckingOracle final : public OracleBase {
 public:
     SanityCheckingOracle(AnyOracle inner, HelperValidator validator);
@@ -181,7 +282,7 @@ private:
     HelperValidator validator_;
     std::int64_t refused_ = 0;
     std::vector<char> accepted_; ///< per-batch scratch, reused across calls
-    helperdata::Nvm last_refused_;
+    ProbeNvm last_refused_;
     mutable bool explained_ = true;
     mutable std::vector<std::string> last_violations_;
 };

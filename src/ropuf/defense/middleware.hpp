@@ -25,6 +25,12 @@
 // Every middleware implements DefenseOracle, the uniform introspection
 // surface (refused(), locked()) the scenario driver uses to classify a run
 // as refused_by_defense or locked_out.
+//
+// What each defense reads of a probe (core::ProbeNvm): the MAC binding and
+// the canonical-form check read the NVM bytes, which builds a typed probe's
+// byte image on first read, as a tamper check on real NVM must; the
+// validating defenses (sanity, noisyrefusal) go through the validator,
+// which reads a typed probe's helper directly.
 #pragma once
 
 #include <cstdint>

@@ -66,25 +66,31 @@ GroupBasedPuf::Enrollment GroupBasedPuf::enroll(rng::Xoshiro256pp& rng) const {
 }
 
 bool GroupBasedPuf::helper_consistent(const GroupPufHelper& helper) const {
-    if (static_cast<int>(helper.group_of.size()) != array_->count()) return false;
+    return consistent_members(helper).has_value();
+}
+
+std::optional<std::vector<std::vector<int>>> GroupBasedPuf::consistent_members(
+    const GroupPufHelper& helper) const {
+    if (static_cast<int>(helper.group_of.size()) != array_->count()) return std::nullopt;
     std::vector<std::vector<int>> members;
     try {
         members = members_from_assignment(helper.group_of);
     } catch (const std::invalid_argument&) {
-        return false;
+        return std::nullopt;
     }
     for (const auto& m : members) {
-        if (static_cast<int>(m.size()) > config_.max_group_size) return false;
+        if (static_cast<int>(m.size()) > config_.max_group_size) return std::nullopt;
     }
     const int total_kendall = kendall_bits_of(members);
-    if (helper.ecc.response_bits != total_kendall) return false;
+    if (helper.ecc.response_bits != total_kendall) return std::nullopt;
     const ecc::BlockEcc block_ecc(code_);
     if (static_cast<int>(helper.ecc.parity.size()) != block_ecc.helper_bits(total_kendall)) {
-        return false;
+        return std::nullopt;
     }
     // Distillation accepts any polynomial degree the coefficients imply — the
     // naive device infers the degree from the coefficient count.
-    return inferred_degree(helper) >= 0;
+    if (inferred_degree(helper) < 0) return std::nullopt;
+    return members;
 }
 
 int GroupBasedPuf::inferred_degree(const GroupPufHelper& helper) {
@@ -103,8 +109,9 @@ GroupBasedPuf::Reconstruction GroupBasedPuf::reconstruct(const GroupPufHelper& h
 
 GroupBasedPuf::Reconstruction GroupBasedPuf::reconstruct_measured(
     const GroupPufHelper& helper, const sim::Condition&, std::span<const double> freqs) const {
-    if (!helper_consistent(helper)) return {};
-    const auto members = members_from_assignment(helper.group_of);
+    const auto consistent = consistent_members(helper);
+    if (!consistent) return {};
+    const auto& members = *consistent;
     const int degree = inferred_degree(helper);
     const ecc::BlockEcc block_ecc(code_);
     const distiller::PolySurface surface(degree, helper.beta);
@@ -148,5 +155,7 @@ GroupPufHelper parse_group_puf(const helperdata::Nvm& nvm) {
     helper.ecc.parity = r.get_bits();
     return helper;
 }
+
+bool round_trips(const GroupPufHelper& helper) { return bits::is_binary(helper.ecc.parity); }
 
 } // namespace ropuf::group

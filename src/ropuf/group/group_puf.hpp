@@ -13,6 +13,7 @@
 // corrected orders into the compact key.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,8 +37,11 @@ struct GroupPufHelper {
     ecc::BlockEccHelper ecc;    ///< parity over the concatenated Kendall bits
 };
 
+/// Serialization to/from the NVM byte level. round_trips() is true when
+/// parsing the serialized bytes gives back `helper` field for field.
 helperdata::Nvm serialize(const GroupPufHelper& helper);
 GroupPufHelper parse_group_puf(const helperdata::Nvm& nvm);
+bool round_trips(const GroupPufHelper& helper);
 
 struct GroupPufConfig {
     int distiller_degree = 2;  ///< p = 2 / 3 recommended by the DAC'13 study
@@ -111,6 +115,12 @@ public:
     const ecc::BchCode& code() const { return code_; }
 
 private:
+    /// The members partition of a helper that passes every check of
+    /// helper_consistent(), or nullopt — one partition serves both the check
+    /// and the regeneration that follows it.
+    std::optional<std::vector<std::vector<int>>> consistent_members(
+        const GroupPufHelper& helper) const;
+
     /// The polynomial degree implied by the coefficient count (-1 = none).
     static int inferred_degree(const GroupPufHelper& helper);
 
@@ -153,6 +163,7 @@ struct DeviceTraits<group::GroupBasedPuf> {
         return puf.helper_consistent(helper);
     }
     static helperdata::Nvm store(const Helper& helper) { return group::serialize(helper); }
+    static bool round_trips(const Helper& helper) { return group::round_trips(helper); }
     static Helper parse(const helperdata::Nvm& nvm) { return group::parse_group_puf(nvm); }
     static sim::Condition nominal_condition(const group::GroupBasedPuf& puf) {
         return puf.config().condition;

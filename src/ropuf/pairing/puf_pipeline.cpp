@@ -112,6 +112,8 @@ SeqPairingHelper parse_seq_pairing(const helperdata::Nvm& nvm) {
     return helper;
 }
 
+bool round_trips(const SeqPairingHelper& helper) { return bits::is_binary(helper.ecc.parity); }
+
 // ---------------------------------------------------------------------------
 // MaskedChainPuf
 // ---------------------------------------------------------------------------
@@ -197,6 +199,8 @@ MaskedChainHelper parse_masked_chain(const helperdata::Nvm& nvm) {
     return helper;
 }
 
+bool round_trips(const MaskedChainHelper& helper) { return bits::is_binary(helper.ecc.parity); }
+
 // ---------------------------------------------------------------------------
 // OverlapChainPuf
 // ---------------------------------------------------------------------------
@@ -262,5 +266,7 @@ OverlapChainHelper parse_overlap_chain(const helperdata::Nvm& nvm) {
     helper.ecc.parity = r.get_bits();
     return helper;
 }
+
+bool round_trips(const OverlapChainHelper& helper) { return bits::is_binary(helper.ecc.parity); }
 
 } // namespace ropuf::pairing

@@ -54,9 +54,11 @@ struct SeqPairingHelper {
     ecc::BlockEccHelper ecc;
 };
 
-/// Serialization to/from the NVM byte level.
+/// Serialization to/from the NVM byte level. round_trips() is true when
+/// parsing the serialized bytes gives back `helper` field for field.
 helperdata::Nvm serialize(const SeqPairingHelper& helper);
 SeqPairingHelper parse_seq_pairing(const helperdata::Nvm& nvm);
+bool round_trips(const SeqPairingHelper& helper);
 
 struct SeqPairingConfig {
     double delta_f_th = 0.5;  ///< Algorithm 1 threshold (MHz)
@@ -123,6 +125,7 @@ struct MaskedChainHelper {
 
 helperdata::Nvm serialize(const MaskedChainHelper& helper);
 MaskedChainHelper parse_masked_chain(const helperdata::Nvm& nvm);
+bool round_trips(const MaskedChainHelper& helper);
 
 struct MaskedChainConfig {
     int distiller_degree = 2;
@@ -179,6 +182,7 @@ struct OverlapChainHelper {
 
 helperdata::Nvm serialize(const OverlapChainHelper& helper);
 OverlapChainHelper parse_overlap_chain(const helperdata::Nvm& nvm);
+bool round_trips(const OverlapChainHelper& helper);
 
 struct OverlapChainConfig {
     int distiller_degree = 2;
@@ -257,6 +261,7 @@ struct DeviceTraits<pairing::SeqPairingPuf> {
         return puf.helper_consistent(helper);
     }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
+    static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_seq_pairing(nvm); }
     static sim::Condition nominal_condition(const pairing::SeqPairingPuf& puf) {
         return puf.config().condition;
@@ -303,6 +308,7 @@ struct DeviceTraits<pairing::MaskedChainPuf> {
         return puf.helper_consistent(helper);
     }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
+    static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_masked_chain(nvm); }
     static sim::Condition nominal_condition(const pairing::MaskedChainPuf& puf) {
         return puf.config().condition;
@@ -365,6 +371,7 @@ struct DeviceTraits<pairing::OverlapChainPuf> {
         return puf.helper_consistent(helper);
     }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
+    static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_overlap_chain(nvm); }
     static sim::Condition nominal_condition(const pairing::OverlapChainPuf& puf) {
         return puf.config().condition;

@@ -234,4 +234,12 @@ TempAwareHelper parse_temp_aware(const helperdata::Nvm& nvm) {
     return helper;
 }
 
+bool round_trips(const TempAwareHelper& helper) {
+    if (helper.records.size() != helper.pairs.size()) return false;
+    for (const auto& rec : helper.records) {
+        if (static_cast<std::uint8_t>(rec.cls) > 2) return false;
+    }
+    return bits::is_binary(helper.ecc.parity);
+}
+
 } // namespace ropuf::tempaware

@@ -54,8 +54,12 @@ struct TempAwareHelper {
     ecc::BlockEccHelper ecc;                  ///< parity over the kept bits
 };
 
+/// Serialization to/from the NVM byte level. round_trips() is true when
+/// parsing the serialized bytes gives back `helper` field for field: the
+/// blob stores one record per pair, a valid class byte and 0/1 parity.
 helperdata::Nvm serialize(const TempAwareHelper& helper);
 TempAwareHelper parse_temp_aware(const helperdata::Nvm& nvm);
+bool round_trips(const TempAwareHelper& helper);
 
 enum class HelperSelectionPolicy {
     Random,            ///< sample candidates in random order (recommended)
@@ -179,6 +183,7 @@ struct DeviceTraits<tempaware::TempAwarePuf> {
         return puf.helper_consistent(helper);
     }
     static helperdata::Nvm store(const Helper& helper) { return tempaware::serialize(helper); }
+    static bool round_trips(const Helper& helper) { return tempaware::round_trips(helper); }
     static Helper parse(const helperdata::Nvm& nvm) { return tempaware::parse_temp_aware(nvm); }
     static sim::Condition nominal_condition(const tempaware::TempAwarePuf& puf) {
         return {puf.array().params().t_ref_c, puf.array().params().v_ref_v};
