@@ -15,6 +15,7 @@
 #include "ropuf/core/campaign.hpp"
 #include "ropuf/core/sanitizer.hpp"
 #include "ropuf/distiller/regression.hpp"
+#include "ropuf/ecc/block_ecc.hpp"
 #include "ropuf/fleet/population.hpp"
 #include "ropuf/fuzzy/fuzzy_extractor.hpp"
 #include "ropuf/group/group_puf.hpp"
@@ -128,6 +129,49 @@ void BM_GroupPufReconstruct(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_GroupPufReconstruct);
+
+void BM_GroupReconstructMeasured(benchmark::State& state) {
+    // The group victim's per-probe regeneration from a given scan — the
+    // flat partition, Kendall coding, BlockEcc and entropy packing — on the
+    // group scenario's 10x4 array; items = regenerations.
+    const sim::RoArray chip({10, 4}, sim::ProcessParams{}, 8);
+    const group::GroupBasedPuf puf(chip, group::GroupPufConfig{});
+    rng::Xoshiro256pp rng(9);
+    const auto enrollment = puf.enroll(rng);
+    const auto scan = chip.measure_all(puf.config().condition, rng);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            puf.reconstruct_measured(enrollment.helper, puf.config().condition, scan));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GroupReconstructMeasured);
+
+void BM_BlockEccReconstruct(benchmark::State& state) {
+    // BlockEcc's word path over four BCH(2^m - 1, k, 3) blocks, the final one
+    // shortened, with t errors in every block; items = response bits.
+    const ecc::BchCode code(static_cast<int>(state.range(0)), 3);
+    const ecc::BlockEcc block_ecc(code);
+    const int total = 3 * code.k() + code.k() / 2;
+    rng::Xoshiro256pp rng(21);
+    const auto reference = bits::random_bits(static_cast<std::size_t>(total), rng);
+    const auto helper = block_ecc.enroll(reference);
+    auto noisy = reference;
+    for (int b = 0; b < block_ecc.block_count(total); ++b) {
+        for (int e = 0; e < code.t(); ++e) {
+            bits::flip(noisy, static_cast<std::size_t>(b * code.k() + e * 3));
+        }
+    }
+    std::vector<std::uint64_t> in(bits::word_count(noisy.size()));
+    std::vector<std::uint64_t> out(in.size());
+    bits::pack_words(noisy, in);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(block_ecc.reconstruct(in, helper, out));
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * total);
+}
+BENCHMARK(BM_BlockEccReconstruct)->Arg(6)->Arg(8);
 
 void BM_FuzzyReconstruct(benchmark::State& state) {
     const ecc::BchCode code(6, 5);

@@ -105,6 +105,53 @@ BitVec unpack_bytes(std::span<const std::uint8_t> bytes, std::size_t nbits) {
     return v;
 }
 
+void pack_words(const BitVec& v, std::span<std::uint64_t> out) {
+    assert(out.size() >= word_count(v.size()));
+    std::fill(out.begin(), out.end(), std::uint64_t{0});
+    for (std::size_t w = 0; w * 64 < v.size(); ++w) {
+        const std::size_t end = std::min(v.size(), w * 64 + 64);
+        std::uint64_t acc = 0;
+        for (std::size_t i = w * 64; i < end; ++i) acc = (acc << 1) | (v[i] != 0 ? 1u : 0u);
+        out[w] = acc << (w * 64 + 64 - end);
+    }
+}
+
+BitVec unpack_words(std::span<const std::uint64_t> words, std::size_t nbits) {
+    assert(nbits <= words.size() * 64);
+    BitVec v(nbits);
+    for (std::size_t i = 0; i < nbits; ++i) v[i] = test_bit(words, i) ? 1 : 0;
+    return v;
+}
+
+namespace {
+
+/// The 64 bits of `src` starting at bit `from`, MSB-aligned (zeros past the end).
+std::uint64_t load64(std::span<const std::uint64_t> src, std::size_t from) {
+    const std::size_t w = from / 64;
+    const unsigned s = static_cast<unsigned>(from % 64);
+    std::uint64_t out = src[w] << s;
+    if (s != 0 && w + 1 < src.size()) out |= src[w + 1] >> (64 - s);
+    return out;
+}
+
+} // namespace
+
+void copy_bits(std::span<const std::uint64_t> src, std::size_t from,
+               std::span<std::uint64_t> dst, std::size_t to, std::size_t len) {
+    assert(from + len <= src.size() * 64 && to + len <= dst.size() * 64);
+    while (len > 0) {
+        // As many bits as fit in the current destination word.
+        const unsigned s = static_cast<unsigned>(to % 64);
+        const std::size_t n = std::min<std::size_t>(len, 64 - s);
+        const std::uint64_t top = n == 64 ? ~std::uint64_t{0} : ~(~std::uint64_t{0} >> n);
+        std::uint64_t& word = dst[to / 64];
+        word = (word & ~(top >> s)) | ((load64(src, from) & top) >> s);
+        from += n;
+        to += n;
+        len -= n;
+    }
+}
+
 std::string to_string(const BitVec& v) {
     std::string s(v.size(), '0');
     for (std::size_t i = 0; i < v.size(); ++i) s[i] = v[i] ? '1' : '0';

@@ -1,10 +1,13 @@
 // Bit-vector utilities shared by every helper-data construction.
 //
 // PUF responses, ECC codewords and helper blobs are all sequences of bits.
-// We represent them as std::vector<uint8_t> with one bit (0/1) per element:
-// simple, debuggable, and fast enough for key-generation-sized vectors
-// (tens to a few thousand bits). Byte packing is provided for hashing and
-// NVM serialization.
+// At API boundaries we represent them as std::vector<uint8_t> with one bit
+// (0/1) per element: simple and debuggable. The per-probe hot paths (BCH
+// parity/syndromes/decode, BlockEcc block assembly, the group PUF's Kendall
+// bits) run on the packed form instead: bit i of a sequence is bit
+// 63 - i % 64 of u64 word i / 64 (MSB-first, the order pack_bytes uses),
+// and bits past the end are zero. pack_words/unpack_words convert between
+// the two; byte packing is provided for hashing and NVM serialization.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +71,31 @@ std::string to_string(const BitVec& v);
 
 /// Parses a '0'/'1' string; throws std::invalid_argument on other characters.
 BitVec from_string(std::string_view s);
+
+/// u64 words needed to hold `nbits` packed bits.
+constexpr std::size_t word_count(std::size_t nbits) { return (nbits + 63) / 64; }
+
+/// Bit `i` of a packed sequence.
+inline bool test_bit(std::span<const std::uint64_t> words, std::size_t i) {
+    return ((words[i / 64] >> (63 - i % 64)) & 1u) != 0;
+}
+
+/// Sets bit `i` of a packed sequence.
+inline void set_bit(std::span<std::uint64_t> words, std::size_t i) {
+    words[i / 64] |= std::uint64_t{1} << (63 - i % 64);
+}
+
+/// Packs `v` into out[0, word_count(v.size())) — any nonzero element is a
+/// 1 — and zeroes the rest of `out`.
+void pack_words(const BitVec& v, std::span<std::uint64_t> out);
+
+/// Unpacks the first `nbits` bits of a packed sequence.
+BitVec unpack_words(std::span<const std::uint64_t> words, std::size_t nbits);
+
+/// Copies bits [from, from + len) of `src` to bits [to, to + len) of `dst`;
+/// every other bit of `dst` is kept.
+void copy_bits(std::span<const std::uint64_t> src, std::size_t from,
+               std::span<std::uint64_t> dst, std::size_t to, std::size_t len);
 
 /// Interprets the vector MSB-first as an unsigned integer (n <= 64 bits).
 std::uint64_t to_u64(const BitVec& v);

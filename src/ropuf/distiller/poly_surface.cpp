@@ -1,5 +1,6 @@
 #include "ropuf/distiller/poly_surface.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -62,17 +63,20 @@ double PolySurface::operator()(double x, double y) const {
     return acc;
 }
 
-std::vector<double> PolySurface::evaluate_grid(const sim::ArrayGeometry& g) const {
+void evaluate_grid(int degree, std::span<const double> beta, const sim::ArrayGeometry& g,
+                   std::span<double> out) {
+    assert(static_cast<int>(beta.size()) == coefficient_count(degree));
+    assert(static_cast<int>(out.size()) == g.count());
     // Term-outer order: every cell still accumulates its terms in operator()'s
     // (i, j) order, each as (beta * x^(i-j)) * y^j from the same pow values,
     // so the sums are bitwise equal while the inner loop runs along a row.
-    const PowerTable& pw = PowerTable::for_geometry(g, degree_);
+    const PowerTable& pw = PowerTable::for_geometry(g, degree);
     const auto cols = static_cast<std::size_t>(g.cols);
-    std::vector<double> out(static_cast<std::size_t>(g.count()), 0.0);
+    std::fill(out.begin(), out.end(), 0.0);
     std::size_t k = 0;
-    for (int i = 0; i <= degree_; ++i) {
+    for (int i = 0; i <= degree; ++i) {
         for (int j = 0; j <= i; ++j, ++k) {
-            const double b = beta_[k];
+            const double b = beta[k];
             const double* xa = pw.x_pow(i - j);
             const double* yb = pw.y_pow(j);
             for (int y = 0; y < g.rows; ++y) {
@@ -82,6 +86,11 @@ std::vector<double> PolySurface::evaluate_grid(const sim::ArrayGeometry& g) cons
             }
         }
     }
+}
+
+std::vector<double> PolySurface::evaluate_grid(const sim::ArrayGeometry& g) const {
+    std::vector<double> out(static_cast<std::size_t>(g.count()));
+    distiller::evaluate_grid(degree_, beta_, g, out);
     return out;
 }
 

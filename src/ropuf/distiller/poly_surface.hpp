@@ -8,6 +8,7 @@
 // *injects* them to overshadow random variation (Section VI-C/D, Fig. 6).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ropuf/sim/geometry.hpp"
@@ -46,6 +47,11 @@ private:
     std::vector<double> x_; // [degree+1][cols]
     std::vector<double> y_; // [degree+1][rows]
 };
+
+/// PolySurface::evaluate_grid for coefficients held elsewhere, into `out`
+/// (g.count() values): the allocation-free form per-probe regeneration uses.
+void evaluate_grid(int degree, std::span<const double> beta, const sim::ArrayGeometry& g,
+                   std::span<double> out);
 
 /// A polynomial surface of fixed degree with dense coefficients.
 class PolySurface {

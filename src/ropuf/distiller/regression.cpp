@@ -93,6 +93,13 @@ std::vector<double> residuals(const sim::ArrayGeometry& g, std::span<const doubl
     return out;
 }
 
+void residuals(const sim::ArrayGeometry& g, std::span<const double> freqs, int degree,
+               std::span<const double> beta, std::span<double> out) {
+    assert(static_cast<int>(freqs.size()) == g.count());
+    evaluate_grid(degree, beta, g, out);
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = freqs[i] - out[i];
+}
+
 double rms(std::span<const double> values) {
     if (values.empty()) return 0.0;
     double acc = 0.0;

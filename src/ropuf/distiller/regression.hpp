@@ -31,6 +31,11 @@ PolySurface fit(const sim::ArrayGeometry& g, std::span<const double> freqs, int 
 std::vector<double> residuals(const sim::ArrayGeometry& g, std::span<const double> freqs,
                               const PolySurface& surface);
 
+/// Same for the degree-`degree` surface with coefficients `beta`, written
+/// to `out` (g.count() values) without allocating.
+void residuals(const sim::ArrayGeometry& g, std::span<const double> freqs, int degree,
+               std::span<const double> beta, std::span<double> out);
+
 /// Root-mean-square of a residual vector (fit-quality metric for the
 /// topology experiment E2).
 double rms(std::span<const double> values);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -12,10 +14,11 @@ namespace ropuf::ecc {
 
 namespace {
 
-// Gf2m caps m at 14, so n < 2^14: a packed word fits 2 KiB and the n-k
-// parity bits fit 256 u64 words.
-constexpr std::size_t kMaxPackedBytes = 2048;
-constexpr std::size_t kMaxParityWords = 256;
+// Gf2m caps m at 14, so n < 2^14: a packed word fits 256 u64s (2 KiB).
+// Scratch arrays of that size are left uninitialized: each function writes
+// every element it reads first, and zeroing 2 KiB per call would cost a
+// tenth or more of a decode.
+constexpr std::size_t kMaxWords = 256;
 
 /// Multiplies two GF(2) polynomials (index i = coeff of x^i).
 std::vector<std::uint8_t> gf2_poly_mul(const std::vector<std::uint8_t>& a,
@@ -74,13 +77,39 @@ BchCode::BchCode(int m, int t) : field_(m), n_(field_.n()), t_(t) {
     if (k_ < 1) {
         throw std::invalid_argument("BCH(m,t): generator degree leaves no message bits");
     }
-    feedback_words_.assign((static_cast<std::size_t>(deg) + 63) / 64, 0);
-    for (int d = 0; d < deg; ++d) {
+    build_parity_table();
+    build_horner_tables();
+}
+
+void BchCode::build_parity_table() {
+    // Row v = v(x) * x^p mod g(x), held left-aligned (coefficient of x^(p-1)
+    // first). Row 1 is x^p mod g(x) = the low terms of g; each further power
+    // of two is one clock of r <- r*x mod g(x) — a word-wise shift left that
+    // feeds back the low terms when x^p pops out — and, by linearity, every
+    // other row is the XOR of its lowest set bit's row and the rest.
+    const int p = parity_bits();
+    const std::size_t pw = bits::word_count(static_cast<std::size_t>(p));
+    parity_tbl_.assign(256 * pw, 0);
+    const auto row = [&](std::size_t v) { return parity_tbl_.data() + v * pw; };
+    for (int d = 0; d < p; ++d) {
         if (generator_[static_cast<std::size_t>(d)]) {
-            feedback_words_[static_cast<std::size_t>(d) / 64] |= std::uint64_t{1} << (d % 64);
+            bits::set_bit(std::span(row(1), pw), static_cast<std::size_t>(p - 1 - d));
         }
     }
-    build_horner_tables();
+    for (std::size_t v = 2; v < 256; v <<= 1) {
+        const std::uint64_t* const half = row(v / 2);
+        std::uint64_t* const r = row(v);
+        for (std::size_t w = 0; w + 1 < pw; ++w) r[w] = (half[w] << 1) | (half[w + 1] >> 63);
+        r[pw - 1] = half[pw - 1] << 1;
+        if (half[0] >> 63) {
+            for (std::size_t w = 0; w < pw; ++w) r[w] ^= row(1)[w];
+        }
+    }
+    for (std::size_t v = 3; v < 256; ++v) {
+        const std::size_t low = v & (~v + 1);
+        if (low == v) continue;
+        for (std::size_t w = 0; w < pw; ++w) row(v)[w] = row(low)[w] ^ row(v ^ low)[w];
+    }
 }
 
 void BchCode::build_horner_tables() {
@@ -153,48 +182,60 @@ bits::BitVec BchCode::encode(const bits::BitVec& message) const {
 
 bits::BitVec BchCode::parity(const bits::BitVec& message) const {
     assert(static_cast<int>(message.size()) == k_);
-    // Systematic encoding: remainder of m(x) * x^(n-k) divided by g(x).
-    // Premultiplied LFSR division circuit: clocking in the k message bits
-    // MSB-first leaves the register = m(x) * x^(n-k) mod g(x). The register
-    // is the remainder as an (n-k)-bit integer (bit d = coeff of x^d) in
-    // little-endian u64 words, so one clock is a word-wise shift and XOR.
-    const int p = parity_bits();
-    const std::size_t words = feedback_words_.size();
-    const int top = (p - 1) % 64; // bit of x^(n-k-1) within the last word
-    const std::uint64_t top_mask = top == 63 ? ~std::uint64_t{0}
-                                             : (std::uint64_t{1} << (top + 1)) - 1;
-    std::array<std::uint64_t, kMaxParityWords> reg{};
-    for (int i = 0; i < k_; ++i) {
-        const std::uint64_t feedback =
-            ((reg[words - 1] >> top) ^ message[static_cast<std::size_t>(i)]) & 1u;
-        // Shift left by one; the popped top bit is masked off below, and the
-        // taps of g(x) are fed back when it differs from the input bit.
-        for (std::size_t w = words - 1; w > 0; --w) reg[w] = (reg[w] << 1) | (reg[w - 1] >> 63);
-        reg[0] <<= 1;
-        const std::uint64_t taps = std::uint64_t{0} - feedback;
-        for (std::size_t w = 0; w < words; ++w) reg[w] ^= feedback_words_[w] & taps;
-        reg[words - 1] &= top_mask;
-    }
-    bits::BitVec rem(static_cast<std::size_t>(p));
-    for (int j = 0; j < p; ++j) {
-        const int d = p - 1 - j;
-        rem[static_cast<std::size_t>(j)] =
-            static_cast<std::uint8_t>((reg[static_cast<std::size_t>(d / 64)] >> (d % 64)) & 1u);
-    }
-    return rem;
+    std::array<std::uint64_t, kMaxWords> msg;
+    std::array<std::uint64_t, kMaxWords> par;
+    bits::pack_words(message, std::span(msg.data(), bits::word_count(message.size())));
+    parity_words(msg, par);
+    return bits::unpack_words(par, static_cast<std::size_t>(parity_bits()));
 }
 
-bool BchCode::syndromes(const bits::BitVec& received, int* s) const {
-    assert(static_cast<int>(received.size()) == n_);
+void BchCode::parity_words(std::span<const std::uint64_t> message,
+                           std::span<std::uint64_t> parity) const {
+    // Systematic encoding: remainder of m(x) * x^p divided by g(x), p = n-k,
+    // one message byte per step as in a table-driven CRC. With the remainder
+    // r held left-aligned, a byte B gives r <- (r << 8) ^ T[top byte of r ^ B]
+    // (T[v] = v(x) * x^p mod g(x)). The message is zero-extended at the front
+    // to whole bytes, which leaves r unchanged; for p < 8 the top byte of r is
+    // r followed by zeros and r << 8 is zero, so the same step holds.
+    const std::size_t pw = bits::word_count(static_cast<std::size_t>(parity_bits()));
+    assert(message.size() >= bits::word_count(static_cast<std::size_t>(k_)));
+    assert(parity.size() >= pw);
+    std::uint64_t* const r = parity.data();
+    std::fill_n(r, pw, std::uint64_t{0});
+    const int pad = (8 - k_ % 8) % 8;
+    int bytes_left = (k_ + pad) / 8;
+    for (std::size_t c = 0; bytes_left > 0; ++c) {
+        // Padded bits [64c, 64c + 64) are message bits [64c - pad, 64c + 64 - pad).
+        std::uint64_t chunk = message[c] >> pad;
+        if (pad != 0 && c > 0) chunk |= message[c - 1] << (64 - pad);
+        const int nb = std::min(bytes_left, 8);
+        bytes_left -= nb;
+        for (int j = 0; j < nb; ++j, chunk <<= 8) {
+            const std::size_t idx = (r[0] >> 56) ^ (chunk >> 56);
+            for (std::size_t w = 0; w + 1 < pw; ++w) r[w] = (r[w] << 8) | (r[w + 1] >> 56);
+            r[pw - 1] <<= 8;
+            const std::uint64_t* const row = parity_tbl_.data() + idx * pw;
+            for (std::size_t w = 0; w < pw; ++w) r[w] ^= row[w];
+        }
+    }
+}
+
+bool BchCode::syndromes(std::span<const std::uint64_t> word, int* s) const {
     // Byte-wise table-driven Horner through the simd kernel layer: 8 bits per
-    // GF(2^m) step instead of one table lookup per set bit. The word is
-    // packed MSB-first (final byte zero-padded) into a stack buffer.
-    std::array<std::uint8_t, kMaxPackedBytes> bytes{};
-    for (std::size_t i = 0; i < received.size(); ++i) {
-        if (received[i]) bytes[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+    // GF(2^m) step instead of one table lookup per set bit. The kernel reads
+    // MSB-first bytes, which on a little-endian host are each packed word
+    // byte-reversed; the pad bits of the final byte are the word's zero tail.
+    const std::size_t nw = bits::word_count(static_cast<std::size_t>(n_));
+    assert(word.size() >= nw);
+    std::array<std::uint8_t, 8 * kMaxWords> bytes;
+    for (std::size_t w = 0; w < nw; ++w) {
+        std::uint64_t be = word[w];
+        if constexpr (std::endian::native == std::endian::little) be = __builtin_bswap64(be);
+        std::memcpy(bytes.data() + 8 * w, &be, sizeof be);
     }
     ROPUF_OBS_COUNT("simd.calls.bch_syndromes", 1);
-    simd::kernels().bch_syndromes(bytes.data(), (received.size() + 7) / 8, horner_view(), s);
+    simd::kernels().bch_syndromes(bytes.data(), (static_cast<std::size_t>(n_) + 7) / 8,
+                                  horner_view(), s);
     bool any = false;
     for (int j = 0; j < 2 * t_; ++j) any |= (s[j] != 0);
     return any;
@@ -202,17 +243,38 @@ bool BchCode::syndromes(const bits::BitVec& received, int* s) const {
 
 BchCode::DecodeResult BchCode::decode(const bits::BitVec& received) const {
     assert(static_cast<int>(received.size()) == n_);
-    // Fixed-capacity scratch for the whole decode: the 2t syndromes, then
-    // three polynomial buffers of capacity 2t+1 (no Berlekamp–Massey
-    // iterate exceeds degree 2t), all zeroed. Small t stays on the stack.
+    const std::size_t nw = bits::word_count(received.size());
+    std::array<std::uint64_t, kMaxWords> word;
+    std::array<std::uint64_t, kMaxWords> before;
+    bits::pack_words(received, std::span(word.data(), nw));
+    std::copy_n(word.begin(), nw, before.begin());
+    const auto r = decode_in_place(std::span(word.data(), nw));
+    DecodeResult out{r.ok, received, r.corrected};
+    // Apply exactly the decoder's flips to the caller's elements.
+    for (std::size_t w = 0; w < nw; ++w) {
+        for (std::uint64_t diff = word[w] ^ before[w]; diff != 0;) {
+            const int bit = std::countl_zero(diff);
+            out.codeword[w * 64 + static_cast<std::size_t>(bit)] ^= 1u;
+            diff &= ~(std::uint64_t{1} << (63 - bit));
+        }
+    }
+    return out;
+}
+
+BchCode::WordDecode BchCode::decode_in_place(std::span<std::uint64_t> word) const {
+    // Fixed-capacity scratch for the whole decode: the 2t syndromes, three
+    // polynomial buffers of capacity 2t+1 (no Berlekamp–Massey iterate
+    // exceeds degree 2t) and the at most t flipped positions, all zeroed.
+    // Small t stays on the stack.
     const int ns = 2 * t_;
     const int cap = ns + 1;
-    const std::size_t need = static_cast<std::size_t>(ns + 3 * cap);
-    std::array<int, 256> stack_buf{};
+    const std::size_t need = static_cast<std::size_t>(ns + 3 * cap + t_);
+    std::array<int, 256> stack_buf;
     std::vector<int> heap_buf;
     if (need > stack_buf.size()) heap_buf.resize(need);
     int* const s = heap_buf.empty() ? stack_buf.data() : heap_buf.data();
-    if (!syndromes(received, s)) return {true, received, 0};
+    std::fill_n(s, need, 0);
+    if (!syndromes(word, s)) return {true, 0};
 
     // Berlekamp–Massey: find the error-locator polynomial sigma(x) with
     // sigma(0) = 1 whose feedback taps annihilate the syndrome sequence.
@@ -257,9 +319,7 @@ BchCode::DecodeResult BchCode::decode(const bits::BitVec& received) const {
     // Trim trailing zeros to get the true degree.
     while (sigma_len > 1 && sigma[sigma_len - 1] == 0) --sigma_len;
     const int degree = sigma_len - 1;
-    if (degree > t_ || degree != l) {
-        return {false, received, 0};
-    }
+    if (degree > t_ || degree != l) return {false, 0};
 
     // Chien search: roots alpha^(-e) of sigma locate errors at x^e. Term i
     // of sigma(alpha^(-e)) is alpha^(log sigma_i - i*e), so each nonzero
@@ -275,8 +335,12 @@ BchCode::DecodeResult BchCode::decode(const bits::BitVec& received) const {
         ++terms;
     }
     const int* const exp = field_.exp_table().data();
-    bits::BitVec corrected = received;
+    int* const flipped = sigma + 3 * cap; // past the three polynomial buffers
     int found = 0;
+    const auto flip = [&](int bit_index) {
+        word[static_cast<std::size_t>(bit_index) / 64] ^= std::uint64_t{1}
+                                                          << (63 - bit_index % 64);
+    };
     for (int e = 0; e < n_ && found < degree; ++e) {
         int value = sigma[0];
         for (int j = 0; j < terms; ++j) {
@@ -286,18 +350,24 @@ BchCode::DecodeResult BchCode::decode(const bits::BitVec& received) const {
         }
         if (value == 0) {
             const int bit_index = n_ - 1 - e;
-            corrected[static_cast<std::size_t>(bit_index)] ^= 1u;
-            ++found;
+            flip(bit_index);
+            flipped[found++] = bit_index;
         }
     }
-    if (found != degree) {
-        return {false, received, 0};
+    // A valid correction must find every root and restore a codeword. By
+    // linearity, flipping the coefficient of x^e adds alpha^(j*e) to S_j, so
+    // the corrected word's syndromes are the received ones plus those terms.
+    bool restored = found == degree;
+    for (int j = 1; restored && j <= ns; ++j) {
+        int value = s[j - 1];
+        for (int i = 0; i < found; ++i) value ^= exp[(j * (n_ - 1 - flipped[i])) % n_];
+        restored = value == 0;
     }
-    // A valid correction must restore a codeword.
-    if (syndromes(corrected, s)) {
-        return {false, received, 0};
+    if (!restored) {
+        for (int i = 0; i < found; ++i) flip(flipped[i]); // back to what was received
+        return {false, 0};
     }
-    return {true, corrected, found};
+    return {true, found};
 }
 
 bits::BitVec BchCode::message_of(const bits::BitVec& codeword) const {
@@ -306,8 +376,12 @@ bits::BitVec BchCode::message_of(const bits::BitVec& codeword) const {
 }
 
 bool BchCode::is_codeword(const bits::BitVec& word) const {
+    assert(static_cast<int>(word.size()) == n_);
+    std::array<std::uint64_t, kMaxWords> packed;
+    const std::span<std::uint64_t> w(packed.data(), bits::word_count(word.size()));
+    bits::pack_words(word, w);
     std::vector<int> s(static_cast<std::size_t>(2 * t_));
-    return !syndromes(word, s.data());
+    return !syndromes(w, s.data());
 }
 
 } // namespace ropuf::ecc

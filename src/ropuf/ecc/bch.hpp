@@ -9,8 +9,13 @@
 // Codeword layout (MSB-first): index i in [0, n) holds the coefficient of
 // x^(n-1-i); the first k bits are the message (systematic), the remaining
 // n-k bits are parity.
+//
+// The codec works on packed u64 words (bits::pack_words layout, bits past
+// the end zero) in fixed stack scratch — n < 2^14 bounds a word at 256 u64s.
+// The BitVec overloads pack, call the one word path and unpack.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
@@ -43,6 +48,11 @@ public:
     /// "ECC redundancy" the attacked constructions store as helper data.
     bits::BitVec parity(const bits::BitVec& message) const;
 
+    /// Word form of parity(): `message` holds the k message bits packed;
+    /// the n-k parity bits are written packed to parity[0, word_count(n-k)).
+    void parity_words(std::span<const std::uint64_t> message,
+                      std::span<std::uint64_t> parity) const;
+
     struct DecodeResult {
         bool ok = false;            ///< decoder produced a codeword
         bits::BitVec codeword;      ///< corrected word (= input when !ok)
@@ -53,6 +63,16 @@ public:
     /// (more than t errors detected); miscorrection to a wrong codeword is
     /// possible when more than t errors occurred, exactly as in hardware.
     DecodeResult decode(const bits::BitVec& received) const;
+
+    struct WordDecode {
+        bool ok = false;   ///< decoder produced a codeword
+        int corrected = 0; ///< number of bit flips applied
+    };
+
+    /// The decoder: `word` holds a received length-n word packed
+    /// (word_count(n) words, bits past n zero) and is corrected in place;
+    /// it is left exactly as received when ok is false.
+    WordDecode decode_in_place(std::span<std::uint64_t> word) const;
 
     /// Extracts the k message bits from a codeword.
     bits::BitVec message_of(const bits::BitVec& codeword) const;
@@ -67,9 +87,12 @@ public:
     simd::BchHornerView horner_view() const;
 
 private:
-    /// Writes syndromes S_1..S_2t of the received word to s[0..2t); returns
-    /// false when all are zero.
-    bool syndromes(const bits::BitVec& received, int* s) const;
+    /// Writes syndromes S_1..S_2t of a packed received word to s[0..2t);
+    /// returns false when all are zero.
+    bool syndromes(std::span<const std::uint64_t> word, int* s) const;
+
+    /// Builds the byte-at-a-time parity division table.
+    void build_parity_table();
 
     /// Builds the byte-wise Horner tables the syndrome kernel consumes.
     void build_horner_tables();
@@ -79,9 +102,9 @@ private:
     int t_;
     int k_;
     std::vector<std::uint8_t> generator_; // GF(2) coefficients, degree n-k
-    // Generator without its leading term as a (n-k)-bit integer, bit d =
-    // coeff of x^d, little-endian u64 words: the parity LFSR's feedback taps.
-    std::vector<std::uint64_t> feedback_words_;
+    // [256][word_count(n-k)]: row v = v(x) * x^(n-k) mod g(x), packed with
+    // the coefficient of x^(n-k-1) first (see parity_words).
+    std::vector<std::uint64_t> parity_tbl_;
 
     // Syndrome kernel tables (see build_horner_tables for the math).
     std::vector<std::uint16_t> horner_byte_tbl_;  // [2t][256]

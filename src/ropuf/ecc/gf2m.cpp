@@ -31,11 +31,12 @@ std::uint32_t primitive_poly_for(int m) {
 } // namespace
 
 Gf2m::Gf2m(int m) : m_(m), size_(1 << m), prim_poly_(primitive_poly_for(m)) {
-    exp_.resize(static_cast<std::size_t>(n()));
+    exp_.resize(2 * static_cast<std::size_t>(n()));
     log_.assign(static_cast<std::size_t>(size_), -1);
     int x = 1;
     for (int e = 0; e < n(); ++e) {
         exp_[static_cast<std::size_t>(e)] = x;
+        exp_[static_cast<std::size_t>(e + n())] = x;
         log_[static_cast<std::size_t>(x)] = e;
         x <<= 1;
         if (x & size_) x ^= static_cast<int>(prim_poly_);

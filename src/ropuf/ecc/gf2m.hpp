@@ -2,9 +2,12 @@
 //
 // Elements are represented in the power basis as integers in [0, 2^m).
 // Multiplication/inversion run through exp/log tables built once per field
-// from a fixed primitive polynomial, so all operations are O(1).
+// from a fixed primitive polynomial, so all operations are O(1). The exp
+// table holds two periods, so a product indexes it by the plain sum of two
+// logs, with no reduction modulo n.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -40,15 +43,20 @@ public:
 
     int mul(int a, int b) const {
         if (a == 0 || b == 0) return 0;
-        return exp_[static_cast<std::size_t>((log_[static_cast<std::size_t>(a)] +
-                                              log_[static_cast<std::size_t>(b)]) % n())];
+        return exp_[static_cast<std::size_t>(log_[static_cast<std::size_t>(a)] +
+                                             log_[static_cast<std::size_t>(b)])];
     }
 
     /// Multiplicative inverse of a nonzero element.
     int inv(int a) const;
 
     /// a / b with b nonzero.
-    int div(int a, int b) const { return mul(a, inv(b)); }
+    int div(int a, int b) const {
+        assert(b != 0);
+        if (a == 0) return 0;
+        return exp_[static_cast<std::size_t>(log_[static_cast<std::size_t>(a)] + n() -
+                                             log_[static_cast<std::size_t>(b)])];
+    }
 
     /// a^e for any integer exponent e >= 0 (0^0 defined as 1).
     int pow(int a, int e) const;
@@ -56,8 +64,8 @@ public:
     /// Evaluates a polynomial with coefficients coeffs[i] of x^i at point x.
     int eval_poly(const std::vector<int>& coeffs, int x) const;
 
-    /// Raw exp table (exp_table()[e] = alpha^e for e in [0, n)); consumed by
-    /// the table-driven syndrome kernel.
+    /// Raw exp table (exp_table()[e] = alpha^e for e in [0, 2n)); consumed
+    /// by the table-driven syndrome kernel.
     const std::vector<int>& exp_table() const { return exp_; }
 
     /// Raw log table (log_table()[x] = log of x for x in [1, 2^m)).
@@ -67,7 +75,7 @@ private:
     int m_;
     int size_;
     std::uint32_t prim_poly_;
-    std::vector<int> exp_; // exp_[e] = alpha^e, e in [0, n)
+    std::vector<int> exp_; // exp_[e] = alpha^e, e in [0, 2n)
     std::vector<int> log_; // log_[x] = e with alpha^e = x, x in [1, 2^m)
 };
 

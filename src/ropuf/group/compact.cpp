@@ -3,25 +3,10 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 #include "ropuf/stats/estimators.hpp"
 
 namespace ropuf::group {
-
-std::uint64_t factorial(int g) {
-    if (g < 0 || g > 20) throw std::invalid_argument("factorial: need 0 <= g <= 20");
-    std::uint64_t f = 1;
-    for (int i = 2; i <= g; ++i) f *= static_cast<std::uint64_t>(i);
-    return f;
-}
-
-int compact_bits(int g) {
-    const std::uint64_t f = factorial(g);
-    int b = 0;
-    while ((1ULL << b) < f) ++b;
-    return b;
-}
 
 std::uint64_t lehmer_rank(const Order& order) {
     const int g = static_cast<int>(order.size());

@@ -11,17 +11,33 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "ropuf/bits/bitvec.hpp"
 #include "ropuf/group/kendall.hpp"
 
 namespace ropuf::group {
 
-/// g! for g <= 20 (fits in 64 bits).
-std::uint64_t factorial(int g);
+/// Largest group whose order rank fits 64 bits (20! < 2^64).
+inline constexpr int kMaxCompactGroup = 20;
+
+/// g! for 0 <= g <= kMaxCompactGroup; throws std::invalid_argument otherwise.
+constexpr std::uint64_t factorial(int g) {
+    if (g < 0 || g > kMaxCompactGroup) {
+        throw std::invalid_argument("factorial: need 0 <= g <= 20");
+    }
+    std::uint64_t f = 1;
+    for (int i = 2; i <= g; ++i) f *= static_cast<std::uint64_t>(i);
+    return f;
+}
 
 /// Bits of the compact representation: ceil(log2(g!)).
-int compact_bits(int g);
+constexpr int compact_bits(int g) {
+    const std::uint64_t f = factorial(g);
+    int b = 0;
+    while ((std::uint64_t{1} << b) < f) ++b;
+    return b;
+}
 
 /// Lexicographic rank of a permutation (Lehmer code).
 std::uint64_t lehmer_rank(const Order& order);

@@ -13,8 +13,8 @@
 // corrected orders into the compact key.
 #pragma once
 
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
@@ -49,7 +49,10 @@ struct GroupPufConfig {
     int ecc_m = 6;
     int ecc_t = 3;
     int enroll_samples = 16;
-    int max_group_size = 12;   ///< guard for the quadratic Kendall workload
+    /// Guard for the quadratic Kendall workload, in [1, kMaxCompactGroup]
+    /// (a larger group's order rank overflows 64 bits); the GroupBasedPuf
+    /// constructor throws std::invalid_argument outside that range.
+    int max_group_size = 12;
     sim::Condition condition;
 };
 
@@ -90,15 +93,12 @@ public:
 
     /// Regeneration from an externally supplied full-array scan — the
     /// batched-oracle path; bit-identical to reconstruct() for the same scan.
+    /// Partition, Kendall bits, ECC and packing run in per-thread scratch:
+    /// past the first probe at a given array size, the returned key is the
+    /// only allocation.
     Reconstruction reconstruct_measured(const GroupPufHelper& helper,
                                         const sim::Condition& condition,
                                         std::span<const double> freqs) const;
-
-    /// Total Kendall bits implied by a group assignment (the ECC input size).
-    static int kendall_bits_of(const std::vector<std::vector<int>>& members);
-
-    /// Packed key length implied by a group assignment.
-    static int key_bits_of(const std::vector<std::vector<int>>& members);
 
     /// Computes the Kendall bit string and the packed key for a given
     /// members partition and residual map — shared by enrollment,
@@ -115,11 +115,15 @@ public:
     const ecc::BchCode& code() const { return code_; }
 
 private:
-    /// The members partition of a helper that passes every check of
-    /// helper_consistent(), or nullopt — one partition serves both the check
-    /// and the regeneration that follows it.
-    std::optional<std::vector<std::vector<int>>> consistent_members(
-        const GroupPufHelper& helper) const;
+    struct Scratch;
+
+    /// Partitions helper.group_of into `scratch` by a counting sort (flat
+    /// member array plus per-group offsets, members ascending) and applies
+    /// every structural check helper_consistent() documents: ids in [1, n]
+    /// and dense, no group above max_group_size, response_bits equal to the
+    /// Kendall length, parity length, inferable degree. False on the first
+    /// failure; nothing is thrown or allocated once the scratch has grown.
+    bool partition(const GroupPufHelper& helper, Scratch& scratch) const;
 
     /// The polynomial degree implied by the coefficient count (-1 = none).
     static int inferred_degree(const GroupPufHelper& helper);
@@ -149,15 +153,15 @@ struct DeviceTraits<group::GroupBasedPuf> {
     static ReconstructResult reconstruct(const group::GroupBasedPuf& puf, const Helper& helper,
                                          const sim::Condition& condition,
                                          rng::Xoshiro256pp& rng) {
-        const auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct(helper, condition, rng);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static ReconstructResult reconstruct_measured(const group::GroupBasedPuf& puf,
                                                   const Helper& helper,
                                                   const sim::Condition& condition,
                                                   std::span<const double> freqs) {
-        const auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct_measured(helper, condition, freqs);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static bool helper_consistent(const group::GroupBasedPuf& puf, const Helper& helper) {
         return puf.helper_consistent(helper);

@@ -247,15 +247,15 @@ struct DeviceTraits<pairing::SeqPairingPuf> {
     static ReconstructResult reconstruct(const pairing::SeqPairingPuf& puf, const Helper& helper,
                                          const sim::Condition& condition,
                                          rng::Xoshiro256pp& rng) {
-        const auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct(helper, condition, rng);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static ReconstructResult reconstruct_measured(const pairing::SeqPairingPuf& puf,
                                                   const Helper& helper,
                                                   const sim::Condition& condition,
                                                   std::span<const double> freqs) {
-        const auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct_measured(helper, condition, freqs);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static bool helper_consistent(const pairing::SeqPairingPuf& puf, const Helper& helper) {
         return puf.helper_consistent(helper);
@@ -294,15 +294,15 @@ struct DeviceTraits<pairing::MaskedChainPuf> {
     static ReconstructResult reconstruct(const pairing::MaskedChainPuf& puf, const Helper& helper,
                                          const sim::Condition& condition,
                                          rng::Xoshiro256pp& rng) {
-        const auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct(helper, condition, rng);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static ReconstructResult reconstruct_measured(const pairing::MaskedChainPuf& puf,
                                                   const Helper& helper,
                                                   const sim::Condition& condition,
                                                   std::span<const double> freqs) {
-        const auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct_measured(helper, condition, freqs);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static bool helper_consistent(const pairing::MaskedChainPuf& puf, const Helper& helper) {
         return puf.helper_consistent(helper);
@@ -357,15 +357,15 @@ struct DeviceTraits<pairing::OverlapChainPuf> {
     static ReconstructResult reconstruct(const pairing::OverlapChainPuf& puf, const Helper& helper,
                                          const sim::Condition& condition,
                                          rng::Xoshiro256pp& rng) {
-        const auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct(helper, condition, rng);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static ReconstructResult reconstruct_measured(const pairing::OverlapChainPuf& puf,
                                                   const Helper& helper,
                                                   const sim::Condition& condition,
                                                   std::span<const double> freqs) {
-        const auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct_measured(helper, condition, freqs);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static bool helper_consistent(const pairing::OverlapChainPuf& puf, const Helper& helper) {
         return puf.helper_consistent(helper);

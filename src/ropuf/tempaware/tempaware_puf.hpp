@@ -26,6 +26,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
@@ -169,15 +170,15 @@ struct DeviceTraits<tempaware::TempAwarePuf> {
     static ReconstructResult reconstruct(const tempaware::TempAwarePuf& puf, const Helper& helper,
                                          const sim::Condition& condition,
                                          rng::Xoshiro256pp& rng) {
-        const auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct(helper, condition, rng);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static ReconstructResult reconstruct_measured(const tempaware::TempAwarePuf& puf,
                                                   const Helper& helper,
                                                   const sim::Condition& condition,
                                                   std::span<const double> freqs) {
-        const auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, rec.key, rec.corrected};
+        auto rec = puf.reconstruct_measured(helper, condition, freqs);
+        return {rec.ok, std::move(rec.key), rec.corrected};
     }
     static bool helper_consistent(const tempaware::TempAwarePuf& puf, const Helper& helper) {
         return puf.helper_consistent(helper);

@@ -10,6 +10,7 @@
 #include "pt_util.hpp"
 #include "ropuf/bits/bitvec.hpp"
 #include "ropuf/ecc/bch.hpp"
+#include "ropuf/ecc/block_ecc.hpp"
 #include "ropuf/ecc/repetition.hpp"
 #include "ropuf/rng/xoshiro.hpp"
 
@@ -17,6 +18,8 @@ namespace {
 
 namespace bits = ropuf::bits;
 using ropuf::ecc::BchCode;
+using ropuf::ecc::BlockEcc;
+using ropuf::ecc::BlockEccHelper;
 using ropuf::ecc::Gf2m;
 using ropuf::ecc::RepetitionCode;
 using ropuf::rng::Xoshiro256pp;
@@ -349,6 +352,157 @@ TEST_P(BchLargeParam, MultiWordParityAndDecodeMatchReference) {
 INSTANTIATE_TEST_SUITE_P(LargeT, BchLargeParam,
                          ::testing::Values(LargeCode{12, 20}, LargeCode{12, 70},
                                            LargeCode{13, 40}, LargeCode{14, 50}));
+
+// ---------------------------------------------------------------------------
+// BlockEcc on packed words against the byte-per-bit block manager it
+// replaced, running on the reference parity and decoder above.
+
+BlockEccHelper reference_block_enroll(const BlockEcc& layout, const bits::BitVec& reference) {
+    const BchCode& code = layout.code();
+    const int total = static_cast<int>(reference.size());
+    const int k = code.k();
+    BlockEccHelper helper;
+    helper.response_bits = total;
+    bits::BitVec message(static_cast<std::size_t>(k));
+    for (int b = 0; b < layout.block_count(total); ++b) {
+        const int len = layout.block_data_bits(total, b);
+        const auto data = reference.begin() + static_cast<std::ptrdiff_t>(b) * k;
+        std::fill_n(message.begin(), k - len, std::uint8_t{0});
+        std::copy_n(data, len, message.begin() + (k - len));
+        const auto parity = reference_parity(code, message);
+        helper.parity.insert(helper.parity.end(), parity.begin(), parity.end());
+    }
+    return helper;
+}
+
+struct BlockTally {
+    int ok = 0;
+    int failed = 0;
+    int virtual_miscorrections = 0; ///< decoder ok, but it set a shortened zero
+};
+
+BlockEcc::Result reference_block_reconstruct(const BlockEcc& layout, const bits::BitVec& noisy,
+                                             const BlockEccHelper& helper, BlockTally& tally) {
+    const BchCode& code = layout.code();
+    const int total = helper.response_bits;
+    const int k = code.k();
+    const int p = code.parity_bits();
+    BlockEcc::Result out;
+    out.ok = true;
+    bits::BitVec word(static_cast<std::size_t>(code.n()));
+    for (int b = 0; b < layout.block_count(total); ++b) {
+        const int len = layout.block_data_bits(total, b);
+        const auto data = noisy.begin() + static_cast<std::ptrdiff_t>(b) * k;
+        std::fill_n(word.begin(), k - len, std::uint8_t{0});
+        std::copy_n(data, len, word.begin() + (k - len));
+        std::copy_n(helper.parity.begin() + static_cast<std::ptrdiff_t>(b) * p, p,
+                    word.begin() + k);
+        for (auto& bit : word) bit = bit != 0 ? 1 : 0; // the decoder reads nonzero as 1
+        const auto result = reference_decode(code, word);
+        const auto first = result.codeword.begin();
+        const bool virtual_set =
+            std::any_of(first, first + (k - len), [](std::uint8_t v) { return v != 0; });
+        if (result.ok && virtual_set) ++tally.virtual_miscorrections;
+        if (!result.ok || virtual_set) {
+            out.ok = false;
+            ++out.failed_blocks;
+            ++tally.failed;
+            out.value.insert(out.value.end(), data, data + len);
+            continue;
+        }
+        ++tally.ok;
+        out.corrected += result.corrected;
+        out.value.insert(out.value.end(), first + (k - len), first + k);
+    }
+    return out;
+}
+
+/// Response lengths: one bit, a short single block, exact multiples of k
+/// and shortened final blocks of several lengths.
+std::vector<int> response_lengths(int k, int max_blocks) {
+    std::vector<int> out{1, std::max(1, k / 3), k};
+    for (int blocks = 2; blocks <= max_blocks; ++blocks) {
+        out.push_back((blocks - 1) * k + 1);
+        out.push_back((blocks - 1) * k + k / 2);
+        out.push_back(blocks * k);
+    }
+    return out;
+}
+
+/// Enrolls random responses, then reconstructs under 0..t+3 errors per
+/// block — spread over data and stored parity — and under forged parity;
+/// the word path must equal the reference helper and Result field for field.
+void expect_block_ecc_matches_reference(const BchCode& code, int max_blocks, int rounds,
+                                        std::uint64_t seed, BlockTally& tally) {
+    const BlockEcc layout(code);
+    Xoshiro256pp rng(seed);
+    const int t = code.t();
+    const int p = code.parity_bits();
+    for (const int total : response_lengths(code.k(), max_blocks)) {
+        for (int round = 0; round < rounds; ++round) {
+            const auto reference = bits::random_bits(static_cast<std::size_t>(total), rng);
+            const auto helper = layout.enroll(reference);
+            ASSERT_EQ(helper.response_bits, total);
+            ASSERT_EQ(helper.parity, reference_block_enroll(layout, reference).parity)
+                << "enroll, " << total << " bits";
+            auto noisy = reference;
+            auto forged = helper;
+            for (int b = 0; b < layout.block_count(total); ++b) {
+                const int len = layout.block_data_bits(total, b);
+                const int errors = std::min(static_cast<int>(rng.uniform_u64(0, t + 3)), len + p);
+                // Distinct positions over [data | parity] of this block.
+                bits::BitVec block_err(static_cast<std::size_t>(len + p), 0);
+                bits::flip_random(block_err, errors, rng);
+                for (int i = 0; i < len + p; ++i) {
+                    if (!block_err[static_cast<std::size_t>(i)]) continue;
+                    if (i < len) {
+                        bits::flip(noisy, static_cast<std::size_t>(b * code.k() + i));
+                    } else {
+                        bits::flip(forged.parity, static_cast<std::size_t>(b * p + i - len));
+                    }
+                }
+            }
+            if (round % 4 == 3) forged.parity = bits::random_bits(forged.parity.size(), rng);
+            if (round % 8 == 5) forged.parity[0] = 2; // a non-binary element reads as 1
+            const auto got = layout.reconstruct(noisy, forged);
+            const auto want = reference_block_reconstruct(layout, noisy, forged, tally);
+            ASSERT_EQ(got.ok, want.ok) << total << " bits, round " << round;
+            ASSERT_EQ(got.value, want.value) << total << " bits, round " << round;
+            ASSERT_EQ(got.corrected, want.corrected) << total << " bits, round " << round;
+            ASSERT_EQ(got.failed_blocks, want.failed_blocks) << total << " bits, round " << round;
+        }
+    }
+}
+
+TEST_P(BchParam, BlockEccMatchesByteReference) {
+    const auto [m, t, expected_k] = GetParam();
+    const BchCode code(m, t);
+    BlockTally tally;
+    expect_block_ecc_matches_reference(code, 3, 24, 90 + static_cast<std::uint64_t>(m * 16 + t),
+                                       tally);
+    EXPECT_GT(tally.ok, 0);
+    EXPECT_GT(tally.failed, 0);
+}
+
+TEST_P(BchLargeParam, BlockEccMatchesByteReference) {
+    const auto [m, t] = GetParam();
+    const BchCode code(m, t);
+    BlockTally tally;
+    expect_block_ecc_matches_reference(code, 2, 4, 110 + static_cast<std::uint64_t>(m), tally);
+    EXPECT_GT(tally.ok, 0);
+    EXPECT_GT(tally.failed, 0);
+}
+
+TEST(BlockEccWords, ShortParityAndVirtualZeroMiscorrection) {
+    // BCH(7,4,1) has 3 parity bits (fewer than a byte). Two errors in a
+    // 1-bit shortened block often "correct" a virtual zero, which BlockEcc
+    // must report as a failed block.
+    const BchCode code(3, 1);
+    BlockTally tally;
+    expect_block_ecc_matches_reference(code, 4, 200, 120, tally);
+    EXPECT_GT(tally.ok, 0);
+    EXPECT_GT(tally.virtual_miscorrections, 0);
+}
 
 TEST(Repetition, EncodeDecodeMajority) {
     const RepetitionCode rep(5);

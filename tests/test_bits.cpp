@@ -1,6 +1,8 @@
 // Unit tests for the bit-vector utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ropuf/bits/bitvec.hpp"
 
 namespace {
@@ -98,6 +100,49 @@ TEST(BitVec, BiasEdgeCases) {
     EXPECT_EQ(bias({}), 0.0);
     EXPECT_EQ(bias(ones(10)), 1.0);
     EXPECT_EQ(bias(zeros(10)), 0.0);
+}
+
+TEST(PackedWords, LayoutMatchesPackBytes) {
+    // Word w holds bytes 8w..8w+7 of pack_bytes, most significant first.
+    Xoshiro256pp rng(31);
+    for (const std::size_t n : {1u, 7u, 63u, 64u, 65u, 130u, 200u}) {
+        const auto v = random_bits(n, rng);
+        std::vector<std::uint64_t> words(word_count(n) + 1, ~std::uint64_t{0});
+        pack_words(v, words);
+        EXPECT_EQ(words.back(), 0u) << n; // the spare word is zeroed
+        const auto bytes = pack_bytes(v);
+        for (std::size_t b = 0; b < bytes.size(); ++b) {
+            EXPECT_EQ((words[b / 8] >> (56 - 8 * (b % 8))) & 0xffu, bytes[b]) << n;
+        }
+        EXPECT_EQ(unpack_words(words, n), v);
+        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(test_bit(words, i), v[i] != 0);
+    }
+    BitVec nonbinary{0, 2, 1, 255};
+    std::vector<std::uint64_t> w(1);
+    pack_words(nonbinary, w);
+    EXPECT_EQ(to_string(unpack_words(w, 4)), "0111");
+}
+
+TEST(PackedWords, CopyBitsMatchesElementCopy) {
+    Xoshiro256pp rng(32);
+    for (int trial = 0; trial < 500; ++trial) {
+        const auto src = random_bits(1 + rng.uniform_u64(0, 300), rng);
+        auto dst = random_bits(1 + rng.uniform_u64(0, 300), rng);
+        const std::size_t from = rng.uniform_u64(0, src.size() - 1);
+        const std::size_t to = rng.uniform_u64(0, dst.size() - 1);
+        const std::size_t len =
+            rng.uniform_u64(0, std::min(src.size() - from, dst.size() - to));
+        std::vector<std::uint64_t> s(word_count(src.size()));
+        std::vector<std::uint64_t> d(word_count(dst.size()));
+        pack_words(src, s);
+        pack_words(dst, d);
+        copy_bits(s, from, d, to, len);
+        std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(from), len,
+                    dst.begin() + static_cast<std::ptrdiff_t>(to));
+        ASSERT_EQ(unpack_words(d, dst.size()), dst) << "trial " << trial;
+        // Bits past the end stay zero.
+        for (std::size_t i = dst.size(); i < d.size() * 64; ++i) ASSERT_FALSE(test_bit(d, i));
+    }
 }
 
 } // namespace

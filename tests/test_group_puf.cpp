@@ -1,6 +1,12 @@
 // Group-based RO PUF pipeline tests (paper Fig. 4).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
+
+#include "ropuf/distiller/regression.hpp"
 #include "ropuf/group/group_puf.hpp"
 
 namespace {
@@ -170,6 +176,251 @@ TEST(GroupPuf, HigherDistillerDegreeAlsoWorks) {
     const auto rec = puf.reconstruct(enrollment.helper, rng);
     EXPECT_TRUE(rec.ok);
     EXPECT_EQ(rec.key, enrollment.key);
+}
+
+/// Regroups a helper into one group of the first `size` ROs plus singletons,
+/// with the all-zero Kendall reference as parity (singletons carry no bits).
+void one_big_group(GroupPufHelper& helper, int size, const ropuf::ecc::BchCode& code) {
+    for (std::size_t i = 0; i < helper.group_of.size(); ++i) {
+        const int ro = static_cast<int>(i);
+        helper.group_of[i] = ro < size ? 1 : ro - size + 2;
+    }
+    helper.ecc = ropuf::ecc::BlockEcc(code).enroll(
+        bits::zeros(static_cast<std::size_t>(kendall_bits(size))));
+}
+
+TEST(GroupPuf, MaxGroupSizeMustFitTheCompactCode) {
+    // 21! overflows the 64-bit order rank: such a group would make
+    // compact_bits throw out of enrollment or out of a forged probe.
+    const RoArray arr({10, 4}, quiet_params(), 227);
+    for (const int bad : {-1, 0, 21, 64}) {
+        GroupPufConfig cfg = test_config();
+        cfg.max_group_size = bad;
+        EXPECT_THROW(GroupBasedPuf(arr, cfg), std::invalid_argument) << bad;
+    }
+    GroupPufConfig cfg = test_config();
+    cfg.max_group_size = 20;
+    const GroupBasedPuf puf(arr, cfg);
+    Xoshiro256pp rng(228);
+    auto helper = puf.enroll(rng).helper;
+    // A forged 20-RO group regenerates without throwing; a 21-RO group is refused.
+    one_big_group(helper, 20, puf.code());
+    EXPECT_TRUE(puf.helper_consistent(helper));
+    EXPECT_NO_THROW(puf.reconstruct(helper, rng));
+    one_big_group(helper, 21, puf.code());
+    EXPECT_FALSE(puf.helper_consistent(helper));
+    EXPECT_FALSE(puf.reconstruct(helper, rng).ok);
+}
+
+// ---------------------------------------------------------------------------
+// Flat regeneration against the per-group-vector reference: the device as
+// it was built before the flat partition — members_from_assignment,
+// encode_groups, BlockEcc over BitVecs, kendall_decode_exact and
+// compact_encode.
+
+enum class Outcome { Inconsistent, EccFailed, NotAnOrder, Ok };
+
+struct Regen {
+    Outcome outcome = Outcome::Inconsistent;
+    GroupBasedPuf::Reconstruction rec;
+};
+
+Regen reference_regen(const GroupBasedPuf& puf, const GroupPufHelper& helper,
+                      std::span<const double> freqs) {
+    Regen out;
+    if (static_cast<int>(helper.group_of.size()) != puf.array().count()) return out;
+    std::vector<std::vector<int>> members;
+    try {
+        members = members_from_assignment(helper.group_of);
+    } catch (const std::invalid_argument&) {
+        return out;
+    }
+    for (const auto& m : members) {
+        if (static_cast<int>(m.size()) > puf.config().max_group_size) return out;
+    }
+    int total = 0;
+    for (const auto& m : members) total += kendall_bits(static_cast<int>(m.size()));
+    const ropuf::ecc::BlockEcc block_ecc(puf.code());
+    if (helper.ecc.response_bits != total) return out;
+    if (static_cast<int>(helper.ecc.parity.size()) != block_ecc.helper_bits(total)) return out;
+    int degree = -1;
+    for (int d = 0; d <= 16 && degree < 0; ++d) {
+        if (ropuf::distiller::coefficient_count(d) == static_cast<int>(helper.beta.size())) {
+            degree = d;
+        }
+    }
+    if (degree < 0) return out;
+    out.outcome = Outcome::EccFailed;
+    const ropuf::distiller::PolySurface surface(degree, helper.beta);
+    const auto resid = ropuf::distiller::residuals(puf.array().geometry(), freqs, surface);
+    const auto noisy = GroupBasedPuf::encode_groups(members, resid);
+    const auto rec = block_ecc.reconstruct(noisy.kendall, helper.ecc);
+    if (!rec.ok) return out;
+    out.outcome = Outcome::NotAnOrder;
+    bits::BitVec key;
+    std::size_t cursor = 0;
+    for (const auto& group : members) {
+        const int g = static_cast<int>(group.size());
+        const auto kb = static_cast<std::size_t>(kendall_bits(g));
+        const auto order = kendall_decode_exact(bits::slice(rec.value, cursor, kb), g);
+        cursor += kb;
+        if (!order) return out;
+        const auto packed = compact_encode(*order);
+        key.insert(key.end(), packed.begin(), packed.end());
+    }
+    out.outcome = Outcome::Ok;
+    out.rec = {true, key, rec.corrected};
+    return out;
+}
+
+/// Checks the flat device against the reference on one helper and scan;
+/// returns the reference outcome.
+Outcome expect_same_regen(const GroupBasedPuf& puf, const GroupPufHelper& helper,
+                          std::span<const double> freqs, const std::string& what) {
+    const auto want = reference_regen(puf, helper, freqs);
+    EXPECT_EQ(puf.helper_consistent(helper), want.outcome != Outcome::Inconsistent) << what;
+    const auto got = puf.reconstruct_measured(helper, puf.config().condition, freqs);
+    EXPECT_EQ(got.ok, want.rec.ok) << what;
+    EXPECT_EQ(got.key, want.rec.key) << what;
+    EXPECT_EQ(got.corrected, want.rec.corrected) << what;
+    return want.outcome;
+}
+
+/// Reassigns the helper's ROs to a random partition: groups of 1..max_size
+/// with dense ids, members scattered over the array.
+void random_partition(GroupPufHelper& helper, int max_size, Xoshiro256pp& rng) {
+    const std::size_t n = helper.group_of.size();
+    std::vector<std::size_t> ros(n);
+    std::iota(ros.begin(), ros.end(), std::size_t{0});
+    for (std::size_t i = n - 1; i > 0; --i) std::swap(ros[i], ros[rng.uniform_u64(0, i)]);
+    int id = 0;
+    for (std::size_t at = 0; at < n;) {
+        const std::size_t size =
+            std::min(n - at, 1 + rng.uniform_u64(0, static_cast<std::uint64_t>(max_size - 1)));
+        ++id;
+        for (std::size_t i = at; i < at + size; ++i) helper.group_of[ros[i]] = id;
+        at += size;
+    }
+}
+
+TEST(GroupRegenEquivalence, RandomAndForgedHelpersMatchReference) {
+    const RoArray arr({10, 4}, quiet_params(), 229);
+    const GroupBasedPuf puf(arr, test_config());
+    const ropuf::ecc::BlockEcc block_ecc(puf.code());
+    const int n = arr.count();
+    Xoshiro256pp rng(230);
+    const auto enrollment = puf.enroll(rng);
+    const auto scan = [&] { return arr.measure_all(puf.config().condition, rng); };
+    int tally[4] = {0, 0, 0, 0};
+    const auto check = [&](const GroupPufHelper& h, const std::vector<double>& freqs,
+                           const std::string& what) {
+        ++tally[static_cast<int>(expect_same_regen(puf, h, freqs, what))];
+    };
+
+    // The enrolled helper, and honest regeneration under fresh noise.
+    for (int i = 0; i < 20; ++i) check(enrollment.helper, scan(), "enrolled");
+
+    // Random partitions with matching, random or noisy parity.
+    for (int i = 0; i < 300; ++i) {
+        GroupPufHelper h = enrollment.helper;
+        random_partition(h, puf.config().max_group_size, rng);
+        const auto freqs = scan();
+        const auto resid = ropuf::distiller::residuals(
+            arr.geometry(), freqs, ropuf::distiller::PolySurface(2, h.beta));
+        const auto kendall =
+            GroupBasedPuf::encode_groups(members_from_assignment(h.group_of), resid).kendall;
+        h.ecc = block_ecc.enroll(kendall);
+        // Parity flips past t drive miscorrection, often into codes that are
+        // no total order.
+        const int flips = static_cast<int>(rng.uniform_u64(0, 6));
+        for (int f = 0; f < flips; ++f) {
+            bits::flip(h.ecc.parity, rng.uniform_u64(0, h.ecc.parity.size() - 1));
+        }
+        check(h, freqs, "random partition, " + std::to_string(flips) + " parity flips");
+        h.ecc.parity = bits::random_bits(h.ecc.parity.size(), rng);
+        check(h, freqs, "random partition, random parity");
+    }
+
+    // Structural forgeries, one field at a time.
+    const auto forged = [&](auto&& edit, const std::string& what) {
+        GroupPufHelper h = enrollment.helper;
+        edit(h);
+        check(h, scan(), what);
+    };
+    forged([](GroupPufHelper& h) { h.group_of[3] = 0; }, "id 0");
+    forged([](GroupPufHelper& h) { h.group_of[3] = -7; }, "negative id");
+    forged([&](GroupPufHelper& h) { h.group_of[3] = n + 1; }, "id > n");
+    forged([&](GroupPufHelper& h) { h.group_of[3] = n; }, "id n leaves gaps");
+    forged([](GroupPufHelper& h) {
+        const int top = *std::max_element(h.group_of.begin(), h.group_of.end());
+        for (auto& id : h.group_of) {
+            if (id == 1) id = top + 1; // group 1 emptied: a gap at the front
+        }
+    }, "gap at id 1");
+    forged([](GroupPufHelper& h) { h.group_of.pop_back(); }, "assignment too short");
+    forged([](GroupPufHelper& h) { h.group_of.push_back(1); }, "assignment too long");
+    forged([&](GroupPufHelper& h) { one_big_group(h, 13, puf.code()); }, "oversized group");
+    forged([&](GroupPufHelper& h) { one_big_group(h, 12, puf.code()); }, "group at the size limit");
+    forged([](GroupPufHelper& h) { ++h.ecc.response_bits; }, "response_bits + 1");
+    forged([](GroupPufHelper& h) { --h.ecc.response_bits; }, "response_bits - 1");
+    forged([](GroupPufHelper& h) { h.ecc.parity.push_back(0); }, "parity too long");
+    forged([](GroupPufHelper& h) { h.ecc.parity.pop_back(); }, "parity too short");
+    forged([](GroupPufHelper& h) { h.ecc.parity[0] = 2; }, "non-binary parity element");
+    for (const std::size_t count : {0u, 2u, 4u, 5u, 7u, 11u}) {
+        forged([&](GroupPufHelper& h) { h.beta.assign(count, 0.0); },
+               std::to_string(count) + " coefficients");
+    }
+    forged([](GroupPufHelper& h) { h.beta.assign(10, 0.0); h.beta[0] = h.beta[1] = 1.0; },
+           "degree-3 coefficients");
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {inf, -inf, nan}) {
+        for (std::size_t at : {0u, 2u, 5u}) {
+            forged([&](GroupPufHelper& h) { h.beta[at] = bad; },
+                   "beta[" + std::to_string(at) + "] = " + std::to_string(bad));
+        }
+    }
+
+    // Exact residual ties: a zero surface over a scan rounded to whole MHz
+    // leaves many equal residuals, ordered by label.
+    for (int i = 0; i < 20; ++i) {
+        GroupPufHelper h = enrollment.helper;
+        random_partition(h, puf.config().max_group_size, rng);
+        h.beta.assign(1, 0.0);
+        auto freqs = scan();
+        for (auto& f : freqs) f = std::round(f / 4.0);
+        const auto kendall = GroupBasedPuf::encode_groups(members_from_assignment(h.group_of),
+                                                          freqs).kendall;
+        h.ecc = block_ecc.enroll(kendall);
+        check(h, freqs, "residual ties");
+    }
+
+    // Every outcome was reached, including ECC miscorrection into a code
+    // that is no total order.
+    for (int o = 0; o < 4; ++o) EXPECT_GT(tally[o], 0) << "outcome " << o;
+}
+
+TEST(GroupRegenEquivalence, GroupsUpToTwentyMatchReference) {
+    GroupPufConfig cfg = test_config();
+    cfg.max_group_size = 20;
+    const RoArray arr({16, 8}, quiet_params(), 231);
+    const GroupBasedPuf puf(arr, cfg);
+    const ropuf::ecc::BlockEcc block_ecc(puf.code());
+    Xoshiro256pp rng(232);
+    const auto enrollment = puf.enroll(rng);
+    for (int i = 0; i < 60; ++i) {
+        GroupPufHelper h = enrollment.helper;
+        random_partition(h, 20, rng);
+        const auto freqs = arr.measure_all(cfg.condition, rng);
+        const auto resid = ropuf::distiller::residuals(
+            arr.geometry(), freqs, ropuf::distiller::PolySurface(2, h.beta));
+        h.ecc = block_ecc.enroll(
+            GroupBasedPuf::encode_groups(members_from_assignment(h.group_of), resid).kendall);
+        for (int f = static_cast<int>(rng.uniform_u64(0, 4)); f > 0; --f) {
+            bits::flip(h.ecc.parity, rng.uniform_u64(0, h.ecc.parity.size() - 1));
+        }
+        expect_same_regen(puf, h, freqs, "groups up to 20, case " + std::to_string(i));
+    }
 }
 
 } // namespace
