@@ -38,6 +38,14 @@ const Scenario* ScenarioRegistry::find(std::string_view name) const {
     return nullptr;
 }
 
+const Scenario& ScenarioRegistry::at(std::string_view name) const {
+    const Scenario* scenario = find(name);
+    if (scenario == nullptr) {
+        throw std::out_of_range(unknown_name_message("attack scenario", name, names()));
+    }
+    return *scenario;
+}
+
 std::vector<std::string> ScenarioRegistry::names() const {
     std::vector<std::string> out;
     out.reserve(scenarios_.size());
@@ -58,12 +66,7 @@ AttackReport run_scenario(const Scenario& scenario, const ScenarioParams& params
 }
 
 AttackReport AttackEngine::run(std::string_view name, const ScenarioParams& params) const {
-    const Scenario* scenario = registry_->find(name);
-    if (scenario == nullptr) {
-        throw std::out_of_range(
-            unknown_name_message("attack scenario", name, registry_->names()));
-    }
-    return run_scenario(*scenario, params);
+    return run_scenario(registry_->at(name), params);
 }
 
 std::string_view to_string(AttackOutcome outcome) {

@@ -121,6 +121,8 @@ public:
     void add_or_replace(Scenario scenario);
 
     const Scenario* find(std::string_view name) const;
+    /// The scenario `name`; throws std::out_of_range for unknown names.
+    const Scenario& at(std::string_view name) const;
     const std::vector<Scenario>& scenarios() const { return scenarios_; }
     std::vector<std::string> names() const;
     std::size_t size() const { return scenarios_.size(); }

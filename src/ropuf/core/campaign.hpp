@@ -43,11 +43,11 @@ struct CampaignConfig {
     ScenarioParams base;          ///< shared scenario knobs (seed is overridden per trial)
     bool keep_reports = true;     ///< retain the per-trial reports in the summary
 
-    // Fault-injection seam (chaos testing). When set, every trial worker
-    // consults the injector before running its trial; a fired trial_throw
-    // rule surfaces through the runner's normal worker-exception rethrow.
-    // Decisions key on (job index, trial, attempt), so they are independent
-    // of worker scheduling.
+    // Fault-injection seam (chaos testing). When set, run_trial consults
+    // the injector before running its trial; a fired trial_throw rule
+    // throws out of run_trial like any scenario failure. Decisions key on
+    // (job index, trial, attempt), so they are independent of worker
+    // scheduling.
     const fi::Injector* injector = nullptr;
     int fi_job_index = 0; ///< plan job index for injector decisions
     int fi_attempt = 1;   ///< executor attempt number (1-based)
@@ -111,7 +111,7 @@ public:
 
     /// The registered scenario `name`; throws std::out_of_range for
     /// unknown names.
-    const Scenario& scenario(std::string_view name) const;
+    const Scenario& scenario(std::string_view name) const { return registry_->at(name); }
 
     /// Runs `trials` independent instances of one scenario on
     /// core::parallel_for; throws std::out_of_range for unknown names. The
@@ -125,7 +125,7 @@ private:
 };
 
 /// One campaign trial, the body every trial runs through — whether
-/// CampaignRunner::run or the xp executor's plan-wide pool schedules it: the
+/// CampaignRunner::run or an attempt at an xp job schedules it: the
 /// fi trial_probe seam, the `trial` span around the scenario run with
 /// `seed`, and the campaign.trials / campaign.trial_wall_ms metrics.
 AttackReport run_trial(const Scenario& scenario, const CampaignConfig& config,

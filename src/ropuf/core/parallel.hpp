@@ -1,6 +1,7 @@
 // The worker pool: one for every scheduler in the repo — the trials of a
-// whole xp plan (xp::execute_plan), campaign trials (CampaignRunner) and
-// fleet shards (fleet::run_fleet_campaign).
+// whole xp plan (xp::execute_plan) and of a retried job's next attempt,
+// campaign trials (CampaignRunner) and fleet shards
+// (fleet::run_fleet_campaign).
 //
 // Items are claimed through one shared atomic cursor. The item list is
 // fixed before any worker starts and never grows, so a single fetch_add

@@ -8,7 +8,7 @@
 //   torn_write(every=3)             every 3rd append writes half a line, then fails
 //   job_throw(ids=1|4,times=0)      throw inside the per-job call seam
 //   job_hang(ids=2,ms=400,times=1)  sleep ms before the job runs (watchdog bait)
-//   trial_throw(ids=0,p=0.5)        throw inside a CampaignRunner trial worker
+//   trial_throw(ids=0,p=0.5)        throw inside core::run_trial, before a trial runs
 //   worker_abort(after=2)           stop dispatching after 2 completed jobs
 //                                   (a crash-equivalent early exit)
 //
@@ -43,7 +43,7 @@ enum class FaultPoint {
     torn_write,       ///< ResultWriter::append writes a torn half-line, then fails
     job_throw,        ///< executor per-job seam throws
     job_hang,         ///< executor per-job seam sleeps (watchdog/timeout bait)
-    trial_throw,      ///< CampaignRunner trial worker throws
+    trial_throw,      ///< core::run_trial throws before its trial runs
     worker_abort,     ///< executor stops dispatching (crash-equivalent exit)
 };
 

@@ -56,8 +56,10 @@ public:
     /// otherwise returns the injected hang in milliseconds (0 = none).
     int job_fault(int job_index, int attempt) const;
 
-    /// CampaignRunner worker seam, called before trial `trial` runs. Throws
-    /// InjectedFault when a trial_throw rule fires.
+    /// Per-trial seam, called by core::run_trial before trial `trial` of
+    /// attempt `attempt` runs — on whichever pool runs it: the xp plan's,
+    /// a retry's or CampaignRunner::run's. Throws InjectedFault when a
+    /// trial_throw rule fires.
     void trial_probe(int job_index, int trial, int attempt) const;
 
     /// Executor dispatch seam: true once `completed_jobs` reaches a

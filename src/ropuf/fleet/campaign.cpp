@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "ropuf/core/errors.hpp"
@@ -266,11 +268,10 @@ FleetRunStats run_fleet_campaign(const Population& population,
         reg->add(reg->counter("xp.jobs_skipped"), static_cast<double>(stats.skipped));
     }
 
-    const int workers = std::max(1, options.workers);
+    const int workers = core::resolve_workers(options.workers);
     Committer committer(writer, stats, spec.trials, options.retry);
     const std::string hash = fleet_spec_hash(spec);
     std::atomic<bool> sigint_seen{false};
-    // Declared after everything its abandoned attempts reference.
     xp::AttemptRunner attempts(options.retry, options.injector, options.stop);
 
     // Slot i of `pending` is the reorder-buffer slot, so output bytes land
@@ -278,32 +279,41 @@ FleetRunStats run_fleet_campaign(const Population& population,
     core::parallel_for(pending.size(), workers, [&](std::size_t i) {
         const std::uint64_t shard = pending[i];
         const auto t0 = std::chrono::steady_clock::now();
-        xp::Retried<ShardOutcome> r;
-        r.stopped = options.stop != nullptr && options.stop->load();
-        if (!r.stopped) {
-            r = attempts.run(static_cast<int>(shard), [&population, &enrollment, shard](int) {
-                obs::JsonWriter args;
-                if (obs::trace() != nullptr)
-                    args.begin_object().key("shard").integer(shard).end_object();
-                const obs::Span span("fleet.shard", args.release());
-                return run_shard(population, enrollment, shard);
-            });
+        using Next = xp::AttemptRunner::Next;
+        auto next = options.stop != nullptr && options.stop->load() ? Next::stop : Next::retry;
+        int attempt = 0;
+        std::optional<core::JobError> error;
+        // An abandoned attempt writes into its own outcome, never into `o`.
+        std::shared_ptr<ShardOutcome> out;
+        if (next != Next::stop) {
+            do {
+                out = std::make_shared<ShardOutcome>();
+                error = attempts.run_once(
+                    static_cast<int>(shard), ++attempt, /*job_seam=*/true,
+                    std::chrono::steady_clock::now(), [out, &population, &enrollment, shard] {
+                        obs::JsonWriter args;
+                        if (obs::trace() != nullptr)
+                            args.begin_object().key("shard").integer(shard).end_object();
+                        const obs::Span span("fleet.shard", args.release());
+                        *out = run_shard(population, enrollment, shard);
+                    });
+            } while (error && (next = attempts.after_failure(attempt, *error)) == Next::retry);
         }
-        if (r.stopped) {
+        if (next == Next::stop) {
             // SIGINT: stop dispatch; the slot commits empty so shards that
             // already ran still land in order.
             sigint_seen.store(true);
             committer.commit(i, nullptr);
             return;
         }
-        ShardOutcome o = r.ok ? std::move(r.value) : shard_identity(spec, shard);
-        o.attempts = r.count;
-        o.failed = !r.ok;
-        o.error = std::move(r.error);
+        ShardOutcome o = error ? shard_identity(spec, shard) : std::move(*out);
+        o.attempts = attempt;
+        o.failed = error.has_value();
+        if (error) o.error = std::move(*error);
         o.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-        if (r.ok) {
+        if (!o.failed) {
             ROPUF_OBS_COUNT("xp.jobs_done", 1);
             ROPUF_OBS_COUNT("fleet.shards_done", 1);
             ROPUF_OBS_COUNT("fleet.devices_done", o.device_count);

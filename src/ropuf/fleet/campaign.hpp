@@ -22,11 +22,12 @@
 // The {1, 2, 8}-worker and hang-skew pins in tests/test_fleet.cpp hold
 // the property.
 //
-// Fault tolerance is xp's, not a copy of it: each shard runs under
-// xp::AttemptRunner with the run's xp::RetryPolicy — the fi job seams
-// (job_hang / job_throw keyed on shard index), the watchdog, classified
-// retries with backoff, and a quarantine record (`outcome:"job_failed"`)
-// once the budget is spent, which resume retries. Records append through
+// Fault tolerance is xp's, not a copy of it: each shard's attempts run
+// through the same xp::AttemptRunner loop as an xp job's, under the run's
+// xp::RetryPolicy — the fi job seams (job_hang / job_throw keyed on shard
+// index), the watchdog, classified retries with backoff, and a quarantine
+// record (`outcome:"job_failed"`) once the budget is spent, which resume
+// retries. Records append through
 // xp::append_with_retry, so a store fault is retried and fatal past the
 // budget. SIGINT stops dispatch between shards and the run stays
 // resumable.
@@ -49,7 +50,7 @@ class Injector;
 namespace ropuf::fleet {
 
 struct FleetCampaignOptions {
-    int workers = 1;
+    int workers = 0; ///< pool threads; 0 = hardware concurrency (core::resolve_workers)
     /// Dispatch at most this many not-yet-done shards (< 0 = all): the
     /// deterministic interruption knob resume tests drive.
     long long max_shards = -1;

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "ropuf/core/campaign.hpp"
@@ -61,6 +62,9 @@ AttemptRunner::~AttemptRunner() {
 std::optional<core::JobError> AttemptRunner::run_once(
     int job_index, int attempt, bool job_seam, std::chrono::steady_clock::time_point started,
     std::function<void()> work) {
+    obs::JsonWriter args;
+    if (obs::trace() != nullptr) args.begin_object().key("attempt").integer(attempt).end_object();
+    const obs::Span attempt_span("attempt", args.release());
     auto guarded = [injector = job_seam ? injector_ : nullptr, job_index, attempt,
                     work = std::move(work)]() -> std::optional<core::JobError> {
         try {
@@ -125,49 +129,23 @@ std::optional<core::JobError> AttemptRunner::run_once(
     return timeout;
 }
 
-Attempts AttemptRunner::run_attempts(
-    int job_index, Attempts out, const std::function<std::function<void()>(int)>& make_attempt) {
-    out.ok = false;
-    out.stopped = false;
-    for (;;) {
-        if (out.count > 0) {
-            // Attempt out.count failed with out.error.
-            if (out.error.cls == core::JobErrorClass::timeout) {
-                ROPUF_OBS_COUNT("xp.watchdog_timeouts", 1);
-                trace_instant("watchdog_timeout", out.error);
-            } else if (out.error.cls == core::JobErrorClass::injected_fault) {
-                ROPUF_OBS_COUNT("fi.injected_faults", 1);
-                trace_instant("fi:injected_fault", out.error);
-            }
-            if (out.count >= policy_.max_attempts) break;
-            backoff_sleep(policy_.backoff_base_ms, out.count);
-            if (stop_requested(stop_)) {
-                // Interrupted between retries: the caller writes nothing, and
-                // resume retries the job from attempt one.
-                out.stopped = true;
-                return out;
-            }
-            ROPUF_OBS_COUNT("xp.retries", 1);
-        }
-        const int attempt = ++out.count;
-        std::optional<core::JobError> error;
-        {
-            obs::JsonWriter args;
-            if (obs::trace() != nullptr)
-                args.begin_object().key("attempt").integer(attempt).end_object();
-            const obs::Span attempt_span("attempt", args.release());
-            error = run_once(job_index, attempt, /*job_seam=*/true,
-                             std::chrono::steady_clock::now(), make_attempt(attempt));
-        }
-        if (!error) {
-            out.ok = true;
-            return out;
-        }
-        out.error = std::move(*error);
+AttemptRunner::Next AttemptRunner::after_failure(int attempt, const core::JobError& error) {
+    if (error.cls == core::JobErrorClass::timeout) {
+        ROPUF_OBS_COUNT("xp.watchdog_timeouts", 1);
+        trace_instant("watchdog_timeout", error);
+    } else if (error.cls == core::JobErrorClass::injected_fault) {
+        ROPUF_OBS_COUNT("fi.injected_faults", 1);
+        trace_instant("fi:injected_fault", error);
     }
-    ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
-    trace_instant("quarantined", out.error, /*with_class=*/true);
-    return out;
+    if (attempt >= policy_.max_attempts) {
+        ROPUF_OBS_COUNT("xp.jobs_quarantined", 1);
+        trace_instant("quarantined", error, /*with_class=*/true);
+        return Next::quarantine;
+    }
+    backoff_sleep(policy_.backoff_base_ms, attempt);
+    if (stop_requested(stop_)) return Next::stop;
+    ROPUF_OBS_COUNT("xp.retries", 1);
+    return Next::retry;
 }
 
 int append_with_retry(ResultWriter& writer, const std::string& line, const RetryPolicy& policy) {
@@ -195,54 +173,57 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One dispatched job while its trials are on the pool.
+/// One dispatched job while its current attempt's trials run.
 struct JobRun {
     const Job* job = nullptr;
-    core::CampaignConfig config; ///< attempt 1's campaign
+    int attempt = 1;
+    /// The current attempt's campaign, shared with its trials: an abandoned
+    /// trial keeps its own attempt's config alive.
+    std::shared_ptr<const core::CampaignConfig> config;
     std::once_flag started;      ///< the job's first trial to start sets up:
     Clock::time_point t0{};      ///<   when that was (the watchdog budget's start),
     std::vector<std::uint64_t> seeds;        ///<   the trial seeds,
     std::vector<core::AttackReport> reports; ///<   the report slots (trial order)
     std::shared_ptr<obs::Scope> scope;       ///<   and the job's obs slice (obs on)
-    std::atomic<int> unretired{0};   ///< trials not yet retired; the last one finishes
-    std::atomic<bool> failed{false}; ///< attempt 1 failed: its other trials skip
+    std::atomic<int> unretired{0};   ///< attempt 1's trials not yet retired; the last finishes
+    std::atomic<bool> failed{false}; ///< the attempt failed: its other trials skip
     std::atomic<bool> cut{false};    ///< a trial never ran (stop flag, closed committer)
     std::mutex error_mutex;
-    core::JobError error; ///< attempt 1's first failure, guarded by error_mutex
+    core::JobError error; ///< the attempt's first failure, guarded by error_mutex
 };
 
 /// What the worker that retires a job hands the committer.
 struct Finished {
     bool stopped = false; ///< cut short: no record, and nothing after it either
     const Job* job = nullptr;
-    Retried<core::CampaignSummary> result;
-    std::string line; ///< the record
+    int attempts = 0;
+    std::optional<core::CampaignSummary> summary; ///< the successful attempt's (none: quarantined)
+    core::JobError error;                         ///< the last failure, when quarantined
+    std::string line;                             ///< the record
 };
 
-/// The `job` span's args: the job, and `trial` when the span covers one
-/// trial of attempt 1 (-1: the whole job, retried).
+/// The `job` span's args: the job and the trial the span covers.
 std::string job_span_args(const Job& job, int trial) {
     if (obs::trace() == nullptr) return {};
     obs::JsonWriter args;
     args.begin_object().key("job").str(job.id).key("scenario").str(job.scenario);
-    if (trial >= 0) args.key("trial").integer(trial);
-    args.key("trials").integer(job.trials).end_object();
+    args.key("trial").integer(trial).key("trials").integer(job.trials).end_object();
     return args.release();
 }
 
-void print_progress(std::FILE* out, const Job& job, int total,
-                    const Retried<core::CampaignSummary>& r) {
-    if (r.ok) {
+void print_progress(std::FILE* out, const Job& job, int total, const Finished& done) {
+    if (const auto& s = done.summary) {
         char retry_note[32] = "";
-        if (r.count > 1) std::snprintf(retry_note, sizeof retry_note, " [attempt %d]", r.count);
+        if (done.attempts > 1)
+            std::snprintf(retry_note, sizeof retry_note, " [attempt %d]", done.attempts);
         std::fprintf(out, "[%d/%d] %s %-24s trials=%-4d success=%.3f queries=%.1f (%.0f ms)%s\n",
                      job.index + 1, total, job.id.c_str(), job.scenario.c_str(), job.trials,
-                     r.value.success_rate, r.value.queries.mean, r.value.wall_ms, retry_note);
+                     s->success_rate, s->queries.mean, s->wall_ms, retry_note);
     } else {
         std::fprintf(out, "[%d/%d] %s %-24s QUARANTINED %s: %s (%d attempts)\n", job.index + 1,
                      total, job.id.c_str(), job.scenario.c_str(),
-                     std::string(core::job_error_class_name(r.error.cls)).c_str(),
-                     r.error.message.c_str(), r.count);
+                     std::string(core::job_error_class_name(done.error.cls)).c_str(),
+                     done.error.message.c_str(), done.attempts);
     }
     std::fflush(out);
 }
@@ -306,17 +287,16 @@ private:
             close(); // a dead store: the run is over, the pool drains
             throw;
         }
-        const Retried<core::CampaignSummary>& result = done.result;
-        stats_.retries += result.count - 1;
-        if (result.ok) {
+        stats_.retries += done.attempts - 1;
+        if (done.summary) {
             ++stats_.executed;
             ROPUF_OBS_COUNT("xp.jobs_done", 1);
-            ROPUF_OBS_OBSERVE("xp.job_wall_ms", result.value.wall_ms);
+            ROPUF_OBS_OBSERVE("xp.job_wall_ms", done.summary->wall_ms);
         } else {
             ++stats_.failed;
         }
         if (options_.progress != nullptr) {
-            print_progress(options_.progress, *done.job, stats_.total, result);
+            print_progress(options_.progress, *done.job, stats_.total, done);
         }
         if (next_ < jobs_) gate();
     }
@@ -336,7 +316,6 @@ private:
 RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
                       const std::set<std::string>& skip, ResultWriter& writer,
                       const RunOptions& options) {
-    const core::CampaignRunner runner(registry);
     RunStats stats;
     stats.total = static_cast<int>(plan.jobs.size());
 
@@ -374,13 +353,15 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         const Job& job = *dispatch[slot];
         JobRun& run = runs[slot];
         run.job = &job;
-        run.config.trials = job.trials;
-        run.config.workers = std::min(workers, std::max(job.trials, 1));
-        run.config.master_seed = job.campaign_seed;
-        run.config.base = job.params;
-        run.config.keep_reports = false; // records carry aggregates, not trials
-        run.config.injector = options.injector;
-        run.config.fi_job_index = job.index;
+        auto config = std::make_shared<core::CampaignConfig>();
+        config->trials = job.trials;
+        config->workers = std::min(workers, std::max(job.trials, 1));
+        config->master_seed = job.campaign_seed;
+        config->base = job.params;
+        config->keep_reports = false; // records carry aggregates, not trials
+        config->injector = options.injector;
+        config->fi_job_index = job.index;
+        run.config = std::move(config);
         // A trial-less job still gets one item, so it retires like any other.
         const int count = std::max(job.trials, 1);
         run.unretired.store(count, std::memory_order_relaxed);
@@ -388,13 +369,15 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
     }
 
     Committer committer(writer, options, dispatch.size(), stats);
-    // Declared after `runner` and `runs`, so abandoned attempts — which
-    // read a job's config — are joined before either dies.
+    // Its destructor joins abandoned trials, which read the plan and the
+    // registry, before execute_plan returns.
     AttemptRunner attempts(options.retry, options.injector, options.stop);
 
-    // Attempt 1, one trial of it: fires the job seam on trial 0, runs under
-    // the watchdog with what is left of the job's budget, and fails the
-    // attempt (so its other trials skip) on the first error.
+    // One trial of the job's current attempt — the body every attempt's
+    // trials run through: fires the job seam on trial 0, runs in the job's
+    // obs scope under the watchdog with what is left of the attempt's
+    // budget, and fails the attempt (so its other trials skip) on the
+    // first error.
     const auto run_item = [&](JobRun& run, int trial) {
         if (committer.closed() || stop_requested(options.stop)) {
             run.cut.store(true, std::memory_order_relaxed);
@@ -410,17 +393,13 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         if (trial >= job.trials || run.failed.load(std::memory_order_relaxed)) return;
         const obs::ScopeGuard in_job(run.scope);
         const obs::Span job_span("job", job_span_args(job, trial));
-        obs::JsonWriter attempt_args;
-        if (obs::trace() != nullptr)
-            attempt_args.begin_object().key("attempt").integer(1).end_object();
-        const obs::Span attempt_span("attempt", attempt_args.release());
         // An abandoned trial writes into its own report, never into `run`.
         auto report = std::make_shared<core::AttackReport>();
         std::optional<core::JobError> error = attempts.run_once(
-            job.index, 1, /*job_seam=*/trial == 0, run.t0,
-            [report, &runner, config = &run.config, name = &job.scenario,
+            job.index, run.attempt, /*job_seam=*/trial == 0, run.t0,
+            [report, &registry, config = run.config, name = &job.scenario,
              seed = run.seeds[static_cast<std::size_t>(trial)], trial] {
-                *report = core::run_trial(runner.scenario(*name), *config, seed, trial);
+                *report = core::run_trial(registry.at(*name), *config, seed, trial);
             });
         if (!error) {
             run.reports[static_cast<std::size_t>(trial)] = std::move(*report);
@@ -430,53 +409,48 @@ RunStats execute_plan(const Plan& plan, const core::ScenarioRegistry& registry,
         if (!run.failed.exchange(true, std::memory_order_relaxed)) run.error = std::move(*error);
     };
 
-    // The job's last trial retired: fold attempt 1 into a summary, or retry
-    // the job from attempt 2 from this worker, and build its record.
+    // Attempt 1's last trial retired. While the attempt failed and the step
+    // between attempts says retry, re-arm the job and run the next
+    // attempt's trials through run_item on a pool of the job's width; then
+    // fold the last attempt into the job's record.
     const auto finish = [&](JobRun& run) {
         Finished done;
-        if (run.cut.load(std::memory_order_relaxed)) {
+        const Job& job = *run.job;
+        auto next = AttemptRunner::Next::retry;
+        {
+            const obs::ScopeGuard in_job(run.scope);
+            while (!run.cut.load(std::memory_order_relaxed) &&
+                   run.failed.load(std::memory_order_relaxed) &&
+                   (next = attempts.after_failure(run.attempt, run.error)) ==
+                       AttemptRunner::Next::retry) {
+                auto config = std::make_shared<core::CampaignConfig>(*run.config);
+                config->fi_attempt = ++run.attempt;
+                run.config = std::move(config);
+                run.t0 = Clock::now();
+                run.reports.assign(run.seeds.size(), {});
+                run.failed.store(false, std::memory_order_relaxed);
+                core::parallel_for(run.seeds.size(), run.config->workers,
+                                   [&](std::size_t t) { run_item(run, static_cast<int>(t)); });
+            }
+        }
+        if (run.cut.load(std::memory_order_relaxed) || next == AttemptRunner::Next::stop) {
             done.stopped = true;
             return done;
         }
-        const Job& job = *run.job;
         done.job = &job;
-        Retried<core::CampaignSummary>& result = done.result;
-        {
-            const obs::ScopeGuard in_job(run.scope);
-            if (!run.failed.load(std::memory_order_relaxed)) {
-                result.ok = true;
-                result.count = 1;
-                result.value = core::summarize_campaign(
-                    job.scenario, run.config, run.config.workers,
-                    std::chrono::duration<double, std::milli>(Clock::now() - run.t0).count(),
-                    std::move(run.reports));
-            } else {
-                Attempts prior;
-                prior.count = 1;
-                {
-                    const std::lock_guard<std::mutex> lock(run.error_mutex);
-                    prior.error = run.error;
-                }
-                const obs::Span job_span("job", job_span_args(job, -1));
-                result = attempts.run(
-                    job.index,
-                    [&runner, scenario = job.scenario, config = run.config](int attempt) {
-                        // A campaign of its own, as if the job ran alone:
-                        // its trials get their own pool.
-                        core::CampaignConfig attempt_config = config;
-                        attempt_config.fi_attempt = attempt;
-                        return runner.run(scenario, attempt_config);
-                    },
-                    prior);
-                if (result.stopped) {
-                    done.stopped = true;
-                    return done;
-                }
-            }
+        done.attempts = run.attempt;
+        JobRecord record;
+        if (run.failed.load(std::memory_order_relaxed)) {
+            done.error = run.error;
+            record = make_failed_record(plan, job, run.error, run.attempt);
+        } else {
+            done.summary = core::summarize_campaign(
+                job.scenario, *run.config, run.config->workers,
+                std::chrono::duration<double, std::milli>(Clock::now() - run.t0).count(),
+                std::move(run.reports));
+            record = make_record(plan, job, *done.summary);
         }
-        JobRecord record = result.ok ? make_record(plan, job, result.value)
-                                     : make_failed_record(plan, job, result.error, result.count);
-        record.attempts = result.count;
+        record.attempts = run.attempt;
         if (run.scope != nullptr) {
             // This job's own slice of the metrics: every update its trials
             // and attempts made, on whichever threads ran them.

@@ -18,32 +18,31 @@
 // fleet::run_fleet_campaign. Each gets up to RetryPolicy::max_attempts
 // attempts; a thrown exception is captured and classified (core::JobError),
 // an attempt that outlives the watchdog timeout is abandoned, and retries
-// back off with a deterministic exponential schedule. An xp job's attempt 1
-// is its trials on the pool, each under the watchdog with what is left of
-// the job's budget; a failed attempt 1 is retried from attempt 2 by the
-// worker that retires the job, each retry a whole campaign on its own pool
-// as if the job ran alone. A job whose every attempt failed is
-// quarantined as an `outcome=job_failed` record — the run completes with
-// partial results, and resume retries exactly the quarantined/missing
-// jobs. Store appends get the same budget through append_with_retry (the
-// writer terminates torn tails between attempts). The max_jobs quota, a
-// cooperative stop flag (SIGINT) and the injected worker_abort fault all
-// close the committer between records, so the file always holds a
-// plan-order prefix of the jobs that a resume completes to bit-identical
-// records.
+// back off with a deterministic exponential schedule. Every attempt at an
+// xp job is the same thing: the job's trials, each run through one
+// per-trial body under the watchdog with what is left of that attempt's
+// budget, in the job's obs scope. Attempt 1's trials run on the plan's
+// pool; when an attempt fails, the worker that retires its last trial takes
+// the step between attempts and runs the next attempt's trials on a pool of
+// the job's own width. A job whose every attempt failed is quarantined as
+// an `outcome=job_failed` record — the run completes with partial results,
+// and resume retries exactly the quarantined/missing jobs. Store appends
+// get the same budget through append_with_retry (the writer terminates
+// torn tails between attempts). The max_jobs quota, a cooperative stop
+// flag (SIGINT) and the injected worker_abort fault all close the
+// committer between records, so the file always holds a plan-order prefix
+// of the jobs that a resume completes to bit-identical records.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "ropuf/core/errors.hpp"
@@ -63,31 +62,31 @@ struct RetryPolicy {
     double job_timeout_ms = 0.0;  ///< per-attempt watchdog; 0 = no timeout
 };
 
-/// How the attempts at one job (or shard) ended.
-struct Attempts {
-    bool ok = false;      ///< an attempt succeeded
-    bool stopped = false; ///< the stop flag fired between retries: record nothing
-    int count = 0;        ///< attempts made; retries are count - 1
-    core::JobError error; ///< the last failure, when !ok
-};
-
-/// Attempts plus the successful attempt's value (default-constructed
-/// unless ok).
-template <class T>
-struct Retried : Attempts {
-    T value{};
-};
-
-/// Runs jobs under one RetryPolicy. Per attempt it fires the fi job seam
-/// (job_throw, job_hang), runs the work — on its own thread when the
-/// watchdog is armed, carrying the caller's obs::Scope — and classifies
-/// what escaped; between attempts it backs off and checks the stop flag.
-/// It emits the attempt span, the fi:injected_fault / watchdog_timeout /
-/// quarantined trace instants and the xp.retries / xp.watchdog_timeouts /
-/// fi.injected_faults / xp.jobs_quarantined counters. Thread-safe: pool
-/// workers may run jobs concurrently.
+/// Runs the attempts at jobs under one RetryPolicy. xp jobs and fleet
+/// shards share one loop shape:
+///
+///     int attempt = 0;
+///     do {
+///         ++attempt; // run_once() for the attempt, or for each trial of it
+///     } while (failed && (next = after_failure(attempt, error)) == Next::retry);
+///
+/// run_once fires the fi job seam (job_throw, job_hang), runs the work — on
+/// its own thread when the watchdog is armed, carrying the caller's
+/// obs::Scope — and classifies what escaped. after_failure is the one step
+/// between attempts. Together they emit the attempt span, the
+/// fi:injected_fault / watchdog_timeout / quarantined trace instants and
+/// the xp.retries / xp.watchdog_timeouts / fi.injected_faults /
+/// xp.jobs_quarantined counters. Thread-safe: pool workers may run
+/// attempts concurrently.
 class AttemptRunner {
 public:
+    /// What follows a failed attempt.
+    enum class Next {
+        retry,      ///< run the next attempt
+        quarantine, ///< max_attempts are spent: record the failure
+        stop,       ///< the stop flag fired during backoff: record nothing
+    };
+
     AttemptRunner(const RetryPolicy& policy, fi::Injector* injector,
                   const std::atomic<bool>* stop);
     /// Joins every watchdog-abandoned attempt (the injected job_hang is
@@ -97,43 +96,24 @@ public:
     AttemptRunner(const AttemptRunner&) = delete;
     AttemptRunner& operator=(const AttemptRunner&) = delete;
 
-    /// Runs attempt(n) for n = 1, 2, ... until one returns or the budget is
-    /// spent. A watchdog-abandoned attempt keeps running on its own thread
-    /// until this runner dies, so `attempt` is copied and must capture by
-    /// value anything that dies sooner; its result lands in a slot nobody
-    /// reads. A job whose first `prior.count` attempts ran elsewhere — the
-    /// executor's attempt 1, flattened onto its pool — passes them in:
-    /// the last one's failure, `prior.error`, is counted, traced and backed
-    /// off from as if it had run here, and numbering goes on from
-    /// prior.count + 1 within the same budget.
-    template <class F>
-    Retried<std::invoke_result_t<F&, int>> run(int job_index, F attempt,
-                                               const Attempts& prior = {}) {
-        using T = std::invoke_result_t<F&, int>;
-        Retried<T> out;
-        std::shared_ptr<T> slot;
-        static_cast<Attempts&>(out) = run_attempts(job_index, prior, [&](int n) {
-            slot = std::make_shared<T>();
-            return std::function<void()>([slot, attempt, n]() mutable { *slot = attempt(n); });
-        });
-        if (out.ok) out.value = std::move(*slot);
-        return out;
-    }
-
-    /// One attempt, or one piece of one (a trial of a flattened attempt),
-    /// with no retry and no bookkeeping: fires the job seam first when
-    /// `job_seam`, runs `work` — on an abandonable thread when the watchdog
-    /// is armed, within what is left of the budget since `started` — and
-    /// classifies what escaped. As for run(), `work` must own or outlive
-    /// what it touches.
+    /// One attempt, or one trial of one, inside an `attempt` span: fires
+    /// the job seam first when `job_seam`, runs `work` — on an abandonable
+    /// thread when the watchdog is armed, within what is left of the budget
+    /// since `started` — and classifies what escaped. An abandoned `work`
+    /// keeps running until this runner dies, so it must own, or capture
+    /// what outlives the runner; its result lands where nobody reads it.
     std::optional<core::JobError> run_once(int job_index, int attempt, bool job_seam,
                                            std::chrono::steady_clock::time_point started,
                                            std::function<void()> work);
 
-private:
-    Attempts run_attempts(int job_index, Attempts prior,
-                          const std::function<std::function<void()>(int)>& make_attempt);
+    /// The step after attempt `attempt` failed with `error`: counts and
+    /// traces the failure; quarantines (counted and traced) once
+    /// max_attempts are spent; otherwise backs off, stops if the stop flag
+    /// fired meanwhile (resume retries the job from attempt 1), and counts
+    /// a retry.
+    Next after_failure(int attempt, const core::JobError& error);
 
+private:
     RetryPolicy policy_;
     fi::Injector* injector_;
     const std::atomic<bool>* stop_;

@@ -374,19 +374,23 @@ TEST_P(Chaos, WatchdogTimesOutHungAttemptThenRetrySucceeds) {
     const std::string chaos = temp_path("chaos_hang");
     EXPECT_TRUE(run_with_faults(plan, clean, "").complete());
 
-    // Attempt 1 of job 1 sleeps 400 ms under a 60 ms watchdog: the attempt
-    // is abandoned as a timeout, attempt 2 runs clean.
-    char hang_plan[64];
-    std::snprintf(hang_plan, sizeof hang_plan, "job_hang(ids=1,ms=%d,times=1)",
-                  static_cast<int>(400 * kTimeScale));
-    const xp::RunStats stats = run_with_faults(plan, chaos, hang_plan,
-                                               /*resume=*/false,
-                                               /*job_timeout_ms=*/60.0 * kTimeScale);
-    EXPECT_TRUE(stats.complete());
-    EXPECT_EQ(stats.retries, 1);
-    EXPECT_EQ(ok_content(chaos), ok_content(clean));
-    for (const xp::JobRecord& r : xp::read_results(chaos)) {
-        EXPECT_EQ(r.attempts, r.index == 1 ? 2 : 1);
+    // The first `times` attempts of job 1 sleep 400 ms under a 60 ms
+    // watchdog: each is abandoned as a timeout, and the next one runs. With
+    // times=2 the hang lands on attempt 2 as well, whose trials a retry
+    // runs; attempt 3 runs clean.
+    for (const int times : {1, 2}) {
+        char hang_plan[64];
+        std::snprintf(hang_plan, sizeof hang_plan, "job_hang(ids=1,ms=%d,times=%d)",
+                      static_cast<int>(400 * kTimeScale), times);
+        const xp::RunStats stats = run_with_faults(plan, chaos, hang_plan,
+                                                   /*resume=*/false,
+                                                   /*job_timeout_ms=*/60.0 * kTimeScale);
+        EXPECT_TRUE(stats.complete()) << hang_plan;
+        EXPECT_EQ(stats.retries, times) << hang_plan;
+        EXPECT_EQ(ok_content(chaos), ok_content(clean)) << hang_plan;
+        for (const xp::JobRecord& r : xp::read_results(chaos)) {
+            EXPECT_EQ(r.attempts, r.index == 1 ? times + 1 : 1) << hang_plan;
+        }
     }
     std::remove(clean.c_str());
     std::remove(chaos.c_str());
@@ -459,13 +463,20 @@ TEST_P(Chaos, TrialThrowPropagatesIntoRetryPath) {
     const std::string chaos = temp_path("chaos_trial");
     EXPECT_TRUE(run_with_faults(plan, clean, "").complete());
 
-    // The fault fires inside a CampaignRunner worker thread; the campaign
-    // rethrows it on the executor thread, which treats it like any job
-    // failure: retry once past the times gate, then match clean.
-    const xp::RunStats stats = run_with_faults(plan, chaos, "trial_throw(ids=0,times=1)");
-    EXPECT_TRUE(stats.complete());
-    EXPECT_EQ(stats.retries, 1);
-    EXPECT_EQ(ok_content(chaos), ok_content(clean));
+    // The fault fires in core::run_trial, in one trial of job 0's attempt
+    // on whichever pool runs it; the AttemptRunner classifies it and fails
+    // the attempt like any job failure, and the job is retried past the
+    // times gate, then matches clean.
+    for (const int times : {1, 2}) {
+        const std::string fault = "trial_throw(ids=0,times=" + std::to_string(times) + ")";
+        const xp::RunStats stats = run_with_faults(plan, chaos, fault);
+        EXPECT_TRUE(stats.complete()) << fault;
+        EXPECT_EQ(stats.retries, times) << fault;
+        EXPECT_EQ(ok_content(chaos), ok_content(clean)) << fault;
+        for (const xp::JobRecord& r : xp::read_results(chaos)) {
+            EXPECT_EQ(r.attempts, r.index == 0 ? times + 1 : 1) << fault;
+        }
+    }
     std::remove(clean.c_str());
     std::remove(chaos.c_str());
 }

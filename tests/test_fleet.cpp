@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "ropuf/core/parallel.hpp"
 #include "ropuf/core/sanitizer.hpp"
 #include "ropuf/fi/fault_plan.hpp"
 #include "ropuf/fi/injector.hpp"
@@ -43,6 +44,7 @@
 #include "ropuf/fleet/store.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/simd/simd.hpp"
+#include "ropuf/xp/json.hpp"
 #include "ropuf/xp/result_store.hpp"
 #include "ropuf/xp/sweep_spec.hpp"
 
@@ -459,14 +461,20 @@ TEST_F(FleetCampaignTest, OutputIsBitwiseIdenticalAcrossWorkerCounts) {
     EXPECT_FALSE(s1.stopped);
     const auto lines = deterministic_lines(base);
     ASSERT_EQ(lines.size(), 3u);
-    for (int workers : {2, 8}) {
-        const std::string path =
-            results_path(workers == 2 ? "w2" : "w8");
+    // 0 = hardware concurrency, as for xp runs and enrollment.
+    for (int workers : {0, 2, 8}) {
+        const std::string path = results_path(("w" + std::to_string(workers)).c_str());
         const auto stats = run_campaign(*population_, store_path_, path, workers);
         EXPECT_EQ(stats.executed, 3u);
         EXPECT_EQ(stats.devices_ok, s1.devices_ok);
         EXPECT_EQ(stats.bit_errors, s1.bit_errors);
         EXPECT_EQ(deterministic_lines(path), lines) << workers << " workers";
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);) {
+            EXPECT_EQ(xp::parse_json(line).find("timing")->number_or("workers", -1.0),
+                      static_cast<double>(core::resolve_workers(workers)))
+                << workers << " workers";
+        }
     }
     // The noisy spec exercises the non-trivial aggregate paths.
     EXPECT_GT(s1.bit_errors, 0u);

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "ropuf/attack/scenarios.hpp"
+#include "ropuf/fi/fault_plan.hpp"
+#include "ropuf/fi/injector.hpp"
 #include "ropuf/obs/json_writer.hpp"
 #include "ropuf/obs/metrics.hpp"
 #include "ropuf/obs/progress.hpp"
@@ -753,6 +755,42 @@ TEST_P(ObsExecutorTest, MixedPlanSideKeysCountOnlyTheirOwnJobsTrials) {
     }
     std::remove(off_path.c_str());
     std::remove(on_path.c_str());
+}
+
+TEST_P(ObsExecutorTest, RetriedJobSideKeyCountsItsSuccessfulAttemptsTrials) {
+    // Every job's attempt 1 throws at its job seam (trial 0), so each record
+    // comes from attempt 2, whose trials run on a pool of the job's width.
+    // They must count into the job's scope at every worker count. At one
+    // worker attempt 1's other trials never start, so the count is exact;
+    // on a wider pool some of them may have run before the throw.
+    const xp::Plan plan = xp::plan_spec(xp::parse_spec(kSpecText), attack::default_registry());
+    const std::string path = temp_path("obsretry");
+    fi::Injector injector(fi::parse_fault_plan("job_throw(times=1)"));
+    {
+        obs::Registry reg;
+        obs::install(&reg);
+        xp::ResultWriter writer(path, /*truncate=*/true);
+        xp::RunOptions opts;
+        opts.workers = GetParam();
+        opts.retry.backoff_base_ms = 0.0;
+        opts.injector = &injector;
+        EXPECT_TRUE(
+            xp::execute_plan(plan, attack::default_registry(), {}, writer, opts).complete());
+        obs::install(nullptr);
+    }
+    const std::vector<xp::JobRecord> records = xp::read_results(path);
+    ASSERT_EQ(records.size(), 4u);
+    for (const xp::JobRecord& record : records) {
+        EXPECT_EQ(record.attempts, 2) << record.job_id;
+        ASSERT_TRUE(record.obs.present) << record.job_id;
+        const auto trials = record.obs.counters.find("campaign.trials");
+        ASSERT_NE(trials, record.obs.counters.end()) << record.job_id;
+        EXPECT_GE(trials->second, record.trials) << record.job_id;
+        if (GetParam() == 1) {
+            EXPECT_DOUBLE_EQ(trials->second, record.trials) << record.job_id;
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST_F(ObsTest, InstalledRegistryOverheadIsBounded) {

@@ -601,7 +601,7 @@ int fleet_run_or_resume(const std::string& spec_path, const CliOptions& opts, bo
     const fleet::EnrollmentMap enrollment(store_path);
     xp::ResultWriter writer(results_path, /*truncate=*/false);
     fleet::FleetCampaignOptions run_opts;
-    run_opts.workers = core::resolve_workers(opts.workers);
+    run_opts.workers = opts.workers;
     run_opts.max_shards = opts.max_shards;
     run_opts.retry = retry_policy(opts);
     if (!fault_plan.empty()) {
