@@ -12,8 +12,10 @@
 #include "bench_util.hpp"
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/attack/seqpair_attack.hpp"
+#include "ropuf/attack/tempaware_attack.hpp"
 #include "ropuf/core/campaign.hpp"
 #include "ropuf/core/sanitizer.hpp"
+#include "ropuf/defense/registry.hpp"
 #include "ropuf/distiller/regression.hpp"
 #include "ropuf/ecc/block_ecc.hpp"
 #include "ropuf/fleet/population.hpp"
@@ -24,6 +26,7 @@
 #include "ropuf/rng/gaussian.hpp"
 #include "ropuf/sim/ro_fleet.hpp"
 #include "ropuf/simd/simd.hpp"
+#include "ropuf/tempaware/tempaware_puf.hpp"
 
 namespace {
 
@@ -393,6 +396,57 @@ void BM_OracleBatchedRawProbes(benchmark::State& state) {
     });
 }
 BENCHMARK(BM_OracleBatchedRawProbes)->Arg(1)->Arg(8)->Arg(32);
+
+/// Times the first batch a tempaware substitution session stages through the
+/// `token` defense stack, built as the scenarios build it (typed enrolled
+/// helper); items = probes. Each iteration evaluates a fresh copy of the
+/// batch, as the session stages fresh probes. `raw` turns every probe into
+/// its bytes: the byte path of raw and edited probes.
+void defended_loop(benchmark::State& state, const char* token, bool raw) {
+    using Puf = tempaware::TempAwarePuf;
+    sim::ProcessParams params{};
+    params.tempco_sigma = 0.015;
+    const sim::RoArray chip({16, 16}, params, 21);
+    tempaware::TempAwareConfig cfg;
+    cfg.classification = {-20.0, 85.0, 0.2};
+    cfg.enroll_samples = 64;
+    const Puf puf(chip, cfg);
+    rng::Xoshiro256pp rng(22);
+    const auto enrollment = puf.enroll(rng);
+    attack::Victim<Puf> victim(puf, enrollment.key, 25.0, 23);
+    auto oracle =
+        defense::apply_defense(token, attack::make_oracle(victim),
+                               attack::make_defense_context(puf, enrollment.helper, 24))
+            .oracle;
+    attack::TempAwareSession session(enrollment.helper, puf.code(), victim.ambient_c());
+    std::vector<core::Probe> staged;
+    for (const auto& probe : session.step()) {
+        staged.push_back(raw ? core::Probe{helperdata::Nvm(probe.helper.bytes()), probe.expect}
+                             : probe);
+    }
+    for (auto _ : state) {
+        const std::vector<core::Probe> batch = staged;
+        benchmark::DoNotOptimize(oracle.evaluate(batch));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(staged.size()));
+}
+
+void BM_DefendedProbes(benchmark::State& state, const char* token) {
+    // The tamper checks on typed probes: `crc` accepts them without its
+    // byte-level predicate, `mac` compares helpers with the enrolled one.
+    defended_loop(state, token, false);
+}
+BENCHMARK_CAPTURE(BM_DefendedProbes, crc, "crc");
+BENCHMARK_CAPTURE(BM_DefendedProbes, mac, "mac");
+
+void BM_DefendedRawProbes(benchmark::State& state, const char* token) {
+    // The same batches as raw-NVM probes: `crc` parses and re-serializes
+    // every blob, `mac` compares its bytes with the enrolled image.
+    defended_loop(state, token, true);
+}
+BENCHMARK_CAPTURE(BM_DefendedRawProbes, crc, "crc");
+BENCHMARK_CAPTURE(BM_DefendedRawProbes, mac, "mac");
 
 void BM_GaussianPolar(benchmark::State& state) {
     // The pre-campaign scalar path: Marsaglia polar with pair caching.

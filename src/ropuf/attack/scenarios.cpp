@@ -71,30 +71,18 @@ struct OracleStack {
 };
 
 /// victim <- [defense from the registry, when named] <- [budget when set];
-/// innermost first. The DefenseContext hands the countermeasure everything
-/// the construction can offer: the structural validator, the canonical-form
-/// predicate, the enrolled blob (MAC binding reference) and a defense-side
-/// seed stream independent of chip/enroll/victim noise.
+/// innermost first. The countermeasure gets everything the construction can
+/// offer (make_defense_context), with a defense-side seed stream independent
+/// of chip/enroll/victim noise.
 template <core::Device Puf>
 OracleStack build_stack(Victim<Puf>& victim, const Puf& puf,
                         const typename core::DeviceTraits<Puf>::Helper& enrolled,
                         const ScenarioParams& p) {
-    using Traits = core::DeviceTraits<Puf>;
     OracleStack stack;
     stack.oracle = make_oracle(victim);
     if (!p.defense.empty() && p.defense != "none") {
-        defense::DefenseContext ctx;
-        ctx.validator = make_sanity_validator(puf);
-        ctx.canonical = [](const helperdata::Nvm& nvm) {
-            try {
-                return Traits::store(Traits::parse(nvm)).bytes() == nvm.bytes();
-            } catch (const helperdata::ParseError&) {
-                return false;
-            }
-        };
-        ctx.enrolled = Traits::store(enrolled);
-        ctx.seed = sub_seed(p, 4);
-        stack.applied = defense::apply_defense(p.defense, stack.oracle, ctx);
+        stack.applied = defense::apply_defense(
+            p.defense, stack.oracle, make_defense_context(puf, enrolled, sub_seed(p, 4)));
         stack.oracle = stack.applied.oracle;
     }
     if (p.query_budget > 0) {

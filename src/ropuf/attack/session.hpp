@@ -283,20 +283,27 @@ private:
     std::int64_t answered_ = 0;
 };
 
-/// Builds the probe for a structured helper, compared against the enrolled
-/// key (keyed mode) or an attacker-chosen `expect` (reprogram mode). The
-/// probe is typed and serializes on first byte read; a helper whose bytes
-/// would not parse back to it (DeviceTraits::round_trips) is serialized
-/// right away, so every reader sees exactly what the device would parse.
+/// The NVM image of a structured helper: typed, serializing on first byte
+/// read; a helper whose bytes would not parse back to it
+/// (DeviceTraits::round_trips) is serialized right away, so every reader
+/// sees exactly what the device would parse.
 template <core::Device Puf>
-core::Probe make_probe(const typename core::DeviceTraits<Puf>::Helper& helper,
-                       std::optional<bits::BitVec> expect = std::nullopt) {
+core::ProbeNvm make_probe_nvm(const typename core::DeviceTraits<Puf>::Helper& helper) {
     using Traits = core::DeviceTraits<Puf>;
     if (!Traits::round_trips(helper)) {
         ROPUF_OBS_COUNT("helperdata.blob_stores", 1);
-        return {Traits::store(helper), std::move(expect)};
+        return Traits::store(helper);
     }
-    return {core::ProbeNvm::from_helper(helper, &Traits::store), std::move(expect)};
+    return core::ProbeNvm::from_helper(helper, &Traits::store, &Traits::same_helper);
+}
+
+/// Builds the probe for a structured helper (make_probe_nvm), compared
+/// against the enrolled key (keyed mode) or an attacker-chosen `expect`
+/// (reprogram mode).
+template <core::Device Puf>
+core::Probe make_probe(const typename core::DeviceTraits<Puf>::Helper& helper,
+                       std::optional<bits::BitVec> expect = std::nullopt) {
+    return {make_probe_nvm<Puf>(helper), std::move(expect)};
 }
 
 /// Outcome of driving a session against an oracle.

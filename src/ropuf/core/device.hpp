@@ -69,6 +69,12 @@ struct EnrollResult {
 ///                                     // for field — the condition for
 ///                                     // handing a probe's structured
 ///                                     // helper to the device directly
+///   static bool same_helper(const Helper&, const Helper&);
+///                                     // field-for-field equality, doubles
+///                                     // by bit pattern: for helpers that
+///                                     // round-trip, true iff store() writes
+///                                     // the same bytes (how the MAC binding
+///                                     // compares typed probes)
 ///   static sim::Condition nominal_condition(const Puf&);
 ///   static sim::Condition condition_at(const Puf&, double ambient_c);
 ///                                     // environment-chosen temperature at
@@ -106,6 +112,7 @@ concept Device = requires(const P& puf, const typename DeviceTraits<P>::Helper& 
     { DeviceTraits<P>::store(helper) } -> std::same_as<helperdata::Nvm>;
     { DeviceTraits<P>::parse(nvm) } -> std::same_as<typename DeviceTraits<P>::Helper>;
     { DeviceTraits<P>::round_trips(helper) } -> std::same_as<bool>;
+    { DeviceTraits<P>::same_helper(helper, helper) } -> std::same_as<bool>;
     { DeviceTraits<P>::nominal_condition(puf) } -> std::same_as<sim::Condition>;
     { DeviceTraits<P>::condition_at(puf, ambient_c) } -> std::same_as<sim::Condition>;
     { DeviceTraits<P>::sanity(puf, helper) } -> std::same_as<helperdata::SanityReport>;

@@ -12,6 +12,13 @@ void ProbeNvm::build() const {
     built_ = true;
 }
 
+bool ProbeNvm::same_image(const ProbeNvm& other) const {
+    if (typed_ != nullptr && other.typed_ != nullptr && typed_->type == other.typed_->type) {
+        return typed_ == other.typed_ || typed_->same(*other.typed_);
+    }
+    return bytes() == other.bytes();
+}
+
 BudgetedOracle::BudgetedOracle(AnyOracle inner, std::int64_t budget)
     : inner_(std::move(inner)), budget_(budget) {
     if (!inner_) throw std::invalid_argument("BudgetedOracle: null inner oracle");

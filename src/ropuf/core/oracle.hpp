@@ -12,12 +12,14 @@
 // bytes holds exactly those bytes; every reader parses them, as a device
 // parses its NVM. A probe built from the attacker's structured helper
 // (attack::make_probe) holds that helper and its byte image, which is
-// serialized only when a byte reader asks. The victim and the sanity
-// validator read the structured helper directly; the byte-level defenses
-// (canonical form, MAC binding) read the bytes. The structured form is only
-// kept where the device's parse of the bytes gives back the same helper, so
-// every reader sees what it would have seen in the bytes: the attack surface
-// is still the raw NVM.
+// serialized only when a byte reader asks. The structured form is only kept
+// where the device's parse of the bytes gives back the same helper, so every
+// reader decides a typed probe exactly as it would decide its bytes: the
+// victim and the sanity validator read the helper; the canonical-form check
+// knows such bytes are canonical; the MAC binding compares the helper with
+// the enrolled one field for field (same_image). The attack surface is still
+// the raw NVM: raw and byte-edited probes are parsed, checked and compared
+// as bytes.
 //
 // Middleware wrappers compose around any oracle, innermost first:
 //
@@ -65,17 +67,19 @@ namespace ropuf::core {
 /// and every byte accessor serializes it once and keeps the bytes. The
 /// caller of from_helper() guarantees that the device's parse of the
 /// serialized bytes reproduces the helper field for field, so a typed
-/// reader and a byte reader see the same helper.
+/// reader and a byte reader see the same helper, and the bytes of a typed
+/// probe are canonical: store(parse(bytes)) == bytes.
 ///
 /// Any non-const access to the bytes turns the probe into a raw probe: the
 /// bytes are built, the structured helper is dropped, and every later reader
 /// parses the edited bytes. Copies share the structured helper, never the
 /// bytes, so editing one copy leaves its siblings as they were.
 ///
-/// Thread safety: the const byte accessors build the image lazily through
-/// mutable members, so two threads must not read the same ProbeNvm object
-/// at once. That holds because a probe batch never crosses threads: a
-/// session, its oracle stack and its victim run on one thread per trial.
+/// Thread safety: the const byte accessors (and same_image, on both sides)
+/// build the image lazily through mutable members, so two threads must not
+/// read the same ProbeNvm object at once. That holds because a probe batch
+/// never crosses threads: a session, its oracle stack (with the MAC
+/// binding's enrolled image) and its victim run on one thread per trial.
 class ProbeNvm {
 public:
     ProbeNvm() = default;
@@ -83,12 +87,14 @@ public:
     /// the NVM it programs.
     ProbeNvm(helperdata::Nvm nvm) : nvm_(std::move(nvm)) {}
 
-    /// A typed probe for `helper`, serialized by `store` when bytes are read.
+    /// A typed probe for `helper`, serialized by `store` when bytes are read
+    /// and compared by `same` (field for field, as DeviceTraits::same_helper).
     /// Only for helpers whose serialized bytes parse back to `helper`.
     template <typename Helper>
-    static ProbeNvm from_helper(Helper helper, helperdata::Nvm (*store)(const Helper&)) {
+    static ProbeNvm from_helper(Helper helper, helperdata::Nvm (*store)(const Helper&),
+                                bool (*same)(const Helper&, const Helper&)) {
         ProbeNvm out;
-        out.typed_ = std::make_shared<TypedOf<Helper>>(std::move(helper), store);
+        out.typed_ = std::make_shared<TypedOf<Helper>>(std::move(helper), store, same);
         out.built_ = false;
         return out;
     }
@@ -100,6 +106,16 @@ public:
         if (typed_ == nullptr || typed_->type != &type_tag<Helper>) return nullptr;
         return &static_cast<const TypedOf<Helper>*>(typed_.get())->helper;
     }
+
+    /// True for a typed probe whose bytes were never edited: its bytes, once
+    /// built, are the canonical serialization of a parseable helper.
+    bool is_typed() const { return typed_ != nullptr; }
+
+    /// True iff both probes program the same bytes. Two typed probes of one
+    /// helper type compare their helpers field for field, which builds no
+    /// bytes (for round-tripping helpers, equal fields mean equal bytes and
+    /// back); any other pair compares the byte images, building them.
+    bool same_image(const ProbeNvm& other) const;
 
     /// The byte image (built on first read for a typed probe).
     const helperdata::Nvm& nvm() const {
@@ -125,15 +141,25 @@ private:
         explicit Typed(const void* type) : type(type) {}
         virtual ~Typed() = default;
         virtual helperdata::Nvm store() const = 0;
+        /// Field-for-field equality with `other`, which has the same type.
+        virtual bool same(const Typed& other) const = 0;
         const void* type; ///< &type_tag<Helper>
     };
     template <typename Helper>
     struct TypedOf final : Typed {
-        TypedOf(Helper h, helperdata::Nvm (*store_fn)(const Helper&))
-            : Typed(&type_tag<Helper>), helper(std::move(h)), store_fn(store_fn) {}
+        TypedOf(Helper h, helperdata::Nvm (*store_fn)(const Helper&),
+                bool (*same_fn)(const Helper&, const Helper&))
+            : Typed(&type_tag<Helper>),
+              helper(std::move(h)),
+              store_fn(store_fn),
+              same_fn(same_fn) {}
         helperdata::Nvm store() const override { return store_fn(helper); }
+        bool same(const Typed& other) const override {
+            return same_fn(helper, static_cast<const TypedOf&>(other).helper);
+        }
         Helper helper;
         helperdata::Nvm (*store_fn)(const Helper&);
+        bool (*same_fn)(const Helper&, const Helper&);
     };
 
     /// Serializes the structured helper into nvm_ (counted as

@@ -22,8 +22,8 @@ core::OracleStats with_refusals(const core::AnyOracle& inner, std::int64_t refus
 // MacBindingOracle
 // ---------------------------------------------------------------------------
 
-MacBindingOracle::MacBindingOracle(core::AnyOracle inner, const helperdata::Nvm& enrolled)
-    : inner_(std::move(inner)), enrolled_digest_(hash::Sha256::hash(enrolled.bytes())) {
+MacBindingOracle::MacBindingOracle(core::AnyOracle inner, core::ProbeNvm enrolled)
+    : inner_(std::move(inner)), enrolled_(std::move(enrolled)) {
     if (!inner_) throw std::invalid_argument("MacBindingOracle: null inner oracle");
 }
 
@@ -32,7 +32,7 @@ void MacBindingOracle::evaluate(std::span<const core::Probe> probes,
     verdicts.assign(probes.size(), true);
     accepted_.assign(probes.size(), 0);
     for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (hash::Sha256::hash(probes[i].helper.bytes()) == enrolled_digest_) {
+        if (probes[i].helper.same_image(enrolled_)) {
             accepted_[i] = 1;
         } else {
             ++refused_;
@@ -58,7 +58,7 @@ void CanonicalFormOracle::evaluate(std::span<const core::Probe> probes,
     verdicts.assign(probes.size(), true);
     accepted_.assign(probes.size(), 0);
     for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (canonical_(probes[i].helper)) {
+        if (probes[i].helper.is_typed() || canonical_(probes[i].helper)) {
             accepted_[i] = 1;
         } else {
             ++refused_;

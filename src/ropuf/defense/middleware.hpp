@@ -26,11 +26,15 @@
 // surface (refused(), locked()) the scenario driver uses to classify a run
 // as refused_by_defense or locked_out.
 //
-// What each defense reads of a probe (core::ProbeNvm): the MAC binding and
-// the canonical-form check read the NVM bytes, which builds a typed probe's
-// byte image on first read, as a tamper check on real NVM must; the
-// validating defenses (sanity, noisyrefusal) go through the validator,
-// which reads a typed probe's helper directly.
+// What each defense reads of a probe (core::ProbeNvm). A typed probe's
+// helper parses back from its bytes field for field, so each check decides
+// it from the helper, with the verdict its bytes would get: the validating
+// defenses (sanity, noisyrefusal) validate the helper; the canonical-form
+// check accepts it, since the serialization of a round-tripping helper is
+// canonical by construction; the MAC binding compares it with the enrolled
+// helper field for field. None of them serializes or hashes a typed probe.
+// Raw and byte-edited probes are checked as bytes, as a tamper check on real
+// NVM must: parsed, re-serialized and compared with the enrolled image.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +44,6 @@
 #include <vector>
 
 #include "ropuf/core/oracle.hpp"
-#include "ropuf/hash/sha256.hpp"
 #include "ropuf/helperdata/blob.hpp"
 #include "ropuf/rng/xoshiro.hpp"
 
@@ -74,14 +77,18 @@ private:
     std::shared_ptr<core::SanityCheckingOracle> impl_;
 };
 
-/// Helper-data MAC/hash binding: the device holds a fused digest of the
-/// enrolled helper blob (modeling an HMAC tag computed with a device-local
-/// secret at enrollment) and refuses any NVM content whose digest differs.
-/// Every manipulation attack degrades to denial of service; only the honest
-/// blob regenerates.
+/// Helper-data MAC/hash binding: the device holds a tag of the enrolled
+/// helper blob (modeling an HMAC computed with a device-local secret at
+/// enrollment) and refuses any NVM content whose tag differs. Every
+/// manipulation attack degrades to denial of service; only the honest blob
+/// regenerates. The model compares the NVM image with the enrolled one
+/// (core::ProbeNvm::same_image) instead of comparing digests: a tag match
+/// means an image match barring a hash collision, which no attacker here
+/// can find, so both accept the same probes. Typed probes compare helpers
+/// field for field; raw probes compare bytes with the enrolled image.
 class MacBindingOracle final : public DefenseOracle {
 public:
-    MacBindingOracle(core::AnyOracle inner, const helperdata::Nvm& enrolled);
+    MacBindingOracle(core::AnyOracle inner, core::ProbeNvm enrolled);
 
     void evaluate(std::span<const core::Probe> probes, std::vector<bool>& verdicts) override;
     core::OracleStats stats() const override;
@@ -89,7 +96,7 @@ public:
 
 private:
     core::AnyOracle inner_;
-    hash::Digest enrolled_digest_;
+    core::ProbeNvm enrolled_; ///< its bytes are built on the first raw probe
     std::int64_t refused_ = 0;
     std::vector<char> accepted_; ///< per-batch scratch, reused across calls
 };
@@ -99,7 +106,9 @@ private:
 /// (trailing garbage, non-canonical padding, unparseable content). Cheaper
 /// than full sanity validation and construction-specific through the
 /// supplied predicate; canonical re-encodings of manipulated *structures*
-/// still pass — which is exactly the gap the matrix measures.
+/// still pass — which is exactly the gap the matrix measures. A typed probe
+/// is accepted without the predicate: its bytes are the serialization of a
+/// helper that parses back field for field, so store(parse(x)) == x holds.
 class CanonicalFormOracle final : public DefenseOracle {
 public:
     using CanonicalCheck = std::function<bool(const helperdata::Nvm&)>;

@@ -44,10 +44,14 @@ struct DefenseContext {
     /// `sanity` and `noisyrefusal` defenses run per probe.
     core::HelperValidator validator;
     /// True iff a blob is the canonical serialization of a parseable helper
-    /// (store(parse(blob)) == blob) — the `crc` check.
+    /// (store(parse(blob)) == blob) — the `crc` check of raw and edited
+    /// probes (a typed probe is canonical by construction).
     std::function<bool(const helperdata::Nvm&)> canonical;
-    /// The honest enrolled helper blob — the `mac` binding reference.
-    helperdata::Nvm enrolled;
+    /// The honest enrolled helper — the `mac` binding reference. Typed
+    /// (attack::make_probe_nvm of the enrolled helper), typed probes are
+    /// compared with it field for field; a raw Nvm works too, at the cost of
+    /// serializing every typed probe for a byte compare.
+    core::ProbeNvm enrolled;
     /// Defense-side randomness stream (independent of chip/enroll/victim).
     std::uint64_t seed = 0;
 };

@@ -23,6 +23,11 @@ struct BlockEccHelper {
     int response_bits = 0; ///< total enrolled response length
 };
 
+/// Field-for-field equality of two ECC helpers.
+inline bool same_helper(const BlockEccHelper& a, const BlockEccHelper& b) {
+    return a.response_bits == b.response_bits && a.parity == b.parity;
+}
+
 /// Splits a response into shortened-BCH blocks with published parity.
 class BlockEcc {
 public:

@@ -285,4 +285,9 @@ GroupPufHelper parse_group_puf(const helperdata::Nvm& nvm) {
 
 bool round_trips(const GroupPufHelper& helper) { return bits::is_binary(helper.ecc.parity); }
 
+bool same_helper(const GroupPufHelper& a, const GroupPufHelper& b) {
+    return helperdata::same_coefficients(a.beta, b.beta) && a.group_of == b.group_of &&
+           ecc::same_helper(a.ecc, b.ecc);
+}
+
 } // namespace ropuf::group

@@ -39,9 +39,13 @@ struct GroupPufHelper {
 
 /// Serialization to/from the NVM byte level. round_trips() is true when
 /// parsing the serialized bytes gives back `helper` field for field.
+/// same_helper() is that field-for-field equality (doubles by bit pattern):
+/// for two helpers that round-trip, it holds iff their serialized bytes are
+/// equal.
 helperdata::Nvm serialize(const GroupPufHelper& helper);
 GroupPufHelper parse_group_puf(const helperdata::Nvm& nvm);
 bool round_trips(const GroupPufHelper& helper);
+bool same_helper(const GroupPufHelper& a, const GroupPufHelper& b);
 
 struct GroupPufConfig {
     int distiller_degree = 2;  ///< p = 2 / 3 recommended by the DAC'13 study
@@ -168,6 +172,7 @@ struct DeviceTraits<group::GroupBasedPuf> {
     }
     static helperdata::Nvm store(const Helper& helper) { return group::serialize(helper); }
     static bool round_trips(const Helper& helper) { return group::round_trips(helper); }
+    static bool same_helper(const Helper& a, const Helper& b) { return group::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return group::parse_group_puf(nvm); }
     static sim::Condition nominal_condition(const group::GroupBasedPuf& puf) {
         return puf.config().condition;

@@ -1,6 +1,9 @@
 #include "ropuf/helperdata/formats.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 namespace ropuf::helperdata {
 
@@ -53,6 +56,13 @@ std::vector<double> read_coefficients(BlobReader& r) {
     beta.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) beta.push_back(r.get_f64());
     return beta;
+}
+
+bool same_coefficients(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+               return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+           });
 }
 
 void write_group_assignment(BlobWriter& w, const std::vector<int>& group_of) {

@@ -46,6 +46,9 @@ std::vector<IndexPair> read_pair_list(BlobReader& r);
 /// Serializes / reads entropy-distiller polynomial coefficients.
 void write_coefficients(BlobWriter& w, const std::vector<double>& beta);
 std::vector<double> read_coefficients(BlobReader& r);
+/// Coefficient equality by bit pattern (-0.0 differs from 0.0, NaNs compare
+/// by payload): true iff write_coefficients writes the same bytes for both.
+bool same_coefficients(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Serializes / reads per-RO group assignments (group-based PUF).
 void write_group_assignment(BlobWriter& w, const std::vector<int>& group_of);

@@ -1,10 +1,24 @@
 #include "ropuf/pairing/puf_pipeline.hpp"
 
 #include <cassert>
+#include <span>
 
 namespace ropuf::pairing {
 
 namespace {
+
+/// The distiller victims' residual map of one fresh scan (f_i - P(x_i, y_i)
+/// for the helper's coefficients), in a per-thread buffer that only grows:
+/// regeneration allocates no surface and no residual vector per probe.
+/// `beta` must hold coefficient_count(degree) values (helper_consistent).
+std::span<const double> scan_residuals(const sim::ArrayGeometry& geometry,
+                                       std::span<const double> freqs, int degree,
+                                       const std::vector<double>& beta) {
+    thread_local std::vector<double> resid;
+    resid.resize(freqs.size());
+    distiller::residuals(geometry, freqs, degree, beta, resid);
+    return resid;
+}
 
 /// Orients each (faster, slower) pair per the storage policy. With the
 /// Randomized policy the stored order — and hence the key bit value — is a
@@ -114,6 +128,10 @@ SeqPairingHelper parse_seq_pairing(const helperdata::Nvm& nvm) {
 
 bool round_trips(const SeqPairingHelper& helper) { return bits::is_binary(helper.ecc.parity); }
 
+bool same_helper(const SeqPairingHelper& a, const SeqPairingHelper& b) {
+    return a.pairs == b.pairs && ecc::same_helper(a.ecc, b.ecc);
+}
+
 // ---------------------------------------------------------------------------
 // MaskedChainPuf
 // ---------------------------------------------------------------------------
@@ -165,8 +183,8 @@ KeyReconstruction MaskedChainPuf::reconstruct_measured(const MaskedChainHelper& 
     if (!helper_consistent(helper)) return {};
     const auto selected = select_pairs(base_pairs_, helper.masking);
     const ecc::BlockEcc block_ecc(code_);
-    const distiller::PolySurface surface(config_.distiller_degree, helper.beta);
-    const auto resid = distiller::residuals(array_->geometry(), freqs, surface);
+    const auto resid =
+        scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta);
     const auto noisy = evaluate_pairs(selected, resid);
     const auto rec = block_ecc.reconstruct(noisy, helper.ecc);
     return {rec.ok, rec.value, rec.corrected};
@@ -200,6 +218,11 @@ MaskedChainHelper parse_masked_chain(const helperdata::Nvm& nvm) {
 }
 
 bool round_trips(const MaskedChainHelper& helper) { return bits::is_binary(helper.ecc.parity); }
+
+bool same_helper(const MaskedChainHelper& a, const MaskedChainHelper& b) {
+    return helperdata::same_coefficients(a.beta, b.beta) && a.masking.k == b.masking.k &&
+           a.masking.selected == b.masking.selected && ecc::same_helper(a.ecc, b.ecc);
+}
 
 // ---------------------------------------------------------------------------
 // OverlapChainPuf
@@ -243,8 +266,8 @@ KeyReconstruction OverlapChainPuf::reconstruct_measured(const OverlapChainHelper
                                                         std::span<const double> freqs) const {
     if (!helper_consistent(helper)) return {};
     const ecc::BlockEcc block_ecc(code_);
-    const distiller::PolySurface surface(config_.distiller_degree, helper.beta);
-    const auto resid = distiller::residuals(array_->geometry(), freqs, surface);
+    const auto resid =
+        scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta);
     const auto noisy = evaluate_pairs(pairs_, resid);
     const auto rec = block_ecc.reconstruct(noisy, helper.ecc);
     return {rec.ok, rec.value, rec.corrected};
@@ -268,5 +291,9 @@ OverlapChainHelper parse_overlap_chain(const helperdata::Nvm& nvm) {
 }
 
 bool round_trips(const OverlapChainHelper& helper) { return bits::is_binary(helper.ecc.parity); }
+
+bool same_helper(const OverlapChainHelper& a, const OverlapChainHelper& b) {
+    return helperdata::same_coefficients(a.beta, b.beta) && ecc::same_helper(a.ecc, b.ecc);
+}
 
 } // namespace ropuf::pairing

@@ -56,9 +56,13 @@ struct SeqPairingHelper {
 
 /// Serialization to/from the NVM byte level. round_trips() is true when
 /// parsing the serialized bytes gives back `helper` field for field.
+/// same_helper() is that field-for-field equality (doubles by bit pattern):
+/// for two helpers that round-trip, it holds iff their serialized bytes are
+/// equal.
 helperdata::Nvm serialize(const SeqPairingHelper& helper);
 SeqPairingHelper parse_seq_pairing(const helperdata::Nvm& nvm);
 bool round_trips(const SeqPairingHelper& helper);
+bool same_helper(const SeqPairingHelper& a, const SeqPairingHelper& b);
 
 struct SeqPairingConfig {
     double delta_f_th = 0.5;  ///< Algorithm 1 threshold (MHz)
@@ -126,6 +130,7 @@ struct MaskedChainHelper {
 helperdata::Nvm serialize(const MaskedChainHelper& helper);
 MaskedChainHelper parse_masked_chain(const helperdata::Nvm& nvm);
 bool round_trips(const MaskedChainHelper& helper);
+bool same_helper(const MaskedChainHelper& a, const MaskedChainHelper& b);
 
 struct MaskedChainConfig {
     int distiller_degree = 2;
@@ -183,6 +188,7 @@ struct OverlapChainHelper {
 helperdata::Nvm serialize(const OverlapChainHelper& helper);
 OverlapChainHelper parse_overlap_chain(const helperdata::Nvm& nvm);
 bool round_trips(const OverlapChainHelper& helper);
+bool same_helper(const OverlapChainHelper& a, const OverlapChainHelper& b);
 
 struct OverlapChainConfig {
     int distiller_degree = 2;
@@ -262,6 +268,7 @@ struct DeviceTraits<pairing::SeqPairingPuf> {
     }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
     static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
+    static bool same_helper(const Helper& a, const Helper& b) { return pairing::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_seq_pairing(nvm); }
     static sim::Condition nominal_condition(const pairing::SeqPairingPuf& puf) {
         return puf.config().condition;
@@ -309,6 +316,7 @@ struct DeviceTraits<pairing::MaskedChainPuf> {
     }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
     static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
+    static bool same_helper(const Helper& a, const Helper& b) { return pairing::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_masked_chain(nvm); }
     static sim::Condition nominal_condition(const pairing::MaskedChainPuf& puf) {
         return puf.config().condition;
@@ -372,6 +380,7 @@ struct DeviceTraits<pairing::OverlapChainPuf> {
     }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
     static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
+    static bool same_helper(const Helper& a, const Helper& b) { return pairing::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_overlap_chain(nvm); }
     static sim::Condition nominal_condition(const pairing::OverlapChainPuf& puf) {
         return puf.config().condition;

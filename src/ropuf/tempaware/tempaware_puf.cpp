@@ -1,7 +1,9 @@
 #include "ropuf/tempaware/tempaware_puf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 
 namespace ropuf::tempaware {
@@ -240,6 +242,19 @@ bool round_trips(const TempAwareHelper& helper) {
         if (static_cast<std::uint8_t>(rec.cls) > 2) return false;
     }
     return bits::is_binary(helper.ecc.parity);
+}
+
+bool same_helper(const TempAwareHelper& a, const TempAwareHelper& b) {
+    const auto same_record = [](const PairRecord& x, const PairRecord& y) {
+        return x.cls == y.cls &&
+               std::bit_cast<std::uint64_t>(x.t_low) == std::bit_cast<std::uint64_t>(y.t_low) &&
+               std::bit_cast<std::uint64_t>(x.t_high) == std::bit_cast<std::uint64_t>(y.t_high) &&
+               x.helper_pair == y.helper_pair && x.mask_pair == y.mask_pair;
+    };
+    return a.pairs == b.pairs &&
+           std::equal(a.records.begin(), a.records.end(), b.records.begin(), b.records.end(),
+                      same_record) &&
+           ecc::same_helper(a.ecc, b.ecc);
 }
 
 } // namespace ropuf::tempaware

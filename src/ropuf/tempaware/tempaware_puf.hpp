@@ -58,9 +58,13 @@ struct TempAwareHelper {
 /// Serialization to/from the NVM byte level. round_trips() is true when
 /// parsing the serialized bytes gives back `helper` field for field: the
 /// blob stores one record per pair, a valid class byte and 0/1 parity.
+/// same_helper() is that field-for-field equality (temperatures by bit
+/// pattern): for two helpers that round-trip, it holds iff their serialized
+/// bytes are equal.
 helperdata::Nvm serialize(const TempAwareHelper& helper);
 TempAwareHelper parse_temp_aware(const helperdata::Nvm& nvm);
 bool round_trips(const TempAwareHelper& helper);
+bool same_helper(const TempAwareHelper& a, const TempAwareHelper& b);
 
 enum class HelperSelectionPolicy {
     Random,            ///< sample candidates in random order (recommended)
@@ -185,6 +189,9 @@ struct DeviceTraits<tempaware::TempAwarePuf> {
     }
     static helperdata::Nvm store(const Helper& helper) { return tempaware::serialize(helper); }
     static bool round_trips(const Helper& helper) { return tempaware::round_trips(helper); }
+    static bool same_helper(const Helper& a, const Helper& b) {
+        return tempaware::same_helper(a, b);
+    }
     static Helper parse(const helperdata::Nvm& nvm) { return tempaware::parse_temp_aware(nvm); }
     static sim::Condition nominal_condition(const tempaware::TempAwarePuf& puf) {
         return {puf.array().params().t_ref_c, puf.array().params().v_ref_v};

@@ -4,15 +4,21 @@
 //  * Lockstep differential runs: every construction's attack session, under
 //    none / sanity / crc / mac / noisyrefusal, drives a victim fed the typed
 //    probes while a twin victim with the same seeds gets bytes-only copies of
-//    the same batches. Every batch's verdicts and the final ledgers agree.
+//    the same batches, once with the enrolled MAC reference as bytes and once
+//    typed. Every batch's verdicts and the final ledgers agree, and every
+//    typed probe passes the byte-level canonical-form predicate.
 //  * Round trip: over random and attack-shaped helpers, a probe keeps its
 //    typed form only when parsing its bytes gives back the helper field for
 //    field; the shapes that do not round-trip carry bytes from the start.
+//  * Same image: for round-tripping helpers, DeviceTraits::same_helper and
+//    ProbeNvm::same_image agree with comparing the serialized bytes.
 //  * Tamper: editing a typed probe's bytes drops the typed form, so the
-//    validator and the victim both see the edit, and copies stay as they were.
+//    validator, the canonical-form check, the MAC binding and the victim all
+//    see the edit, and copies stay as they were.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,6 +29,7 @@
 #include "ropuf/attack/distiller_attack.hpp"
 #include "ropuf/attack/group_attack.hpp"
 #include "ropuf/attack/oracle.hpp"
+#include "ropuf/attack/scenarios.hpp"
 #include "ropuf/attack/seqpair_attack.hpp"
 #include "ropuf/attack/session.hpp"
 #include "ropuf/attack/tempaware_attack.hpp"
@@ -52,64 +59,29 @@ core::Probe bytes_only(const core::Probe& probe) {
     return {Nvm(probe.helper.bytes()), probe.expect};
 }
 
-/// The context the scenario registry hands a defense (attack/scenarios.cpp).
+/// How the context holds the enrolled helper, the MAC binding's reference.
+enum class Enrolled {
+    Bytes, ///< its serialized blob (a raw ProbeNvm)
+    Typed, ///< the helper itself, as attack/scenarios.cpp passes it
+};
+
+/// The context the scenario registry hands a defense, with the enrolled
+/// helper in `form`. `canonical_calls`, when given, counts the calls of the
+/// canonical-form predicate.
 template <core::Device Puf>
 defense::DefenseContext defense_context(const Puf& puf,
-                                        const typename core::DeviceTraits<Puf>::Helper& enrolled) {
-    using Traits = core::DeviceTraits<Puf>;
-    defense::DefenseContext ctx;
-    ctx.validator = attack::make_sanity_validator(puf);
-    ctx.canonical = [](const Nvm& nvm) {
-        try {
-            return Traits::store(Traits::parse(nvm)).bytes() == nvm.bytes();
-        } catch (const helperdata::ParseError&) {
-            return false;
-        }
-    };
-    ctx.enrolled = Traits::store(enrolled);
-    ctx.seed = 404;
+                                        const typename core::DeviceTraits<Puf>::Helper& enrolled,
+                                        Enrolled form = Enrolled::Typed,
+                                        int* canonical_calls = nullptr) {
+    auto ctx = attack::make_defense_context(puf, enrolled, 404);
+    if (form == Enrolled::Bytes) ctx.enrolled = core::DeviceTraits<Puf>::store(enrolled);
+    if (canonical_calls != nullptr) {
+        ctx.canonical = [canonical = ctx.canonical, canonical_calls](const Nvm& nvm) {
+            ++*canonical_calls;
+            return canonical(nvm);
+        };
+    }
     return ctx;
-}
-
-// Field-for-field helper equality (doubles compared by bit pattern).
-
-bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool same(const ecc::BlockEccHelper& a, const ecc::BlockEccHelper& b) {
-    return a.parity == b.parity && a.response_bits == b.response_bits;
-}
-bool same(const pairing::SeqPairingHelper& a, const pairing::SeqPairingHelper& b) {
-    return a.pairs == b.pairs && same(a.ecc, b.ecc);
-}
-bool same(const pairing::MaskedChainHelper& a, const pairing::MaskedChainHelper& b) {
-    return same_doubles(a.beta, b.beta) && a.masking.k == b.masking.k &&
-           a.masking.selected == b.masking.selected && same(a.ecc, b.ecc);
-}
-bool same(const pairing::OverlapChainHelper& a, const pairing::OverlapChainHelper& b) {
-    return same_doubles(a.beta, b.beta) && same(a.ecc, b.ecc);
-}
-bool same(const group::GroupPufHelper& a, const group::GroupPufHelper& b) {
-    return same_doubles(a.beta, b.beta) && a.group_of == b.group_of && same(a.ecc, b.ecc);
-}
-bool same(const tempaware::TempAwareHelper& a, const tempaware::TempAwareHelper& b) {
-    if (a.pairs != b.pairs || a.records.size() != b.records.size()) return false;
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-        const auto& x = a.records[i];
-        const auto& y = b.records[i];
-        if (x.cls != y.cls || !same_doubles({x.t_low, x.t_high}, {y.t_low, y.t_high}) ||
-            x.helper_pair != y.helper_pair || x.mask_pair != y.mask_pair) {
-            return false;
-        }
-    }
-    return same(a.ecc, b.ecc);
 }
 
 /// One construction under test: its device, enrolled helper, a factory for
@@ -122,15 +94,18 @@ struct Rig {
 };
 
 /// Drives a fresh session under `token` against a typed-probe victim and, in
-/// lockstep, a twin fed bytes-only copies; every typed probe the attack
-/// stages must round-trip. Returns the typed probes seen.
+/// lockstep, a twin fed bytes-only copies, both stacks holding the enrolled
+/// helper in `form`; every typed probe the attack stages must round-trip and
+/// pass the byte-level canonical-form predicate. Returns the typed probes
+/// seen.
 template <core::Device Puf>
 std::int64_t expect_lockstep(const Puf& puf, const typename Rig<Puf>::Helper& enrolled,
-                             const Rig<Puf>& rig, const std::string& token) {
+                             const Rig<Puf>& rig, const std::string& token, Enrolled form) {
     using Traits = core::DeviceTraits<Puf>;
     using Helper = typename Traits::Helper;
-    SCOPED_TRACE(std::string(core::DeviceTraits<Puf>::kind) + " under " + token);
-    const auto ctx = defense_context(puf, enrolled);
+    SCOPED_TRACE(std::string(core::DeviceTraits<Puf>::kind) + " under " + token +
+                 (form == Enrolled::Typed ? ", typed enrolled" : ", enrolled bytes"));
+    const auto ctx = defense_context(puf, enrolled, form);
     auto victim = rig.victim();
     auto twin = rig.victim();
     auto typed_stack = defense::apply_defense(token, attack::make_oracle(victim), ctx).oracle;
@@ -146,7 +121,9 @@ std::int64_t expect_lockstep(const Puf& puf, const typename Rig<Puf>::Helper& en
             const Helper* helper = probe.helper.template typed<Helper>();
             if (helper == nullptr) continue;
             ++typed;
-            EXPECT_TRUE(same(Traits::parse(Traits::store(*helper)), *helper));
+            const Nvm stored = Traits::store(*helper);
+            EXPECT_TRUE(Traits::same_helper(Traits::parse(stored), *helper));
+            EXPECT_TRUE(ctx.canonical(stored));
         }
         // The typed stack goes first, so it meets probes whose bytes no
         // reader has built yet.
@@ -174,8 +151,10 @@ template <core::Device Puf>
 void expect_lockstep_all(const Puf& puf, const typename Rig<Puf>::Helper& enrolled,
                          const Rig<Puf>& rig) {
     for (const char* token : kDefenses) {
-        EXPECT_GT(expect_lockstep(puf, enrolled, rig, token), 0)
-            << "no typed probe reached the " << token << " stack";
+        for (const Enrolled form : {Enrolled::Bytes, Enrolled::Typed}) {
+            EXPECT_GT(expect_lockstep(puf, enrolled, rig, token, form), 0)
+                << "no typed probe reached the " << token << " stack";
+        }
     }
 }
 
@@ -298,10 +277,10 @@ bool expect_typed_iff_round_trip(const typename core::DeviceTraits<Puf>::Helper&
         parsed = Traits::parse(stored);
     } catch (const helperdata::ParseError&) {
     }
-    const bool round_trips = parsed && same(*parsed, helper);
+    const bool round_trips = parsed && Traits::same_helper(*parsed, helper);
     EXPECT_EQ(typed != nullptr, round_trips);
     if (typed != nullptr) {
-        EXPECT_TRUE(same(*typed, helper));
+        EXPECT_TRUE(Traits::same_helper(*typed, helper));
     }
     return typed != nullptr;
 }
@@ -390,6 +369,187 @@ TEST(TypedProbeRoundTrip, TheTwoNonRoundTrippingShapesCarryBytes) {
 }
 
 // ---------------------------------------------------------------------------
+// Same image: for round-tripping helpers, same_helper holds iff the
+// serialized bytes are equal, and ProbeNvm::same_image agrees
+// ---------------------------------------------------------------------------
+
+/// Values a double field takes in turn: signed zeros, NaNs that differ only
+/// in payload or sign, and neighbours one ulp apart.
+std::vector<double> special_doubles() {
+    const auto nan = [](std::uint64_t payload) {
+        return std::bit_cast<double>(0x7ff8000000000000ull | payload);
+    };
+    return {0.0, -0.0, nan(1), nan(2), std::bit_cast<double>(0xfff8000000000001ull), 1.0,
+            std::nextafter(1.0, 2.0)};
+}
+
+/// A round-tripping helper, an unchanged copy of it, and variants that
+/// differ from it in one field each (and still round-trip).
+template <typename Helper>
+class Variants {
+public:
+    explicit Variants(Helper base) {
+        all_.push_back(std::move(base));
+        add([](Helper&) {});
+    }
+
+    template <typename Edit>
+    void add(Edit edit) {
+        Helper h = all_.front();
+        edit(h);
+        all_.push_back(std::move(h));
+    }
+
+    /// One variant per special double, written through `field`.
+    template <typename Field>
+    void add_doubles(Field field) {
+        for (const double v : special_doubles()) add([&](Helper& h) { field(h) = v; });
+    }
+
+    /// Parity flips, a longer parity and another response length.
+    void add_ecc() {
+        add([](Helper& h) { h.ecc.parity.front() ^= 1; });
+        add([](Helper& h) { h.ecc.parity.back() ^= 1; });
+        add([](Helper& h) { h.ecc.parity.push_back(0); });
+        add([](Helper& h) { h.ecc.response_bits ^= 1; });
+    }
+
+    const std::vector<Helper>& all() const { return all_; }
+
+private:
+    std::vector<Helper> all_;
+};
+
+/// Compares every pair of `helpers` as fields, as typed probes, and as a
+/// typed probe against the other's bytes, each against the bytes compare.
+template <core::Device Puf>
+void expect_same_iff_same_bytes(const std::vector<typename core::DeviceTraits<Puf>::Helper>& helpers,
+                                int& equal, int& differ) {
+    using Traits = core::DeviceTraits<Puf>;
+    using Helper = typename Traits::Helper;
+    SCOPED_TRACE(std::string(Traits::kind));
+    std::vector<Nvm> stored;
+    std::vector<core::ProbeNvm> typed;
+    for (const auto& h : helpers) {
+        ASSERT_TRUE(Traits::round_trips(h));
+        stored.push_back(Traits::store(h));
+        typed.push_back(attack::make_probe_nvm<Puf>(h));
+        ASSERT_NE(typed.back().template typed<Helper>(), nullptr);
+    }
+    for (std::size_t i = 0; i < helpers.size(); ++i) {
+        for (std::size_t j = 0; j < helpers.size(); ++j) {
+            const bool same_bytes = stored[i].bytes() == stored[j].bytes();
+            EXPECT_EQ(Traits::same_helper(helpers[i], helpers[j]), same_bytes) << i << " vs " << j;
+            EXPECT_EQ(typed[i].same_image(typed[j]), same_bytes) << i << " vs " << j;
+            EXPECT_EQ(typed[i].same_image(core::ProbeNvm(stored[j])), same_bytes)
+                << i << " vs " << j;
+            same_bytes ? ++equal : ++differ;
+        }
+    }
+}
+
+/// Random parity of 1..96 bits, all 0/1, so the helper round-trips.
+ecc::BlockEccHelper binary_ecc(Xoshiro256pp& rng) {
+    ecc::BlockEccHelper ecc;
+    ecc.parity = bits::random_bits(rng.uniform_u64(1, 96), rng);
+    ecc.response_bits = random_int(rng);
+    return ecc;
+}
+
+std::vector<double> nonempty_beta(Xoshiro256pp& rng) {
+    std::vector<double> beta(rng.uniform_u64(1, 10));
+    for (auto& c : beta) c = random_double(rng);
+    return beta;
+}
+
+TEST(TypedProbeSameImage, SameHelperHoldsExactlyWhenTheBytesAreEqual) {
+    Xoshiro256pp rng(801);
+    int equal = 0;
+    int differ = 0;
+    for (int trial = 0; trial < 10; ++trial) {
+        SCOPED_TRACE(trial);
+        {
+            pairing::SeqPairingHelper base;
+            base.pairs = random_pairs(rng, rng.uniform_u64(1, 20));
+            base.ecc = binary_ecc(rng);
+            Variants<pairing::SeqPairingHelper> v(base);
+            v.add([](auto& h) { h.pairs.front().first ^= 1; });
+            v.add([](auto& h) { h.pairs.back().second ^= 1; });
+            v.add([](auto& h) { h.pairs.emplace_back(0, 1); });
+            v.add_ecc();
+            expect_same_iff_same_bytes<pairing::SeqPairingPuf>(v.all(), equal, differ);
+        }
+        {
+            pairing::MaskedChainHelper base;
+            base.beta = nonempty_beta(rng);
+            base.masking.k = random_int(rng);
+            base.masking.selected.resize(rng.uniform_u64(1, 20));
+            for (auto& s : base.masking.selected) s = random_int(rng);
+            base.ecc = binary_ecc(rng);
+            Variants<pairing::MaskedChainHelper> v(base);
+            v.add_doubles([](auto& h) -> double& { return h.beta.front(); });
+            v.add_doubles([](auto& h) -> double& { return h.beta.back(); });
+            v.add([](auto& h) { h.masking.k ^= 1; });
+            v.add([](auto& h) { h.masking.selected.front() ^= 1; });
+            v.add([](auto& h) { h.masking.selected.push_back(0); });
+            v.add_ecc();
+            expect_same_iff_same_bytes<pairing::MaskedChainPuf>(v.all(), equal, differ);
+        }
+        {
+            pairing::OverlapChainHelper base;
+            base.beta = nonempty_beta(rng);
+            base.ecc = binary_ecc(rng);
+            Variants<pairing::OverlapChainHelper> v(base);
+            v.add_doubles([](auto& h) -> double& { return h.beta.front(); });
+            v.add([](auto& h) { h.beta.push_back(0.0); });
+            v.add_ecc();
+            expect_same_iff_same_bytes<pairing::OverlapChainPuf>(v.all(), equal, differ);
+        }
+        {
+            group::GroupPufHelper base;
+            base.beta = nonempty_beta(rng);
+            base.group_of.resize(rng.uniform_u64(1, 60));
+            for (auto& g : base.group_of) g = static_cast<int>(rng.uniform_u64(1, 20));
+            base.ecc = binary_ecc(rng);
+            Variants<group::GroupPufHelper> v(base);
+            v.add_doubles([](auto& h) -> double& { return h.beta.back(); });
+            v.add([](auto& h) { h.group_of.front() ^= 1; });
+            v.add([](auto& h) { h.group_of.push_back(1); });
+            v.add_ecc();
+            expect_same_iff_same_bytes<group::GroupBasedPuf>(v.all(), equal, differ);
+        }
+        {
+            tempaware::TempAwareHelper base;
+            base.pairs = random_pairs(rng, rng.uniform_u64(1, 12));
+            base.records.resize(base.pairs.size());
+            for (auto& rec : base.records) {
+                rec.cls = static_cast<tempaware::PairClass>(rng.uniform_u64(0, 2));
+                rec.t_low = random_double(rng);
+                rec.t_high = random_double(rng);
+                rec.helper_pair = random_int(rng);
+                rec.mask_pair = random_int(rng);
+            }
+            base.ecc = binary_ecc(rng);
+            Variants<tempaware::TempAwareHelper> v(base);
+            v.add_doubles([](auto& h) -> double& { return h.records.front().t_low; });
+            v.add_doubles([](auto& h) -> double& { return h.records.back().t_high; });
+            v.add([](auto& h) {
+                auto& cls = h.records.front().cls;
+                cls = static_cast<tempaware::PairClass>((static_cast<int>(cls) + 1) % 3);
+            });
+            v.add([](auto& h) { h.records.front().helper_pair ^= 1; });
+            v.add([](auto& h) { h.records.back().mask_pair ^= 1; });
+            v.add([](auto& h) { h.pairs.front().second ^= 1; });
+            v.add_ecc();
+            expect_same_iff_same_bytes<tempaware::TempAwarePuf>(v.all(), equal, differ);
+        }
+    }
+    // Both sides of the property were exercised.
+    EXPECT_GT(equal, 500);
+    EXPECT_GT(differ, 10000);
+}
+
+// ---------------------------------------------------------------------------
 // Tamper regression and lazy bytes
 // ---------------------------------------------------------------------------
 
@@ -440,6 +600,44 @@ TEST(TypedProbeTamper, FlippedBytesReachValidatorAndVictimAndSparesTheSibling) {
                                                             bytes_only(tampered)}),
               verdicts);
     EXPECT_EQ(victim.ledger().measurements, twin.ledger().measurements);
+}
+
+TEST(TypedProbeTamper, EditedBytesMeetTheCanonicalCheckAndTheMacAsBytes) {
+    SeqRig rig;
+    using Traits = core::DeviceTraits<SeqRig::Puf>;
+    const auto probe = attack::make_probe<SeqRig::Puf>(rig.enrollment.helper);
+    // Trailing garbage: not canonical, not the enrolled image.
+    auto trailing = probe;
+    trailing.helper.bytes().push_back(0);
+    // An edit undone: the honest bytes, but no longer a typed probe.
+    auto reverted = probe;
+    reverted.helper.bytes()[7] ^= 0x40;
+    reverted.helper.bytes()[7] ^= 0x40;
+    // A canonical re-encoding of another helper (one parity bit flipped).
+    auto reencoded = probe;
+    auto flipped = rig.enrollment.helper;
+    flipped.ecc.parity[0] ^= 1;
+    reencoded.helper.bytes() = Traits::store(flipped).bytes();
+    const std::vector<core::Probe> batch = {trailing, reverted, reencoded};
+    for (const auto& edited : batch) {
+        ASSERT_EQ(edited.helper.typed<SeqRig::Helper>(), nullptr);
+    }
+
+    int canonical_calls = 0;
+    const auto ctx = defense_context(rig.puf, rig.enrollment.helper, Enrolled::Typed,
+                                     &canonical_calls);
+    attack::Victim<SeqRig::Puf> victim(rig.puf, rig.enrollment.key, 741);
+    auto crc = defense::apply_defense("crc", attack::make_oracle(victim), ctx);
+    const auto crc_verdicts = crc.oracle.evaluate(batch);
+    EXPECT_EQ(canonical_calls, 3);
+    EXPECT_EQ(crc.refused(), 1);
+    EXPECT_TRUE(crc_verdicts[0]);
+    EXPECT_FALSE(crc_verdicts[1]);
+
+    auto mac = defense::apply_defense("mac", attack::make_oracle(victim), ctx);
+    const auto mac_verdicts = mac.oracle.evaluate(batch);
+    EXPECT_EQ(mac.refused(), 2);
+    EXPECT_EQ(mac_verdicts, (std::vector<bool>{true, false, true}));
 }
 
 TEST(TypedProbeLockstep, InconsistentTypedHelpersDrawNoScan) {
@@ -528,17 +726,37 @@ TEST(TypedProbeBytes, BuiltOnlyWhenAByteReaderAsks) {
     EXPECT_EQ(typed.stores, 0.0);
     EXPECT_EQ(typed.parses, 0.0);
 
-    // The MAC binding hashes the bytes: each probe is stored once, then the
-    // victim still reads the typed helper.
-    const auto hashed = seam_counts([&] {
+    // The tamper checks decide typed probes from the helper: the
+    // canonical-form check never calls its predicate, and the MAC binding
+    // compares with the typed enrolled helper field for field.
+    for (const char* token : {"crc", "mac"}) {
+        SCOPED_TRACE(token);
+        int canonical_calls = 0;
+        const auto checked = seam_counts([&] {
+            attack::Victim<SeqRig::Puf> victim(rig.puf, rig.enrollment.key, 721);
+            const auto ctx = defense_context(rig.puf, rig.enrollment.helper, Enrolled::Typed,
+                                             &canonical_calls);
+            auto oracle = defense::apply_defense(token, attack::make_oracle(victim), ctx).oracle;
+            EXPECT_EQ(oracle.evaluate(batch), std::vector<bool>(4, false));
+            EXPECT_EQ(oracle.stats().refused, 0);
+        });
+        EXPECT_EQ(checked.stores, 0.0);
+        EXPECT_EQ(checked.parses, 0.0);
+        EXPECT_EQ(canonical_calls, 0);
+    }
+
+    // Against an enrolled blob the MAC binding compares bytes: each typed
+    // probe is stored once and keeps its bytes, and the victim still reads
+    // the typed helper.
+    const auto byte_compared = seam_counts([&] {
         attack::Victim<SeqRig::Puf> victim(rig.puf, rig.enrollment.key, 721);
-        const auto ctx = defense_context(rig.puf, rig.enrollment.helper);
+        const auto ctx = defense_context(rig.puf, rig.enrollment.helper, Enrolled::Bytes);
         auto oracle = defense::apply_defense("mac", attack::make_oracle(victim), ctx).oracle;
         (void)oracle.evaluate(batch);
-        (void)oracle.evaluate(batch); // bytes are kept once built
+        (void)oracle.evaluate(batch);
     });
-    EXPECT_EQ(hashed.stores, 4.0);
-    EXPECT_EQ(hashed.parses, 0.0);
+    EXPECT_EQ(byte_compared.stores, 4.0);
+    EXPECT_EQ(byte_compared.parses, 0.0);
 
     // Raw probes are parsed by the validator and again by the victim.
     std::vector<core::Probe> raw;
@@ -551,6 +769,24 @@ TEST(TypedProbeBytes, BuiltOnlyWhenAByteReaderAsks) {
     });
     EXPECT_EQ(parsed.stores, 0.0);
     EXPECT_EQ(parsed.parses, 8.0);
+
+    // Raw probes against the typed enrolled helper: the enrolled image is
+    // built once for the byte compare, and the canonical-form check runs
+    // its predicate on every raw probe.
+    int canonical_calls = 0;
+    const auto raw_checked = seam_counts([&] {
+        attack::Victim<SeqRig::Puf> victim(rig.puf, rig.enrollment.key, 721);
+        const auto ctx = defense_context(rig.puf, rig.enrollment.helper, Enrolled::Typed,
+                                         &canonical_calls);
+        auto mac = defense::apply_defense("mac", attack::make_oracle(victim), ctx).oracle;
+        EXPECT_EQ(mac.evaluate(raw), std::vector<bool>(4, false));
+        EXPECT_EQ(mac.evaluate(raw), std::vector<bool>(4, false));
+        auto crc = defense::apply_defense("crc", attack::make_oracle(victim), ctx).oracle;
+        EXPECT_EQ(crc.evaluate(raw), std::vector<bool>(4, false));
+    });
+    EXPECT_EQ(raw_checked.stores, 1.0);
+    EXPECT_EQ(raw_checked.parses, 12.0);
+    EXPECT_EQ(canonical_calls, 4);
 }
 
 } // namespace
