@@ -6,44 +6,34 @@
 // manipulated-helper-data query. This header is the layer that makes that
 // uniformity explicit in code. A *device* is anything that can
 //
-//   * enroll once, producing {public helper data, secret key};
-//   * regenerate the key from (possibly manipulated) helper data plus a
-//     fresh noisy measurement at some operating condition;
-//   * declare its per-query measurement cost (how many oscillators one
-//     regeneration touches), the unit every attack's cost model is built on.
+//   * check (possibly manipulated) helper data structurally before it
+//     measures, so a failing helper consumes no scan;
+//   * regenerate the key from that helper data plus a supplied noisy scan
+//     at some operating condition;
+//   * store and parse its helper data at the NVM byte level;
+//   * say what a careful device would validate (Section VII-C).
 //
-// Constructions opt in by specializing DeviceTraits<Puf>; the Device concept
-// checks conformance at compile time, and AnyDevice type-erases a conforming
-// construction behind the raw-NVM helper currency so registries, engines and
-// conformance tests can hold heterogeneous devices in one container.
+// Constructions opt in by specializing DeviceTraits<Puf> on top of
+// DeviceTraitsBase, which writes once what every construction shares; the
+// Device concept checks conformance at compile time.
 #pragma once
 
 #include <concepts>
-#include <memory>
 #include <span>
 #include <string_view>
-#include <utility>
 
 #include "ropuf/bits/bitvec.hpp"
 #include "ropuf/helperdata/blob.hpp"
 #include "ropuf/helperdata/sanity.hpp"
-#include "ropuf/rng/xoshiro.hpp"
 #include "ropuf/sim/ro_array.hpp"
 
 namespace ropuf::core {
 
-/// Uniform result of one key-regeneration attempt, shared by every
-/// construction (the per-construction Reconstruction structs convert to it).
+/// Result of one key-regeneration attempt, returned by every construction.
 struct ReconstructResult {
     bool ok = false;   ///< parsing and every ECC block succeeded
     bits::BitVec key;  ///< regenerated key (meaningful iff ok)
     int corrected = 0; ///< total ECC corrections applied
-};
-
-/// Uniform result of a one-time enrollment at the NVM byte level.
-struct EnrollResult {
-    helperdata::Nvm helper; ///< serialized public helper data
-    bits::BitVec key;       ///< the enrolled secret key
 };
 
 /// Glue each construction specializes to join the unified device layer.
@@ -51,9 +41,6 @@ struct EnrollResult {
 /// Required members:
 ///   using Helper = <the construction's structured helper-data type>;
 ///   static constexpr std::string_view kind;            // stable identifier
-///   static std::pair<Helper, bits::BitVec> enroll(const Puf&, rng);
-///   static ReconstructResult reconstruct(const Puf&, const Helper&,
-///                                        const sim::Condition&, rng);
 ///   static ReconstructResult reconstruct_measured(const Puf&, const Helper&,
 ///                                 const sim::Condition&, span<const double>);
 ///                                     // regeneration from a supplied scan —
@@ -88,23 +75,44 @@ struct EnrollResult {
 ///                                     // validate (Section VII-C); feeds the
 ///                                     // SanityCheckingOracle countermeasure
 ///                                     // (Verdict mode: yes/no, no strings)
+///
+/// DeviceTraitsBase supplies Helper, reconstruct_measured, helper_consistent
+/// and the two condition functions; a specialization adds the rest.
 template <typename Puf>
 struct DeviceTraits; // primary template intentionally undefined
+
+/// What every construction provides the same way. Regeneration and its
+/// structural checks are the Puf's own members of the same names; the
+/// operating point is the Puf's `config().condition`, with the ambient
+/// temperature swapped in. A construction with another notion of its
+/// operating point (tempaware) declares its own two condition functions.
+template <typename Puf, typename H>
+struct DeviceTraitsBase {
+    using Helper = H;
+
+    static ReconstructResult reconstruct_measured(const Puf& puf, const Helper& helper,
+                                                  const sim::Condition& condition,
+                                                  std::span<const double> freqs) {
+        return puf.reconstruct_measured(helper, condition, freqs);
+    }
+    static bool helper_consistent(const Puf& puf, const Helper& helper) {
+        return puf.helper_consistent(helper);
+    }
+    static sim::Condition nominal_condition(const Puf& puf) { return puf.config().condition; }
+    static sim::Condition condition_at(const Puf& puf, double ambient_c) {
+        sim::Condition c = puf.config().condition;
+        c.temperature_c = ambient_c;
+        return c;
+    }
+};
 
 /// A construction conforming to the unified device layer.
 template <typename P>
 concept Device = requires(const P& puf, const typename DeviceTraits<P>::Helper& helper,
                           const helperdata::Nvm& nvm, const sim::Condition& condition,
-                          std::span<const double> freqs, double ambient_c,
-                          rng::Xoshiro256pp& rng) {
+                          std::span<const double> freqs, double ambient_c) {
     typename DeviceTraits<P>::Helper;
     { DeviceTraits<P>::kind } -> std::convertible_to<std::string_view>;
-    {
-        DeviceTraits<P>::enroll(puf, rng)
-    } -> std::same_as<std::pair<typename DeviceTraits<P>::Helper, bits::BitVec>>;
-    {
-        DeviceTraits<P>::reconstruct(puf, helper, condition, rng)
-    } -> std::same_as<ReconstructResult>;
     {
         DeviceTraits<P>::reconstruct_measured(puf, helper, condition, freqs)
     } -> std::same_as<ReconstructResult>;
@@ -120,86 +128,6 @@ concept Device = requires(const P& puf, const typename DeviceTraits<P>::Helper& 
         DeviceTraits<P>::sanity(puf, helper, helperdata::SanityMode::Verdict)
     } -> std::same_as<helperdata::SanityReport>;
     { puf.array() } -> std::convertible_to<const sim::RoArray&>;
-};
-
-/// Type-erased device handle. The helper currency is the raw NVM blob — the
-/// exact bytes the paper's attacker reads and writes — so one interface
-/// covers all constructions; malformed blobs fail safely (ok = false)
-/// instead of throwing, matching the devices' fail-safe parsing contract.
-///
-/// Holds a copy of the construction object (constructions are light views
-/// onto a sim::RoArray); the referenced array must outlive the AnyDevice.
-class AnyDevice {
-public:
-    template <Device P>
-    explicit AnyDevice(const P& puf) : impl_(std::make_shared<const Model<P>>(puf)) {}
-
-    /// One-time enrollment, serialized to the NVM byte level.
-    EnrollResult enroll(rng::Xoshiro256pp& rng) const { return impl_->enroll(rng); }
-
-    /// Key regeneration from raw helper NVM at the device's nominal condition.
-    ReconstructResult reconstruct(const helperdata::Nvm& nvm, rng::Xoshiro256pp& rng) const {
-        return impl_->reconstruct(nvm, impl_->nominal_condition(), rng);
-    }
-
-    /// Key regeneration at an explicit operating condition.
-    ReconstructResult reconstruct(const helperdata::Nvm& nvm, const sim::Condition& condition,
-                                  rng::Xoshiro256pp& rng) const {
-        return impl_->reconstruct(nvm, condition, rng);
-    }
-
-    /// Stable construction identifier (DeviceTraits<P>::kind).
-    std::string_view kind() const { return impl_->kind(); }
-
-    /// Declared query cost: oscillator measurements per regeneration (every
-    /// construction scans its full array once per query).
-    int query_cost() const { return impl_->query_cost(); }
-
-    sim::Condition nominal_condition() const { return impl_->nominal_condition(); }
-
-private:
-    struct Concept {
-        virtual ~Concept() = default;
-        virtual EnrollResult enroll(rng::Xoshiro256pp& rng) const = 0;
-        virtual ReconstructResult reconstruct(const helperdata::Nvm& nvm,
-                                              const sim::Condition& condition,
-                                              rng::Xoshiro256pp& rng) const = 0;
-        virtual std::string_view kind() const = 0;
-        virtual int query_cost() const = 0;
-        virtual sim::Condition nominal_condition() const = 0;
-    };
-
-    template <Device P>
-    struct Model final : Concept {
-        explicit Model(const P& puf) : puf(puf) {}
-
-        EnrollResult enroll(rng::Xoshiro256pp& rng) const override {
-            auto [helper, key] = DeviceTraits<P>::enroll(puf, rng);
-            return {DeviceTraits<P>::store(helper), std::move(key)};
-        }
-
-        ReconstructResult reconstruct(const helperdata::Nvm& nvm,
-                                      const sim::Condition& condition,
-                                      rng::Xoshiro256pp& rng) const override {
-            typename DeviceTraits<P>::Helper helper;
-            try {
-                helper = DeviceTraits<P>::parse(nvm);
-            } catch (const helperdata::ParseError&) {
-                return {}; // malformed blob: observable refusal
-            }
-            return DeviceTraits<P>::reconstruct(puf, helper, condition, rng);
-        }
-
-        std::string_view kind() const override { return DeviceTraits<P>::kind; }
-        int query_cost() const override { return puf.array().count(); }
-        sim::Condition nominal_condition() const override {
-            return DeviceTraits<P>::nominal_condition(puf);
-        }
-
-        P puf;
-    };
-
-    std::shared_ptr<const Concept> impl_;
 };
 
 } // namespace ropuf::core

@@ -169,14 +169,14 @@ int GroupBasedPuf::inferred_degree(const GroupPufHelper& helper) {
     return -1;
 }
 
-GroupBasedPuf::Reconstruction GroupBasedPuf::reconstruct(const GroupPufHelper& helper,
-                                                         const sim::Condition& condition,
-                                                         rng::Xoshiro256pp& rng) const {
+core::ReconstructResult GroupBasedPuf::reconstruct(const GroupPufHelper& helper,
+                                                   const sim::Condition& condition,
+                                                   rng::Xoshiro256pp& rng) const {
     if (!helper_consistent(helper)) return {};
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
-GroupBasedPuf::Reconstruction GroupBasedPuf::reconstruct_measured(
+core::ReconstructResult GroupBasedPuf::reconstruct_measured(
     const GroupPufHelper& helper, const sim::Condition&, std::span<const double> freqs) const {
     Scratch& scratch = Scratch::of_thread();
     if (!partition(helper, scratch)) return {};
@@ -220,7 +220,7 @@ GroupBasedPuf::Reconstruction GroupBasedPuf::reconstruct_measured(
     for (std::size_t j = 0; j < scratch.groups; ++j) {
         key_bits += kCompactBits[scratch.group(j).size()];
     }
-    Reconstruction out;
+    core::ReconstructResult out;
     out.key.resize(static_cast<std::size_t>(key_bits));
     std::size_t key_at = 0;
     cursor = 0;

@@ -74,22 +74,18 @@ public:
     /// One-time enrollment.
     Enrollment enroll(rng::Xoshiro256pp& rng) const;
 
-    struct Reconstruction {
-        bool ok = false;
-        bits::BitVec key;
-        int corrected = 0;
-    };
-
     /// Key regeneration with (possibly manipulated) helper data. Any
     /// structural inconsistency — non-dense groups, oversized groups, wrong
     /// parity length, invalid corrected codeword — fails safely.
-    Reconstruction reconstruct(const GroupPufHelper& helper, rng::Xoshiro256pp& rng) const {
+    core::ReconstructResult reconstruct(const GroupPufHelper& helper,
+                                        rng::Xoshiro256pp& rng) const {
         return reconstruct(helper, config_.condition, rng);
     }
 
     /// Same, at an explicit operating condition (the environment's choice).
-    Reconstruction reconstruct(const GroupPufHelper& helper, const sim::Condition& condition,
-                               rng::Xoshiro256pp& rng) const;
+    core::ReconstructResult reconstruct(const GroupPufHelper& helper,
+                                        const sim::Condition& condition,
+                                        rng::Xoshiro256pp& rng) const;
 
     /// True when the helper passes every structural check regeneration
     /// applies *before* measuring (a failing helper consumes no scan).
@@ -100,9 +96,9 @@ public:
     /// Partition, Kendall bits, ECC and packing run in per-thread scratch:
     /// past the first probe at a given array size, the returned key is the
     /// only allocation.
-    Reconstruction reconstruct_measured(const GroupPufHelper& helper,
-                                        const sim::Condition& condition,
-                                        std::span<const double> freqs) const;
+    core::ReconstructResult reconstruct_measured(const GroupPufHelper& helper,
+                                                 const sim::Condition& condition,
+                                                 std::span<const double> freqs) const;
 
     /// Computes the Kendall bit string and the packed key for a given
     /// members partition and residual map — shared by enrollment,
@@ -145,43 +141,14 @@ private:
 namespace ropuf::core {
 
 template <>
-struct DeviceTraits<group::GroupBasedPuf> {
-    using Helper = group::GroupPufHelper;
+struct DeviceTraits<group::GroupBasedPuf>
+    : DeviceTraitsBase<group::GroupBasedPuf, group::GroupPufHelper> {
     static constexpr std::string_view kind = "group";
 
-    static std::pair<Helper, bits::BitVec> enroll(const group::GroupBasedPuf& puf,
-                                                  rng::Xoshiro256pp& rng) {
-        auto e = puf.enroll(rng);
-        return {std::move(e.helper), std::move(e.key)};
-    }
-    static ReconstructResult reconstruct(const group::GroupBasedPuf& puf, const Helper& helper,
-                                         const sim::Condition& condition,
-                                         rng::Xoshiro256pp& rng) {
-        auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static ReconstructResult reconstruct_measured(const group::GroupBasedPuf& puf,
-                                                  const Helper& helper,
-                                                  const sim::Condition& condition,
-                                                  std::span<const double> freqs) {
-        auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static bool helper_consistent(const group::GroupBasedPuf& puf, const Helper& helper) {
-        return puf.helper_consistent(helper);
-    }
     static helperdata::Nvm store(const Helper& helper) { return group::serialize(helper); }
     static bool round_trips(const Helper& helper) { return group::round_trips(helper); }
     static bool same_helper(const Helper& a, const Helper& b) { return group::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return group::parse_group_puf(nvm); }
-    static sim::Condition nominal_condition(const group::GroupBasedPuf& puf) {
-        return puf.config().condition;
-    }
-    static sim::Condition condition_at(const group::GroupBasedPuf& puf, double ambient_c) {
-        sim::Condition c = nominal_condition(puf);
-        c.temperature_c = ambient_c;
-        return c;
-    }
     /// Strict partition checks plus coefficient plausibility: the Section
     /// VI-C steep-plane injection needs |beta| orders of magnitude above any
     /// honest fit.

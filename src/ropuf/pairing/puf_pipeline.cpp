@@ -1,6 +1,7 @@
 #include "ropuf/pairing/puf_pipeline.hpp"
 
 #include <cassert>
+#include <optional>
 #include <span>
 
 namespace ropuf::pairing {
@@ -81,16 +82,16 @@ bool SeqPairingPuf::helper_consistent(const SeqPairingHelper& helper) const {
            block_ecc.helper_bits(helper.ecc.response_bits);
 }
 
-KeyReconstruction SeqPairingPuf::reconstruct(const SeqPairingHelper& helper,
-                                             const sim::Condition& condition,
-                                             rng::Xoshiro256pp& rng) const {
+core::ReconstructResult SeqPairingPuf::reconstruct(const SeqPairingHelper& helper,
+                                                   const sim::Condition& condition,
+                                                   rng::Xoshiro256pp& rng) const {
     if (!helper_consistent(helper)) return {};
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
-KeyReconstruction SeqPairingPuf::reconstruct_measured(const SeqPairingHelper& helper,
-                                                      const sim::Condition&,
-                                                      std::span<const double> freqs) const {
+core::ReconstructResult SeqPairingPuf::reconstruct_measured(const SeqPairingHelper& helper,
+                                                            const sim::Condition&,
+                                                            std::span<const double> freqs) const {
     if (!helper_consistent(helper)) return {};
     const ecc::BlockEcc block_ecc(code_);
     const auto noisy = evaluate_pairs(helper.pairs, freqs);
@@ -155,37 +156,45 @@ MaskedChainPuf::Enrollment MaskedChainPuf::enroll(rng::Xoshiro256pp& rng) const 
     return out;
 }
 
-bool MaskedChainPuf::helper_consistent(const MaskedChainHelper& helper) const {
+std::optional<std::vector<helperdata::IndexPair>> MaskedChainPuf::checked_selection(
+    const MaskedChainHelper& helper) const {
     const int expected_coeffs = distiller::coefficient_count(config_.distiller_degree);
-    if (static_cast<int>(helper.beta.size()) != expected_coeffs) return false;
+    if (static_cast<int>(helper.beta.size()) != expected_coeffs) return std::nullopt;
     std::vector<helperdata::IndexPair> selected;
     try {
         selected = select_pairs(base_pairs_, helper.masking);
     } catch (const helperdata::ParseError&) {
-        return false;
+        return std::nullopt;
     }
-    if (helper.ecc.response_bits != static_cast<int>(selected.size())) return false;
+    if (helper.ecc.response_bits != static_cast<int>(selected.size())) return std::nullopt;
     const ecc::BlockEcc block_ecc(code_);
-    return static_cast<int>(helper.ecc.parity.size()) ==
-           block_ecc.helper_bits(helper.ecc.response_bits);
+    if (static_cast<int>(helper.ecc.parity.size()) !=
+        block_ecc.helper_bits(helper.ecc.response_bits)) {
+        return std::nullopt;
+    }
+    return selected;
 }
 
-KeyReconstruction MaskedChainPuf::reconstruct(const MaskedChainHelper& helper,
-                                             const sim::Condition& condition,
-                                             rng::Xoshiro256pp& rng) const {
+bool MaskedChainPuf::helper_consistent(const MaskedChainHelper& helper) const {
+    return checked_selection(helper).has_value();
+}
+
+core::ReconstructResult MaskedChainPuf::reconstruct(const MaskedChainHelper& helper,
+                                                    const sim::Condition& condition,
+                                                    rng::Xoshiro256pp& rng) const {
     if (!helper_consistent(helper)) return {};
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
-KeyReconstruction MaskedChainPuf::reconstruct_measured(const MaskedChainHelper& helper,
-                                                       const sim::Condition&,
-                                                       std::span<const double> freqs) const {
-    if (!helper_consistent(helper)) return {};
-    const auto selected = select_pairs(base_pairs_, helper.masking);
+core::ReconstructResult MaskedChainPuf::reconstruct_measured(const MaskedChainHelper& helper,
+                                                             const sim::Condition&,
+                                                             std::span<const double> freqs) const {
+    const auto selected = checked_selection(helper);
+    if (!selected) return {};
     const ecc::BlockEcc block_ecc(code_);
     const auto resid =
         scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta);
-    const auto noisy = evaluate_pairs(selected, resid);
+    const auto noisy = evaluate_pairs(*selected, resid);
     const auto rec = block_ecc.reconstruct(noisy, helper.ecc);
     return {rec.ok, rec.value, rec.corrected};
 }
@@ -254,16 +263,16 @@ bool OverlapChainPuf::helper_consistent(const OverlapChainHelper& helper) const 
            block_ecc.helper_bits(helper.ecc.response_bits);
 }
 
-KeyReconstruction OverlapChainPuf::reconstruct(const OverlapChainHelper& helper,
-                                             const sim::Condition& condition,
-                                             rng::Xoshiro256pp& rng) const {
+core::ReconstructResult OverlapChainPuf::reconstruct(const OverlapChainHelper& helper,
+                                                     const sim::Condition& condition,
+                                                     rng::Xoshiro256pp& rng) const {
     if (!helper_consistent(helper)) return {};
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
-KeyReconstruction OverlapChainPuf::reconstruct_measured(const OverlapChainHelper& helper,
-                                                        const sim::Condition&,
-                                                        std::span<const double> freqs) const {
+core::ReconstructResult OverlapChainPuf::reconstruct_measured(const OverlapChainHelper& helper,
+                                                              const sim::Condition&,
+                                                              std::span<const double> freqs) const {
     if (!helper_consistent(helper)) return {};
     const ecc::BlockEcc block_ecc(code_);
     const auto resid =

@@ -35,13 +35,6 @@
 
 namespace ropuf::pairing {
 
-/// Result of one key regeneration attempt.
-struct KeyReconstruction {
-    bool ok = false;     ///< parsing and every ECC block succeeded
-    bits::BitVec key;    ///< regenerated key (meaningful iff ok)
-    int corrected = 0;   ///< total ECC corrections applied
-};
-
 // ---------------------------------------------------------------------------
 // Sequential pairing (Section VI-A victim)
 // ---------------------------------------------------------------------------
@@ -88,14 +81,15 @@ public:
 
     /// Key regeneration from one noisy array scan and the given helper data.
     /// Malformed helper data (bad indices, wrong parity length) fails safely.
-    KeyReconstruction reconstruct(const SeqPairingHelper& helper,
-                                  rng::Xoshiro256pp& rng) const {
+    core::ReconstructResult reconstruct(const SeqPairingHelper& helper,
+                                        rng::Xoshiro256pp& rng) const {
         return reconstruct(helper, config_.condition, rng);
     }
 
     /// Same, at an explicit operating condition (the environment's choice).
-    KeyReconstruction reconstruct(const SeqPairingHelper& helper, const sim::Condition& condition,
-                                  rng::Xoshiro256pp& rng) const;
+    core::ReconstructResult reconstruct(const SeqPairingHelper& helper,
+                                        const sim::Condition& condition,
+                                        rng::Xoshiro256pp& rng) const;
 
     /// True when the helper passes every structural check regeneration
     /// applies *before* measuring (a failing helper consumes no scan).
@@ -103,9 +97,9 @@ public:
 
     /// Regeneration from an externally supplied full-array scan — the
     /// batched-oracle path; bit-identical to reconstruct() for the same scan.
-    KeyReconstruction reconstruct_measured(const SeqPairingHelper& helper,
-                                           const sim::Condition& condition,
-                                           std::span<const double> freqs) const;
+    core::ReconstructResult reconstruct_measured(const SeqPairingHelper& helper,
+                                                 const sim::Condition& condition,
+                                                 std::span<const double> freqs) const;
 
     const sim::RoArray& array() const { return *array_; }
     const SeqPairingConfig& config() const { return config_; }
@@ -152,16 +146,17 @@ public:
     };
 
     Enrollment enroll(rng::Xoshiro256pp& rng) const;
-    KeyReconstruction reconstruct(const MaskedChainHelper& helper,
-                                  rng::Xoshiro256pp& rng) const {
+    core::ReconstructResult reconstruct(const MaskedChainHelper& helper,
+                                        rng::Xoshiro256pp& rng) const {
         return reconstruct(helper, config_.condition, rng);
     }
-    KeyReconstruction reconstruct(const MaskedChainHelper& helper, const sim::Condition& condition,
-                                  rng::Xoshiro256pp& rng) const;
+    core::ReconstructResult reconstruct(const MaskedChainHelper& helper,
+                                        const sim::Condition& condition,
+                                        rng::Xoshiro256pp& rng) const;
     bool helper_consistent(const MaskedChainHelper& helper) const;
-    KeyReconstruction reconstruct_measured(const MaskedChainHelper& helper,
-                                           const sim::Condition& condition,
-                                           std::span<const double> freqs) const;
+    core::ReconstructResult reconstruct_measured(const MaskedChainHelper& helper,
+                                                 const sim::Condition& condition,
+                                                 std::span<const double> freqs) const;
 
     /// The fixed base pair set the masking selects from (disjoint chain).
     const std::vector<helperdata::IndexPair>& base_pairs() const { return base_pairs_; }
@@ -170,6 +165,12 @@ public:
     const ecc::BchCode& code() const { return code_; }
 
 private:
+    /// The pairs `helper.masking` selects from the base chain, once every
+    /// structural check helper_consistent() documents has passed; nullopt
+    /// on the first failure (nothing is thrown).
+    std::optional<std::vector<helperdata::IndexPair>> checked_selection(
+        const MaskedChainHelper& helper) const;
+
     const sim::RoArray* array_;
     MaskedChainConfig config_;
     ecc::BchCode code_;
@@ -209,16 +210,17 @@ public:
     };
 
     Enrollment enroll(rng::Xoshiro256pp& rng) const;
-    KeyReconstruction reconstruct(const OverlapChainHelper& helper,
-                                  rng::Xoshiro256pp& rng) const {
+    core::ReconstructResult reconstruct(const OverlapChainHelper& helper,
+                                        rng::Xoshiro256pp& rng) const {
         return reconstruct(helper, config_.condition, rng);
     }
-    KeyReconstruction reconstruct(const OverlapChainHelper& helper, const sim::Condition& condition,
-                                  rng::Xoshiro256pp& rng) const;
+    core::ReconstructResult reconstruct(const OverlapChainHelper& helper,
+                                        const sim::Condition& condition,
+                                        rng::Xoshiro256pp& rng) const;
     bool helper_consistent(const OverlapChainHelper& helper) const;
-    KeyReconstruction reconstruct_measured(const OverlapChainHelper& helper,
-                                           const sim::Condition& condition,
-                                           std::span<const double> freqs) const;
+    core::ReconstructResult reconstruct_measured(const OverlapChainHelper& helper,
+                                                 const sim::Condition& condition,
+                                                 std::span<const double> freqs) const;
 
     /// The N-1 overlapping pairs; every one contributes a key bit.
     const std::vector<helperdata::IndexPair>& pairs() const { return pairs_; }
@@ -241,43 +243,14 @@ private:
 namespace ropuf::core {
 
 template <>
-struct DeviceTraits<pairing::SeqPairingPuf> {
-    using Helper = pairing::SeqPairingHelper;
+struct DeviceTraits<pairing::SeqPairingPuf>
+    : DeviceTraitsBase<pairing::SeqPairingPuf, pairing::SeqPairingHelper> {
     static constexpr std::string_view kind = "seqpair";
 
-    static std::pair<Helper, bits::BitVec> enroll(const pairing::SeqPairingPuf& puf,
-                                                  rng::Xoshiro256pp& rng) {
-        auto e = puf.enroll(rng);
-        return {std::move(e.helper), std::move(e.key)};
-    }
-    static ReconstructResult reconstruct(const pairing::SeqPairingPuf& puf, const Helper& helper,
-                                         const sim::Condition& condition,
-                                         rng::Xoshiro256pp& rng) {
-        auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static ReconstructResult reconstruct_measured(const pairing::SeqPairingPuf& puf,
-                                                  const Helper& helper,
-                                                  const sim::Condition& condition,
-                                                  std::span<const double> freqs) {
-        auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static bool helper_consistent(const pairing::SeqPairingPuf& puf, const Helper& helper) {
-        return puf.helper_consistent(helper);
-    }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
     static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
     static bool same_helper(const Helper& a, const Helper& b) { return pairing::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_seq_pairing(nvm); }
-    static sim::Condition nominal_condition(const pairing::SeqPairingPuf& puf) {
-        return puf.config().condition;
-    }
-    static sim::Condition condition_at(const pairing::SeqPairingPuf& puf, double ambient_c) {
-        sim::Condition c = nominal_condition(puf);
-        c.temperature_c = ambient_c;
-        return c;
-    }
     /// What a careful device would validate (paper Section VII-C): index
     /// ranges, no self-pairs, no RO re-use across pairs.
     static helperdata::SanityReport sanity(
@@ -289,43 +262,14 @@ struct DeviceTraits<pairing::SeqPairingPuf> {
 };
 
 template <>
-struct DeviceTraits<pairing::MaskedChainPuf> {
-    using Helper = pairing::MaskedChainHelper;
+struct DeviceTraits<pairing::MaskedChainPuf>
+    : DeviceTraitsBase<pairing::MaskedChainPuf, pairing::MaskedChainHelper> {
     static constexpr std::string_view kind = "maskedchain";
 
-    static std::pair<Helper, bits::BitVec> enroll(const pairing::MaskedChainPuf& puf,
-                                                  rng::Xoshiro256pp& rng) {
-        auto e = puf.enroll(rng);
-        return {std::move(e.helper), std::move(e.key)};
-    }
-    static ReconstructResult reconstruct(const pairing::MaskedChainPuf& puf, const Helper& helper,
-                                         const sim::Condition& condition,
-                                         rng::Xoshiro256pp& rng) {
-        auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static ReconstructResult reconstruct_measured(const pairing::MaskedChainPuf& puf,
-                                                  const Helper& helper,
-                                                  const sim::Condition& condition,
-                                                  std::span<const double> freqs) {
-        auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static bool helper_consistent(const pairing::MaskedChainPuf& puf, const Helper& helper) {
-        return puf.helper_consistent(helper);
-    }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
     static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
     static bool same_helper(const Helper& a, const Helper& b) { return pairing::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_masked_chain(nvm); }
-    static sim::Condition nominal_condition(const pairing::MaskedChainPuf& puf) {
-        return puf.config().condition;
-    }
-    static sim::Condition condition_at(const pairing::MaskedChainPuf& puf, double ambient_c) {
-        sim::Condition c = nominal_condition(puf);
-        c.temperature_c = ambient_c;
-        return c;
-    }
     /// Coefficient plausibility (blocks the Section VI-D steep-surface
     /// injection) plus masking-selection range checks.
     static helperdata::SanityReport sanity(
@@ -353,43 +297,14 @@ struct DeviceTraits<pairing::MaskedChainPuf> {
 };
 
 template <>
-struct DeviceTraits<pairing::OverlapChainPuf> {
-    using Helper = pairing::OverlapChainHelper;
+struct DeviceTraits<pairing::OverlapChainPuf>
+    : DeviceTraitsBase<pairing::OverlapChainPuf, pairing::OverlapChainHelper> {
     static constexpr std::string_view kind = "overlapchain";
 
-    static std::pair<Helper, bits::BitVec> enroll(const pairing::OverlapChainPuf& puf,
-                                                  rng::Xoshiro256pp& rng) {
-        auto e = puf.enroll(rng);
-        return {std::move(e.helper), std::move(e.key)};
-    }
-    static ReconstructResult reconstruct(const pairing::OverlapChainPuf& puf, const Helper& helper,
-                                         const sim::Condition& condition,
-                                         rng::Xoshiro256pp& rng) {
-        auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static ReconstructResult reconstruct_measured(const pairing::OverlapChainPuf& puf,
-                                                  const Helper& helper,
-                                                  const sim::Condition& condition,
-                                                  std::span<const double> freqs) {
-        auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static bool helper_consistent(const pairing::OverlapChainPuf& puf, const Helper& helper) {
-        return puf.helper_consistent(helper);
-    }
     static helperdata::Nvm store(const Helper& helper) { return pairing::serialize(helper); }
     static bool round_trips(const Helper& helper) { return pairing::round_trips(helper); }
     static bool same_helper(const Helper& a, const Helper& b) { return pairing::same_helper(a, b); }
     static Helper parse(const helperdata::Nvm& nvm) { return pairing::parse_overlap_chain(nvm); }
-    static sim::Condition nominal_condition(const pairing::OverlapChainPuf& puf) {
-        return puf.config().condition;
-    }
-    static sim::Condition condition_at(const pairing::OverlapChainPuf& puf, double ambient_c) {
-        sim::Condition c = nominal_condition(puf);
-        c.temperature_c = ambient_c;
-        return c;
-    }
     /// Coefficient plausibility: an honest fit never exceeds a few times the
     /// nominal frequency; the steep probe surfaces exceed it by orders of
     /// magnitude.

@@ -107,10 +107,11 @@ std::uint8_t TempAwarePuf::direct_bit(std::span<const double> freqs,
     return bit;
 }
 
-TempAwarePuf::Reconstruction TempAwarePuf::reconstruct(const TempAwareHelper& helper,
-                                                       double temperature_c,
-                                                       rng::Xoshiro256pp& rng) const {
-    return reconstruct(helper, condition_at(temperature_c), rng);
+core::ReconstructResult TempAwarePuf::reconstruct(const TempAwareHelper& helper,
+                                                  double temperature_c,
+                                                  rng::Xoshiro256pp& rng) const {
+    const auto condition = core::DeviceTraits<TempAwarePuf>::condition_at(*this, temperature_c);
+    return reconstruct(helper, condition, rng);
 }
 
 bool TempAwarePuf::helper_consistent(const TempAwareHelper& helper) const {
@@ -121,14 +122,14 @@ bool TempAwarePuf::helper_consistent(const TempAwareHelper& helper) const {
     return true;
 }
 
-TempAwarePuf::Reconstruction TempAwarePuf::reconstruct(const TempAwareHelper& helper,
-                                                       const sim::Condition& condition,
-                                                       rng::Xoshiro256pp& rng) const {
+core::ReconstructResult TempAwarePuf::reconstruct(const TempAwareHelper& helper,
+                                                  const sim::Condition& condition,
+                                                  rng::Xoshiro256pp& rng) const {
     if (!helper_consistent(helper)) return {};
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
-TempAwarePuf::Reconstruction TempAwarePuf::reconstruct_measured(
+core::ReconstructResult TempAwarePuf::reconstruct_measured(
     const TempAwareHelper& helper, const sim::Condition& condition,
     std::span<const double> freqs) const {
     if (!helper_consistent(helper)) return {};

@@ -94,20 +94,15 @@ public:
     /// One-time enrollment (measures at both range extremes).
     Enrollment enroll(rng::Xoshiro256pp& rng) const;
 
-    struct Reconstruction {
-        bool ok = false;
-        bits::BitVec key;
-        int corrected = 0;
-    };
-
     /// Key regeneration at ambient temperature `temperature_c` (nominal
     /// supply voltage) with the given (possibly manipulated) helper data.
-    Reconstruction reconstruct(const TempAwareHelper& helper, double temperature_c,
-                               rng::Xoshiro256pp& rng) const;
+    core::ReconstructResult reconstruct(const TempAwareHelper& helper, double temperature_c,
+                                        rng::Xoshiro256pp& rng) const;
 
     /// Same, at a full operating condition (temperature and supply voltage).
-    Reconstruction reconstruct(const TempAwareHelper& helper, const sim::Condition& condition,
-                               rng::Xoshiro256pp& rng) const;
+    core::ReconstructResult reconstruct(const TempAwareHelper& helper,
+                                        const sim::Condition& condition,
+                                        rng::Xoshiro256pp& rng) const;
 
     /// True when the helper passes every structural check regeneration
     /// applies *before* measuring (a failing helper consumes no scan).
@@ -115,17 +110,9 @@ public:
 
     /// Regeneration from an externally supplied full-array scan — the
     /// batched-oracle path; bit-identical to reconstruct() for the same scan.
-    Reconstruction reconstruct_measured(const TempAwareHelper& helper,
-                                        const sim::Condition& condition,
-                                        std::span<const double> freqs) const;
-
-    /// The operating condition at an ambient temperature: nominal supply,
-    /// environment-chosen temperature. The one place the construction's
-    /// reference voltage is consulted (attacks go through
-    /// DeviceTraits::condition_at, never through sim parameters).
-    sim::Condition condition_at(double ambient_c) const {
-        return {ambient_c, array_->params().v_ref_v};
-    }
+    core::ReconstructResult reconstruct_measured(const TempAwareHelper& helper,
+                                                 const sim::Condition& condition,
+                                                 std::span<const double> freqs) const;
 
     /// Key-bit position of pair `pair_index` given a helper's records
     /// (-1 when the pair carries no key bit). The layout is shared knowledge:
@@ -162,42 +149,26 @@ private:
 namespace ropuf::core {
 
 template <>
-struct DeviceTraits<tempaware::TempAwarePuf> {
-    using Helper = tempaware::TempAwareHelper;
+struct DeviceTraits<tempaware::TempAwarePuf>
+    : DeviceTraitsBase<tempaware::TempAwarePuf, tempaware::TempAwareHelper> {
     static constexpr std::string_view kind = "tempaware";
 
-    static std::pair<Helper, bits::BitVec> enroll(const tempaware::TempAwarePuf& puf,
-                                                  rng::Xoshiro256pp& rng) {
-        auto e = puf.enroll(rng);
-        return {std::move(e.helper), std::move(e.key)};
-    }
-    static ReconstructResult reconstruct(const tempaware::TempAwarePuf& puf, const Helper& helper,
-                                         const sim::Condition& condition,
-                                         rng::Xoshiro256pp& rng) {
-        auto rec = puf.reconstruct(helper, condition, rng);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static ReconstructResult reconstruct_measured(const tempaware::TempAwarePuf& puf,
-                                                  const Helper& helper,
-                                                  const sim::Condition& condition,
-                                                  std::span<const double> freqs) {
-        auto rec = puf.reconstruct_measured(helper, condition, freqs);
-        return {rec.ok, std::move(rec.key), rec.corrected};
-    }
-    static bool helper_consistent(const tempaware::TempAwarePuf& puf, const Helper& helper) {
-        return puf.helper_consistent(helper);
-    }
     static helperdata::Nvm store(const Helper& helper) { return tempaware::serialize(helper); }
     static bool round_trips(const Helper& helper) { return tempaware::round_trips(helper); }
     static bool same_helper(const Helper& a, const Helper& b) {
         return tempaware::same_helper(a, b);
     }
     static Helper parse(const helperdata::Nvm& nvm) { return tempaware::parse_temp_aware(nvm); }
+    /// The construction has no configured operating condition: an ambient
+    /// temperature runs at the array's nominal supply, and the nominal
+    /// condition is the array's reference temperature. The one place the
+    /// construction's reference voltage is consulted (attacks go through
+    /// these, never through sim parameters).
     static sim::Condition nominal_condition(const tempaware::TempAwarePuf& puf) {
-        return {puf.array().params().t_ref_c, puf.array().params().v_ref_v};
+        return condition_at(puf, puf.array().params().t_ref_c);
     }
     static sim::Condition condition_at(const tempaware::TempAwarePuf& puf, double ambient_c) {
-        return puf.condition_at(ambient_c);
+        return {ambient_c, puf.array().params().v_ref_v};
     }
     /// Record plausibility: pair indices in range, known classes, ordered
     /// intervals inside the device's classification range, and record

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 
+#include "ropuf/attack/oracle.hpp"
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/attack/seqpair_attack.hpp"
 #include "ropuf/core/device.hpp"
@@ -20,8 +23,8 @@ using ropuf::rng::Xoshiro256pp;
 
 // ---------------------------------------------------------------------------
 // Device-concept conformance: all five constructions compile against the
-// concept, and their type-erased enroll -> reconstruct round trip regenerates
-// the enrolled key from the serialized helper NVM.
+// concept, and the victim regenerates the enrolled key from the serialized
+// helper NVM, given as raw bytes.
 // ---------------------------------------------------------------------------
 
 static_assert(core::Device<pairing::SeqPairingPuf>);
@@ -36,40 +39,55 @@ sim::ProcessParams quiet_params() {
     return p;
 }
 
-void expect_roundtrip(const core::AnyDevice& device, std::uint64_t seed,
-                      std::string_view expected_kind) {
-    EXPECT_EQ(device.kind(), expected_kind);
-    EXPECT_GT(device.query_cost(), 0);
+/// Enrolls `puf`, then asks its victim about raw-byte probes, the path
+/// `ropuf` runs for bytes: the honest stored helper must regenerate the
+/// enrolled key, and a truncated blob must refuse (not throw), charged as
+/// one refused query with no measurement.
+template <core::Device Puf>
+void expect_roundtrip(const Puf& puf, std::uint64_t seed, std::string_view expected_kind) {
+    using Traits = core::DeviceTraits<Puf>;
+    EXPECT_EQ(Traits::kind, expected_kind);
     Xoshiro256pp rng(seed);
-    const auto enrollment = device.enroll(rng);
+    const auto enrollment = puf.enroll(rng);
     EXPECT_FALSE(enrollment.key.empty());
-    EXPECT_GT(enrollment.helper.size(), 0u);
-    const auto rec = device.reconstruct(enrollment.helper, rng);
-    ASSERT_TRUE(rec.ok) << expected_kind << ": reconstruction refused";
-    EXPECT_EQ(rec.key, enrollment.key) << expected_kind << ": wrong key regenerated";
-    // A truncated blob must refuse, not throw.
-    auto bytes = enrollment.helper.bytes();
+    const helperdata::Nvm honest = Traits::store(enrollment.helper);
+    EXPECT_GT(honest.size(), 0u);
+
+    attack::Victim<Puf> victim(puf, enrollment.key, seed);
+    auto oracle = attack::make_oracle(victim);
+    EXPECT_FALSE(oracle.evaluate_one(core::Probe{honest, std::nullopt}))
+        << expected_kind << ": the honest helper did not regenerate the key";
+    const auto after_honest = oracle.stats();
+    EXPECT_EQ(after_honest.queries, 1);
+    EXPECT_EQ(after_honest.measurements, puf.array().count());
+    EXPECT_EQ(after_honest.refused, 0);
+
+    auto bytes = honest.bytes();
     bytes.resize(bytes.size() / 2);
-    const auto bad = device.reconstruct(helperdata::Nvm(std::move(bytes)), rng);
-    EXPECT_FALSE(bad.ok);
+    EXPECT_TRUE(oracle.evaluate_one(core::Probe{helperdata::Nvm(std::move(bytes)), std::nullopt}))
+        << expected_kind << ": a truncated blob was accepted";
+    const auto after_truncated = oracle.stats();
+    EXPECT_EQ(after_truncated.queries, 2);
+    EXPECT_EQ(after_truncated.measurements, after_honest.measurements);
+    EXPECT_EQ(after_truncated.refused, 1);
 }
 
 TEST(DeviceConcept, SeqPairingRoundTrip) {
     const sim::RoArray chip({16, 8}, sim::ProcessParams{}, 6101);
     const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
-    expect_roundtrip(core::AnyDevice(puf), 6102, "seqpair");
+    expect_roundtrip(puf, 6102, "seqpair");
 }
 
 TEST(DeviceConcept, MaskedChainRoundTrip) {
     const sim::RoArray chip({20, 8}, quiet_params(), 6103);
     const pairing::MaskedChainPuf puf(chip, pairing::MaskedChainConfig{});
-    expect_roundtrip(core::AnyDevice(puf), 6104, "maskedchain");
+    expect_roundtrip(puf, 6104, "maskedchain");
 }
 
 TEST(DeviceConcept, OverlapChainRoundTrip) {
     const sim::RoArray chip({10, 4}, quiet_params(), 6105);
     const pairing::OverlapChainPuf puf(chip, pairing::OverlapChainConfig{});
-    expect_roundtrip(core::AnyDevice(puf), 6106, "overlapchain");
+    expect_roundtrip(puf, 6106, "overlapchain");
 }
 
 TEST(DeviceConcept, GroupRoundTrip) {
@@ -77,7 +95,7 @@ TEST(DeviceConcept, GroupRoundTrip) {
     group::GroupPufConfig cfg;
     cfg.delta_f_th = 0.15;
     const group::GroupBasedPuf puf(chip, cfg);
-    expect_roundtrip(core::AnyDevice(puf), 6108, "group");
+    expect_roundtrip(puf, 6108, "group");
 }
 
 TEST(DeviceConcept, TempAwareRoundTrip) {
@@ -88,18 +106,7 @@ TEST(DeviceConcept, TempAwareRoundTrip) {
     cfg.classification = {-20.0, 85.0, 0.2};
     cfg.enroll_samples = 64;
     const tempaware::TempAwarePuf puf(chip, cfg);
-    expect_roundtrip(core::AnyDevice(puf), 6110, "tempaware");
-}
-
-TEST(DeviceConcept, HeterogeneousContainer) {
-    const sim::RoArray chip({16, 8}, quiet_params(), 6111);
-    const pairing::SeqPairingPuf seq(chip, pairing::SeqPairingConfig{});
-    const pairing::OverlapChainPuf overlap(chip, pairing::OverlapChainConfig{});
-    std::vector<core::AnyDevice> devices{core::AnyDevice(seq), core::AnyDevice(overlap)};
-    EXPECT_EQ(devices[0].kind(), "seqpair");
-    EXPECT_EQ(devices[1].kind(), "overlapchain");
-    EXPECT_EQ(devices[0].query_cost(), chip.count());
-    EXPECT_EQ(devices[1].query_cost(), chip.count());
+    expect_roundtrip(puf, 6110, "tempaware");
 }
 
 // ---------------------------------------------------------------------------

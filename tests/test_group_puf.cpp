@@ -222,7 +222,7 @@ enum class Outcome { Inconsistent, EccFailed, NotAnOrder, Ok };
 
 struct Regen {
     Outcome outcome = Outcome::Inconsistent;
-    GroupBasedPuf::Reconstruction rec;
+    ropuf::core::ReconstructResult rec;
 };
 
 Regen reference_regen(const GroupBasedPuf& puf, const GroupPufHelper& helper,

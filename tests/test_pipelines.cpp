@@ -147,6 +147,38 @@ TEST(MaskedPipeline, WrongCoefficientCountFailsSafely) {
     EXPECT_FALSE(puf.reconstruct(helper, rng).ok);
 }
 
+// reconstruct_measured is called directly on a supplied scan (the victim's
+// batched path): every structural inconsistency is a refusal, never a throw,
+// and helper_consistent agrees with it.
+TEST(MaskedPipeline, InconsistentHelperFailsSafelyOnASuppliedScan) {
+    const RoArray arr({20, 8}, quiet_params(), 117);
+    const MaskedChainPuf puf(arr, MaskedChainConfig{});
+    Xoshiro256pp rng(118);
+    const auto enrollment = puf.enroll(rng);
+    const auto& condition = puf.config().condition;
+    const auto scan = arr.measure_all(condition, rng);
+
+    const auto honest = puf.reconstruct_measured(enrollment.helper, condition, scan);
+    ASSERT_TRUE(honest.ok);
+    EXPECT_EQ(honest.key, enrollment.key);
+
+    std::vector<MaskedChainHelper> broken(7, enrollment.helper);
+    broken[0].beta.push_back(0.0);
+    broken[1].masking.selected.back() = broken[1].masking.k;
+    broken[2].masking.selected.front() = -1;
+    broken[3].masking.k = 0;
+    broken[4].masking.selected.pop_back();
+    broken[5].ecc.response_bits += 1;
+    broken[6].ecc.parity.push_back(0);
+    for (std::size_t i = 0; i < broken.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_FALSE(puf.helper_consistent(broken[i]));
+        ropuf::core::ReconstructResult rec;
+        EXPECT_NO_THROW(rec = puf.reconstruct_measured(broken[i], condition, scan));
+        EXPECT_FALSE(rec.ok);
+    }
+}
+
 TEST(MaskedPipeline, MaskingSelectionsAreReliabilityOptimal) {
     // The selected pair in each group should have the maximal |discrepancy|
     // among its group's candidates on the enrollment residuals.

@@ -33,7 +33,8 @@
 //   --trace-out <file>   write a Chrome trace-event JSON of the run
 //
 // Every verb rejects an option it would not read (exit 2) instead of
-// silently ignoring it.
+// silently ignoring it, and options go after the positional arguments
+// (`ropuf run --obs <spec>` is a usage error that names --obs).
 //
 // Observability never changes results: the obs side-key rides outside the
 // deterministic record prefix, so an obs-on run is byte-identical (per
@@ -169,8 +170,20 @@ constexpr std::string_view kCommonOptions[] = {"--fi",       "--quiet",       "-
 
 /// Parses `args[start..]` for `verb`, which reads the common options plus
 /// `accepted`; any other option is a usage error, never silently ignored.
+/// The positional arguments before `start` (the spec path, then a results
+/// file for resume) come first: an option in their place is a usage error
+/// that names the option, not the spec path it displaced.
 bool parse_options(const std::vector<std::string>& args, std::size_t start, CliOptions& opts,
                    const char* verb, std::initializer_list<std::string_view> accepted) {
+    const std::size_t spec_at = args[0] == "fleet" ? 2 : 1;
+    for (std::size_t i = spec_at; i < start; ++i) {
+        if (args[i].starts_with('-')) {
+            std::fprintf(stderr,
+                         "ropuf: %s: option '%s' is placed before the %s; options go after it\n",
+                         verb, args[i].c_str(), i == spec_at ? "spec path" : "results file");
+            return false;
+        }
+    }
     for (std::size_t i = start; i < args.size(); ++i) {
         const std::string& arg = args[i];
         if (std::find(std::begin(kCommonOptions), std::end(kCommonOptions), arg) ==
