@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ropuf/attack/group_attack.hpp"
 #include "ropuf/attack/scenarios.hpp"
 #include "ropuf/attack/seqpair_attack.hpp"
 #include "ropuf/attack/tempaware_attack.hpp"
@@ -23,6 +24,7 @@
 #include "ropuf/group/group_puf.hpp"
 #include "ropuf/hash/sha256.hpp"
 #include "ropuf/obs/metrics.hpp"
+#include "ropuf/pairing/puf_pipeline.hpp"
 #include "ropuf/rng/gaussian.hpp"
 #include "ropuf/sim/ro_fleet.hpp"
 #include "ropuf/simd/simd.hpp"
@@ -149,6 +151,70 @@ void BM_GroupReconstructMeasured(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_GroupReconstructMeasured);
+
+void BM_GroupBuildComparison(benchmark::State& state) {
+    // The group attacker's comparator experiment (plane, repartition, two
+    // helpers and their parity) built into one reused workspace, cycling
+    // through every ordered target pair of the group scenario's 10x4 chip;
+    // items = comparisons.
+    const sim::RoArray chip({10, 4}, sim::ProcessParams{}, 8);
+    group::GroupPufConfig cfg;
+    cfg.delta_f_th = 0.15;
+    const group::GroupBasedPuf puf(chip, cfg);
+    rng::Xoshiro256pp rng(9);
+    const auto enrollment = puf.enroll(rng);
+    std::vector<std::pair<int, int>> targets;
+    for (int a = 0; a < chip.count(); ++a) {
+        for (int b = 0; b < chip.count(); ++b) {
+            if (a != b) targets.emplace_back(a, b);
+        }
+    }
+    attack::GroupBasedAttack::ComparisonWorkspace ws;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const auto [a, b] = targets[next];
+        next = next + 1 == targets.size() ? 0 : next + 1;
+        attack::GroupBasedAttack::build_comparison(enrollment.helper, chip.geometry(), puf.code(),
+                                                   a, b, 1000.0, ws);
+        benchmark::DoNotOptimize(ws.instance.helper[1].ecc.parity.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GroupBuildComparison);
+
+void BM_VictimRegen(benchmark::State& state, const char* kind) {
+    // One victim regeneration from a given scan on the scenario's chip:
+    // response bits packed, BlockEcc on words, the key unpacked once;
+    // items = regenerations.
+    const auto regen_loop = [&](const auto& puf, const auto& helper, const sim::Condition& c,
+                                const std::vector<double>& scan) {
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(puf.reconstruct_measured(helper, c, scan));
+        }
+        state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    };
+    rng::Xoshiro256pp rng(31);
+    if (std::strcmp(kind, "seqpair") == 0) {
+        const sim::RoArray chip({16, 8}, sim::ProcessParams{}, 32);
+        const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
+        const auto enrollment = puf.enroll(rng);
+        const auto& c = puf.config().condition;
+        regen_loop(puf, enrollment.helper, c, chip.measure_all(c, rng));
+    } else {
+        sim::ProcessParams params{};
+        params.tempco_sigma = 0.015;
+        const sim::RoArray chip({16, 16}, params, 33);
+        tempaware::TempAwareConfig cfg;
+        cfg.classification = {-20.0, 85.0, 0.2};
+        cfg.enroll_samples = 64;
+        const tempaware::TempAwarePuf puf(chip, cfg);
+        const auto enrollment = puf.enroll(rng);
+        const auto c = core::DeviceTraits<tempaware::TempAwarePuf>::condition_at(puf, 25.0);
+        regen_loop(puf, enrollment.helper, c, chip.measure_all(c, rng));
+    }
+}
+BENCHMARK_CAPTURE(BM_VictimRegen, seqpair, "seqpair");
+BENCHMARK_CAPTURE(BM_VictimRegen, tempaware, "tempaware");
 
 void BM_BlockEccReconstruct(benchmark::State& state) {
     // BlockEcc's word path over four BCH(2^m - 1, k, 3) blocks, the final one

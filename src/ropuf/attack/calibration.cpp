@@ -22,12 +22,11 @@ int block_of_position(const ecc::BlockEcc& block_ecc, int pos) {
     return pos / block_ecc.code().k();
 }
 
-bits::BitVec invert_for_parity(const bits::BitVec& reference, const ecc::BlockEcc& block_ecc,
-                               int block, int count, const std::vector<int>& keep) {
-    bits::BitVec out = reference;
+void invert_for_parity(bits::BitVec& bits, const ecc::BlockEcc& block_ecc, int block, int count,
+                       const std::vector<int>& keep) {
     const int k = block_ecc.code().k();
     const int begin = block * k;
-    const int end = std::min(static_cast<int>(reference.size()), begin + k);
+    const int end = std::min(static_cast<int>(bits.size()), begin + k);
     int flipped = 0;
     for (int pos = begin; pos < end && flipped < count; ++pos) {
         bool protected_pos = false;
@@ -38,13 +37,12 @@ bits::BitVec invert_for_parity(const bits::BitVec& reference, const ecc::BlockEc
             }
         }
         if (protected_pos) continue;
-        out[static_cast<std::size_t>(pos)] ^= 1u;
+        bits[static_cast<std::size_t>(pos)] ^= 1u;
         ++flipped;
     }
     if (flipped < count) {
         throw std::invalid_argument("invert_for_parity: not enough eligible positions in block");
     }
-    return out;
 }
 
 CalibrationResult calibrate_offset(const std::function<bool(int)>& probe_at, int max_offset,

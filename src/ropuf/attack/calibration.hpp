@@ -37,12 +37,12 @@ namespace ropuf::attack {
 void flip_parity_bits(ecc::BlockEccHelper& helper, const ecc::BlockEcc& block_ecc, int block,
                       int count);
 
-/// Returns a copy of `reference` with `count` bits inverted inside block
-/// `block`, avoiding the positions listed in `keep` (the bits under
+/// Inverts `count` bits of `bits` inside block `block` in place (lowest
+/// positions first), avoiding the positions listed in `keep` (the bits under
 /// hypothesis test must stay untouched). Throws std::invalid_argument when
 /// the block does not contain enough eligible positions.
-bits::BitVec invert_for_parity(const bits::BitVec& reference, const ecc::BlockEcc& block_ecc,
-                               int block, int count, const std::vector<int>& keep);
+void invert_for_parity(bits::BitVec& bits, const ecc::BlockEcc& block_ecc, int block, int count,
+                       const std::vector<int>& keep);
 
 /// ECC block index that contains response-bit position `pos`.
 int block_of_position(const ecc::BlockEcc& block_ecc, int pos);

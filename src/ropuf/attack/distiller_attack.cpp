@@ -91,7 +91,6 @@ Sub<bool> MaskedChainSession::try_target(int g, const distiller::PolySurface& su
     const ecc::BlockEcc block_ecc(puf_->code());
     const int t = puf_->code().t();
     const auto grid = surface.evaluate_grid(puf_->array().geometry());
-    const auto beta_attack = subtract_surface(pristine_.beta, surface);
 
     // Expected bits: every other selected pair is forced by the surface
     // (weakly near the vertex when the surface is plausibility-capped — the
@@ -103,15 +102,20 @@ Sub<bool> MaskedChainSession::try_target(int g, const distiller::PolySurface& su
         expected[static_cast<std::size_t>(g2)] = d > 0 ? 1 : 0;
     }
 
+    // One helper and one inverted key serve every hypothesis: only the
+    // parity and the target bit change between probes.
+    pairing::MaskedChainHelper helper = pristine_;
+    helper.beta = subtract_surface(pristine_.beta, surface);
+    const std::vector<int> keep{g};
+    bits::BitVec inverted;
     for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
         for (int h = 0; h < 2; ++h) {
             expected[static_cast<std::size_t>(g)] = static_cast<std::uint8_t>(h);
             // The inverted string is the ECC reference: a correct
             // hypothesis decodes to it (t corrections), an incorrect one
             // overflows — so the oracle compares against the inversion.
-            const auto inverted = invert_for_parity(expected, block_ecc, block, t, {g});
-            pairing::MaskedChainHelper helper = pristine_;
-            helper.beta = beta_attack;
+            inverted = expected;
+            invert_for_parity(inverted, block_ecc, block, t, keep);
             helper.ecc = block_ecc.enroll(inverted);
             const bool failed = co_await any_pass(make_probe<Puf>(helper, inverted),
                                                   config_.majority_wins);
@@ -251,7 +255,11 @@ Sub<int> OverlapChainSession::try_surface(const distiller::PolySurface& surface,
     ++out_.probes;
     out_.max_set_size = std::max(out_.max_set_size, static_cast<int>(unknown.size()));
 
-    const auto beta_attack = subtract_surface(pristine_.beta, surface);
+    // One helper and one inverted key serve every hypothesis: only the
+    // parity and the unknown bits change between probes.
+    pairing::OverlapChainHelper helper = pristine_;
+    helper.beta = subtract_surface(pristine_.beta, surface);
+    bits::BitVec inverted;
     // Blocks containing any undetermined bit get the t-bit injection.
     std::set<int> hot_blocks;
     for (int i : unknown_all) hot_blocks.insert(block_of_position(block_ecc, i));
@@ -273,12 +281,8 @@ Sub<int> OverlapChainSession::try_surface(const distiller::PolySurface& surface,
                 expected[static_cast<std::size_t>(unknown[bit])] =
                     static_cast<std::uint8_t>((assign >> bit) & 1u);
             }
-            bits::BitVec inverted = expected;
-            for (int blk : hot_blocks) {
-                inverted = invert_for_parity(inverted, block_ecc, blk, t, keep);
-            }
-            pairing::OverlapChainHelper helper = pristine_;
-            helper.beta = beta_attack;
+            inverted = expected;
+            for (int blk : hot_blocks) invert_for_parity(inverted, block_ecc, blk, t, keep);
             helper.ecc = block_ecc.enroll(inverted);
             ++out_.hypotheses;
             // The device corrects toward the inverted reference.

@@ -19,35 +19,72 @@ using group::GroupPufHelper;
 GroupBasedAttack::ComparisonInstance GroupBasedAttack::build_comparison(
     const GroupPufHelper& pristine, const sim::ArrayGeometry& geometry,
     const ecc::BchCode& code, int a, int b, double steep_amp) {
+    ComparisonWorkspace ws;
+    build_comparison(pristine, geometry, code, a, b, steep_amp, ws);
+    return std::move(ws.instance);
+}
+
+void GroupBasedAttack::build_comparison(const GroupPufHelper& pristine,
+                                        const sim::ArrayGeometry& geometry,
+                                        const ecc::BchCode& code, int a, int b,
+                                        double steep_amp, ComparisonWorkspace& ws) {
     assert(a != b);
-    ComparisonInstance out;
+    const auto at = [](int i) { return static_cast<std::size_t>(i); };
+    auto& out = ws.instance;
     out.target_a = a;
     out.target_b = b;
     const int n = geometry.count();
 
     // Steep plane with gradient perpendicular to a->b: S(a) == S(b).
-    const int dx = geometry.x_of(b) - geometry.x_of(a);
-    const int dy = geometry.y_of(b) - geometry.y_of(a);
-    const double nx = static_cast<double>(-dy);
-    const double ny = static_cast<double>(dx);
-    const auto plane = distiller::PolySurface::plane(0.0, steep_amp * nx, steep_amp * ny);
-    out.surface = plane.evaluate_grid(geometry);
-
-    // Repartition: G1 = {a, b}; remaining ROs paired along the gradient.
-    out.group_of.assign(static_cast<std::size_t>(n), 0);
-    out.group_of[static_cast<std::size_t>(a)] = 1;
-    out.group_of[static_cast<std::size_t>(b)] = 1;
-    std::vector<int> rest;
-    rest.reserve(static_cast<std::size_t>(n - 2));
-    for (int i = 0; i < n; ++i) {
-        if (i != a && i != b) rest.push_back(i);
-    }
-    std::sort(rest.begin(), rest.end(), [&](int u, int w) {
-        const double su = out.surface[static_cast<std::size_t>(u)];
-        const double sw = out.surface[static_cast<std::size_t>(w)];
+    const int nx = -(geometry.y_of(b) - geometry.y_of(a));
+    const int ny = geometry.x_of(b) - geometry.x_of(a);
+    const double plane[3] = {0.0, steep_amp * nx, steep_amp * ny};
+    out.surface.resize(at(n));
+    distiller::evaluate_grid(1, plane, geometry, out.surface);
+    const auto& surface = out.surface;
+    const auto below = [&](int u, int w) {
+        const double su = surface[at(u)];
+        const double sw = surface[at(w)];
         if (su != sw) return su < sw;
         return u < w;
-    });
+    };
+
+    // Repartition: G1 = {a, b}; the remaining ROs sorted by (S, index).
+    // S(i) is steep_amp * (nx x_i + ny y_i) up to rounding, so a counting
+    // sort on that integer key (negated for a negative amplitude) places
+    // every RO, and an insertion pass with the comparator itself settles ROs
+    // of one key whose computed S differ by an ulp. The comparator is a
+    // total order on non-NaN S, so the result is the one std::sort gives.
+    const int sign = steep_amp < 0.0 ? -1 : steep_amp > 0.0 ? 1 : 0;
+    const int kx = sign * nx;
+    const int ky = sign * ny;
+    const int x_max = geometry.cols - 1;
+    const int y_max = geometry.rows - 1;
+    const int lowest = std::min(0, kx * x_max) + std::min(0, ky * y_max);
+    const int highest = std::max(0, kx * x_max) + std::max(0, ky * y_max);
+    // Visits every other RO in index order with its key, row by row.
+    const auto each_other = [&](auto&& visit) {
+        int i = 0;
+        for (int y = 0; y < geometry.rows; ++y) {
+            int key = ky * y - lowest;
+            for (int x = 0; x < geometry.cols; ++x, ++i, key += kx) {
+                if (i != a && i != b) visit(i, at(key));
+            }
+        }
+    };
+    auto& start = ws.key_start;
+    start.assign(at(highest - lowest + 2), 0);
+    each_other([&](int, std::size_t key) { ++start[key + 1]; });
+    for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+    auto& order = ws.order;
+    order.resize(at(n - 2));
+    each_other([&](int i, std::size_t key) { order[at(start[key]++)] = i; });
+    for (std::size_t i = 1; i < order.size(); ++i) {
+        const int ro = order[i];
+        std::size_t j = i;
+        for (; j > 0 && below(ro, order[j - 1]); --j) order[j] = order[j - 1];
+        order[j] = ro;
+    }
     // Bucket the remaining ROs by their S value (ROs on the same
     // perpendicular line are indistinguishable under the plane), then pair
     // element-wise across adjacent buckets: every such pair has |ΔS| >= one
@@ -56,98 +93,91 @@ GroupBasedAttack::ComparisonInstance GroupBasedAttack::build_comparison(
     // targets are axis-aligned — the plane then collapses onto few fat
     // buckets (e.g. one per row) and consecutive-entry pairing would yield
     // almost no forced pairs.
-    std::vector<std::vector<int>> buckets;
-    for (int ro : rest) {
-        const double s = out.surface[static_cast<std::size_t>(ro)];
-        if (buckets.empty() ||
-            s - out.surface[static_cast<std::size_t>(buckets.back().front())] >
-                steep_amp * 0.5) {
-            buckets.emplace_back();
+    auto& bucket = ws.bucket_start;
+    bucket.clear();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        if (bucket.empty() ||
+            surface[at(order[i])] - surface[at(order[at(bucket.back())])] > steep_amp * 0.5) {
+            bucket.push_back(static_cast<int>(i));
         }
-        buckets.back().push_back(ro);
     }
-    std::vector<helperdata::IndexPair> forced_pairs;
-    std::vector<int> singletons;
-    for (std::size_t b = 0; b + 1 < buckets.size(); b += 2) {
-        auto& lo_bucket = buckets[b];
-        auto& hi_bucket = buckets[b + 1];
-        const std::size_t paired = std::min(lo_bucket.size(), hi_bucket.size());
-        for (std::size_t i = 0; i < paired; ++i) {
-            forced_pairs.emplace_back(lo_bucket[i], hi_bucket[i]);
-        }
-        for (std::size_t i = paired; i < lo_bucket.size(); ++i) singletons.push_back(lo_bucket[i]);
-        for (std::size_t i = paired; i < hi_bucket.size(); ++i) singletons.push_back(hi_bucket[i]);
+    bucket.push_back(static_cast<int>(order.size()));
+    const std::size_t buckets = bucket.size() - 1;
+    int forced = 0;
+    for (std::size_t j = 0; j + 1 < buckets; j += 2) {
+        forced += std::min(bucket[j + 1] - bucket[j], bucket[j + 2] - bucket[j + 1]);
     }
-    if (buckets.size() % 2 == 1) {
-        for (int ro : buckets.back()) singletons.push_back(ro);
-    }
-    int next_group = 2;
-    for (const auto& [u, w] : forced_pairs) {
-        out.group_of[static_cast<std::size_t>(u)] = next_group;
-        out.group_of[static_cast<std::size_t>(w)] = next_group;
-        ++next_group;
-    }
-    for (int s : singletons) out.group_of[static_cast<std::size_t>(s)] = next_group++;
 
-    // Expected Kendall bits: position 0 is G1's (the hypothesis); every
-    // forced 2-RO group contributes one attacker-known bit. The Kendall bit
-    // of a 2-RO group {u, w} (labels = ascending index) is 1 iff the
-    // higher-indexed RO has the larger residual.
-    bits::BitVec forced_bits(forced_pairs.size());
-    for (std::size_t i = 0; i < forced_pairs.size(); ++i) {
-        const auto [u, w] = forced_pairs[i];
-        const int lo = std::min(u, w);
-        const int hi = std::max(u, w);
-        forced_bits[i] = out.surface[static_cast<std::size_t>(hi)] >
-                                 out.surface[static_cast<std::size_t>(lo)]
-                             ? 1
-                             : 0;
+    // Group ids: the forced pairs 2, 3, ... in pairing order, then the
+    // singletons. Expected Kendall bits: position 0 is G1's (the
+    // hypothesis); forced pair i contributes the attacker-known bit i + 1.
+    // The Kendall bit of a 2-RO group {u, w} (labels = ascending index) is
+    // 1 iff the higher-indexed RO has the larger residual.
+    const int kendall_bits = forced + 1;
+    ws.kendall.assign(bits::word_count(at(kendall_bits)), 0);
+    auto& key0 = out.expected_key[0]; // hypothesis 0's bits, one per byte
+    key0.assign(at(kendall_bits), 0);
+    out.group_of.assign(at(n), 0);
+    out.group_of[at(a)] = 1;
+    out.group_of[at(b)] = 1;
+    int next_pair = 2;
+    int next_single = 2 + forced;
+    const auto singletons = [&](int from, int to) {
+        for (int i = from; i < to; ++i) out.group_of[at(order[at(i)])] = next_single++;
+    };
+    for (std::size_t j = 0; j + 1 < buckets; j += 2) {
+        const int lo = bucket[j];
+        const int hi = bucket[j + 1];
+        const int paired = std::min(hi - lo, bucket[j + 2] - hi);
+        for (int i = 0; i < paired; ++i) {
+            const int u = order[at(lo + i)];
+            const int w = order[at(hi + i)];
+            if (surface[at(std::max(u, w))] > surface[at(std::min(u, w))]) {
+                bits::set_bit(ws.kendall, at(next_pair - 1));
+                key0[at(next_pair - 1)] = 1;
+            }
+            out.group_of[at(u)] = next_pair;
+            out.group_of[at(w)] = next_pair++;
+        }
+        singletons(lo + paired, hi);
+        singletons(hi + paired, bucket[j + 2]);
     }
+    if (buckets % 2 == 1) singletons(bucket[buckets - 1], bucket[buckets]);
 
     const ecc::BlockEcc block_ecc(code);
-    // beta' = beta_enrolled - S: the device's residual becomes r_orig + S
-    // exactly (the enrollment fit keeps doing its systematic removal). The
-    // plane occupies the low-order coefficient slots shared by all degrees.
-    std::vector<double> beta_attack = pristine.beta;
-    assert(beta_attack.size() >= 3);
-    beta_attack[0] -= plane.beta()[0]; // constant
-    beta_attack[1] -= plane.beta()[1]; // x
-    beta_attack[2] -= plane.beta()[2]; // y
-
     // The injection needs t attacker-known bits in the target's block 0
     // besides the target itself. Usually plentiful; with extreme geometries
     // fall back to flipping stored parity bits, which needs no data bits and
     // has the identical error-budget effect.
-    const int eligible_in_block0 =
-        std::min<int>(static_cast<int>(forced_bits.size()), code.k() - 1);
-    const bool use_data_inversion = eligible_in_block0 >= code.t();
-
-    for (int h = 0; h < 2; ++h) {
-        bits::BitVec kendall;
-        kendall.reserve(forced_bits.size() + 1);
-        kendall.push_back(static_cast<std::uint8_t>(h));
-        for (auto b : forced_bits) kendall.push_back(b);
-
-        auto& helper = out.helper[h];
-        helper.beta = beta_attack;
-        helper.group_of = out.group_of;
-        if (use_data_inversion) {
-            // Injection: t known forced bits inverted in the target's block 0
-            // ("we just compute the ECC redundancy given some inverted bit
-            // values"). The published parity makes the *inverted* string the
-            // ECC reference, so a correct hypothesis decodes to it
-            // (t corrections) while an incorrect one overflows at t+1 errors.
-            const auto inverted =
-                invert_for_parity(kendall, block_ecc, /*block=*/0, code.t(), /*keep=*/{0});
-            helper.ecc = block_ecc.enroll(inverted);
-            out.expected_key[h] = inverted;
-        } else {
-            helper.ecc = block_ecc.enroll(kendall);
-            flip_parity_bits(helper.ecc, block_ecc, /*block=*/0, code.t());
-            out.expected_key[h] = kendall;
+    const int t = code.t();
+    const bool use_data_inversion = std::min(forced, code.k() - 1) >= t;
+    if (use_data_inversion) {
+        // Injection: the first t forced bits (block 0, after the target)
+        // inverted ("we just compute the ECC redundancy given some inverted
+        // bit values"). The published parity makes the *inverted* string the
+        // ECC reference, so a correct hypothesis decodes to it
+        // (t corrections) while an incorrect one overflows at t+1 errors.
+        for (int i = 1; i <= t; ++i) {
+            bits::flip_bit(ws.kendall, at(i));
+            key0[at(i)] ^= 1u;
         }
     }
-    return out;
+    for (int h = 0; h < 2; ++h) {
+        if (h == 1) bits::set_bit(ws.kendall, 0);
+        auto& helper = out.helper[h];
+        // beta' = beta_enrolled - S: the device's residual becomes r_orig + S
+        // exactly (the enrollment fit keeps doing its systematic removal).
+        // The plane occupies the low-order coefficient slots shared by all
+        // degrees.
+        helper.beta = pristine.beta;
+        assert(helper.beta.size() >= 3);
+        for (std::size_t c = 0; c < 3; ++c) helper.beta[c] -= plane[c];
+        helper.group_of = out.group_of;
+        helper.ecc = block_ecc.enroll(ws.kendall, kendall_bits);
+        if (!use_data_inversion) flip_parity_bits(helper.ecc, block_ecc, /*block=*/0, t);
+    }
+    out.expected_key[1] = key0;
+    out.expected_key[1][0] = 1;
 }
 
 GroupSession::GroupSession(GroupPufHelper pristine, sim::ArrayGeometry geometry,
@@ -197,14 +227,15 @@ Sub<std::optional<bool>> GroupSession::compare(int a, int b) {
             amp = capped_amp(lo, hi);
             if (amp <= 0.0) break;
         }
-        const auto instance =
-            GroupBasedAttack::build_comparison(pristine_, geometry_, code_, lo, hi, amp);
+        GroupBasedAttack::build_comparison(pristine_, geometry_, code_, lo, hi, amp, workspace_);
+        const auto& instance = workspace_.instance;
+        const core::Probe probes[2] = {
+            make_probe<Puf>(instance.helper[0], instance.expected_key[0]),
+            make_probe<Puf>(instance.helper[1], instance.expected_key[1])};
         for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
             for (int h = 0; h < 2; ++h) {
                 ++out_.comparisons;
-                const bool failed = co_await any_pass(
-                    make_probe<Puf>(instance.helper[h], instance.expected_key[h]),
-                    config_.majority_wins);
+                const bool failed = co_await any_pass(probes[h], config_.majority_wins);
                 if (!failed) {
                     if (phase == 1) fell_back_ = true;
                     dead_comparisons_ = 0;

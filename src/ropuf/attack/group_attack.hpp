@@ -80,6 +80,21 @@ public:
                                                const sim::ArrayGeometry& geometry,
                                                const ecc::BchCode& code, int a, int b,
                                                double steep_amp);
+
+    /// The buffers of one comparator experiment, reused across comparisons:
+    /// once they have grown, a build allocates only the two parity vectors.
+    struct ComparisonWorkspace {
+        ComparisonInstance instance;
+        std::vector<int> order;        ///< the other ROs, ascending S (then index)
+        std::vector<int> key_start;    ///< counting-sort offsets per plane key
+        std::vector<int> bucket_start; ///< bucket j is order[bucket_start[j], bucket_start[j+1])
+        std::vector<std::uint64_t> kendall; ///< packed Kendall bits of one hypothesis
+    };
+
+    /// build_comparison into `ws.instance`, bit for bit the same instance.
+    static void build_comparison(const group::GroupPufHelper& pristine,
+                                 const sim::ArrayGeometry& geometry, const ecc::BchCode& code,
+                                 int a, int b, double steep_amp, ComparisonWorkspace& ws);
 };
 
 /// The Section VI-C attack as a propose/observe session: merge-sorts (or
@@ -112,6 +127,7 @@ private:
     sim::ArrayGeometry geometry_;
     ecc::BchCode code_;
     GroupBasedAttack::Config config_;
+    GroupBasedAttack::ComparisonWorkspace workspace_;
     int groups_total_ = 0;
     bool fell_back_ = false;      ///< capped planes are now the active mode
     bool dead_ = false;           ///< even capped probes die: stop spending queries

@@ -85,6 +85,11 @@ inline void set_bit(std::span<std::uint64_t> words, std::size_t i) {
     words[i / 64] |= std::uint64_t{1} << (63 - i % 64);
 }
 
+/// Flips bit `i` of a packed sequence.
+inline void flip_bit(std::span<std::uint64_t> words, std::size_t i) {
+    words[i / 64] ^= std::uint64_t{1} << (63 - i % 64);
+}
+
 /// Packs `v` into out[0, word_count(v.size())) — any nonzero element is a
 /// 1 — and zeroes the rest of `out`.
 void pack_words(const BitVec& v, std::span<std::uint64_t> out);

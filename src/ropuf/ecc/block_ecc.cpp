@@ -79,16 +79,6 @@ BlockEccHelper BlockEcc::enroll(std::span<const std::uint64_t> reference,
     return helper;
 }
 
-BlockEcc::Result BlockEcc::reconstruct(const bits::BitVec& noisy,
-                                       const BlockEccHelper& helper) const {
-    assert(static_cast<int>(noisy.size()) == helper.response_bits);
-    std::vector<std::uint64_t> in(bits::word_count(noisy.size()));
-    std::vector<std::uint64_t> out(in.size());
-    bits::pack_words(noisy, in);
-    const auto r = reconstruct(in, helper, out);
-    return {r.ok, bits::unpack_words(out, noisy.size()), r.corrected, r.failed_blocks};
-}
-
 BlockEcc::WordResult BlockEcc::reconstruct(std::span<const std::uint64_t> noisy,
                                            const BlockEccHelper& helper,
                                            std::span<std::uint64_t> out) const {

@@ -51,26 +51,17 @@ public:
     /// Word form: `reference` holds `response_bits` packed bits.
     BlockEccHelper enroll(std::span<const std::uint64_t> reference, int response_bits) const;
 
-    struct Result {
-        bool ok = false;       ///< every block decoded successfully
-        bits::BitVec value;    ///< reconstructed response (valid iff ok)
-        int corrected = 0;     ///< total corrected errors across blocks
-        int failed_blocks = 0; ///< blocks whose decoder reported failure
-    };
-
-    /// Reconstructs the reference response from a noisy re-measurement and
-    /// (possibly manipulated) helper data.
-    Result reconstruct(const bits::BitVec& noisy, const BlockEccHelper& helper) const;
-
     struct WordResult {
         bool ok = false;       ///< every block decoded successfully
         int corrected = 0;     ///< total corrected errors across blocks
         int failed_blocks = 0; ///< blocks whose decoder reported failure
     };
 
-    /// Word form: `noisy` holds helper.response_bits packed bits; the
-    /// reconstructed response is written packed to `out` (a failed block
-    /// keeps its noisy bits). `out` must not overlap `noisy`.
+    /// Reconstructs the reference response from a noisy re-measurement and
+    /// (possibly manipulated) helper data. `noisy` holds
+    /// helper.response_bits packed bits; the reconstructed response is
+    /// written packed to `out` (a failed block keeps its noisy bits). `out`
+    /// must not overlap `noisy`.
     WordResult reconstruct(std::span<const std::uint64_t> noisy, const BlockEccHelper& helper,
                            std::span<std::uint64_t> out) const;
 

@@ -33,19 +33,29 @@ MaskingHelper enroll_masking(const std::vector<helperdata::IndexPair>& base_pair
     return helper;
 }
 
-std::vector<helperdata::IndexPair> select_pairs(
-    const std::vector<helperdata::IndexPair>& base_pairs, const MaskingHelper& helper) {
-    if (helper.k < 1) throw helperdata::ParseError("masking: k < 1");
+const char* select_pairs_into(const std::vector<helperdata::IndexPair>& base_pairs,
+                              const MaskingHelper& helper,
+                              std::vector<helperdata::IndexPair>& out) {
+    if (helper.k < 1) return "masking: k < 1";
     const int groups = masking_group_count(base_pairs.size(), helper.k);
     if (static_cast<int>(helper.selected.size()) != groups) {
-        throw helperdata::ParseError("masking: selection count does not match group count");
+        return "masking: selection count does not match group count";
     }
-    std::vector<helperdata::IndexPair> out;
-    out.reserve(helper.selected.size());
+    out.clear();
     for (int g = 0; g < groups; ++g) {
         const int j = helper.selected[static_cast<std::size_t>(g)];
-        if (j < 0 || j >= helper.k) throw helperdata::ParseError("masking: selection out of range");
+        if (j < 0 || j >= helper.k) return "masking: selection out of range";
         out.push_back(base_pairs[static_cast<std::size_t>(g * helper.k + j)]);
+    }
+    return nullptr;
+}
+
+std::vector<helperdata::IndexPair> select_pairs(
+    const std::vector<helperdata::IndexPair>& base_pairs, const MaskingHelper& helper) {
+    std::vector<helperdata::IndexPair> out;
+    out.reserve(helper.selected.size());
+    if (const char* error = select_pairs_into(base_pairs, helper, out)) {
+        throw helperdata::ParseError(error);
     }
     return out;
 }

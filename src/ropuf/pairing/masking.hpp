@@ -32,6 +32,12 @@ MaskingHelper enroll_masking(const std::vector<helperdata::IndexPair>& base_pair
 std::vector<helperdata::IndexPair> select_pairs(
     const std::vector<helperdata::IndexPair>& base_pairs, const MaskingHelper& helper);
 
+/// select_pairs into `out` (reusing its storage) without throwing: returns
+/// nullptr on success, else the reason select_pairs throws.
+const char* select_pairs_into(const std::vector<helperdata::IndexPair>& base_pairs,
+                              const MaskingHelper& helper,
+                              std::vector<helperdata::IndexPair>& out);
+
 /// Number of complete groups (= number of response bits).
 int masking_group_count(std::size_t base_pair_count, int k);
 

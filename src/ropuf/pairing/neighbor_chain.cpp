@@ -67,16 +67,22 @@ bits::BitVec evaluate_pairs(const std::vector<IndexPair>& pairs,
     return out;
 }
 
-std::vector<std::uint64_t> evaluate_pairs_packed(const std::vector<IndexPair>& pairs,
-                                                 std::span<const double> values) {
+void evaluate_pairs_packed(const std::vector<IndexPair>& pairs, std::span<const double> values,
+                           std::span<std::uint64_t> out) {
 #ifndef NDEBUG
     assert_pairs_in_range(pairs, values.size());
 #endif
-    std::vector<std::uint64_t> out((pairs.size() + 63) / 64);
+    assert(out.size() == bits::word_count(pairs.size()));
     ROPUF_OBS_COUNT("simd.calls.compare_pairs_packed", 1);
     simd::kernels().compare_pairs_packed(values.data(), flat_pairs(pairs),
                                          pairs.size(), out.data());
-    return out;
+    // The kernel packs LSB-first; reversing each word gives MSB-first.
+    for (auto& w : out) {
+        w = ((w >> 1) & 0x5555555555555555u) | ((w & 0x5555555555555555u) << 1);
+        w = ((w >> 2) & 0x3333333333333333u) | ((w & 0x3333333333333333u) << 2);
+        w = ((w >> 4) & 0x0f0f0f0f0f0f0f0fu) | ((w & 0x0f0f0f0f0f0f0f0fu) << 4);
+        w = __builtin_bswap64(w);
+    }
 }
 
 bits::BitVec evaluate_pairs_majority(const std::vector<IndexPair>& pairs,

@@ -44,12 +44,11 @@ std::vector<IndexPair> neighbor_chain(const sim::ArrayGeometry& g, ChainOrder or
 bits::BitVec evaluate_pairs(const std::vector<IndexPair>& pairs,
                             std::span<const double> values);
 
-/// Bit-packed comparator: response bit i lands in word i/64 at bit i%64
-/// (LSB-first); trailing bits of the last word are zero. Same bits as
-/// evaluate_pairs, 64 per word — the layout the majority-vote and syndrome
-/// kernels consume directly.
-std::vector<std::uint64_t> evaluate_pairs_packed(const std::vector<IndexPair>& pairs,
-                                                 std::span<const double> values);
+/// Bit-packed comparator: the bits of evaluate_pairs in the bits::pack_words
+/// layout (MSB-first, trailing bits zero) — what BlockEcc decodes directly.
+/// `out` holds bits::word_count(pairs.size()) words.
+void evaluate_pairs_packed(const std::vector<IndexPair>& pairs, std::span<const double> values,
+                           std::span<std::uint64_t> out);
 
 /// Majority vote over `scans` consecutive frequency maps: `values` holds
 /// scans * stride doubles (scan s at [s*stride, s*stride + stride)), and

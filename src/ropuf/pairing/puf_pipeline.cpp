@@ -1,24 +1,53 @@
 #include "ropuf/pairing/puf_pipeline.hpp"
 
 #include <cassert>
-#include <optional>
 #include <span>
 
 namespace ropuf::pairing {
 
 namespace {
 
+/// Per-thread regeneration buffers of the pairing victims. They only grow,
+/// so once a thread has regenerated at a given size, a probe allocates
+/// nothing but the returned key.
+struct Scratch {
+    std::vector<double> resid;
+    std::vector<helperdata::IndexPair> selected;
+    std::vector<std::uint64_t> noisy;     ///< response bits of the fresh scan, packed
+    std::vector<std::uint64_t> corrected; ///< the same after ECC
+
+    static Scratch& of_thread() {
+        thread_local Scratch scratch;
+        return scratch;
+    }
+};
+
 /// The distiller victims' residual map of one fresh scan (f_i - P(x_i, y_i)
-/// for the helper's coefficients), in a per-thread buffer that only grows:
-/// regeneration allocates no surface and no residual vector per probe.
-/// `beta` must hold coefficient_count(degree) values (helper_consistent).
+/// for the helper's coefficients). `beta` must hold
+/// coefficient_count(degree) values (helper_consistent).
 std::span<const double> scan_residuals(const sim::ArrayGeometry& geometry,
                                        std::span<const double> freqs, int degree,
                                        const std::vector<double>& beta) {
-    thread_local std::vector<double> resid;
+    auto& resid = Scratch::of_thread().resid;
     resid.resize(freqs.size());
     distiller::residuals(geometry, freqs, degree, beta, resid);
     return resid;
+}
+
+/// Key regeneration on packed words: the pairs' response bits on `values`,
+/// decoded by BlockEcc and unpacked once into the returned key (a failed
+/// block keeps its noisy bits, as BlockEcc does).
+core::ReconstructResult regenerate(const ecc::BchCode& code,
+                                   const std::vector<helperdata::IndexPair>& pairs,
+                                   std::span<const double> values,
+                                   const ecc::BlockEccHelper& helper) {
+    auto& scratch = Scratch::of_thread();
+    const std::size_t words = bits::word_count(pairs.size());
+    scratch.noisy.resize(words);
+    scratch.corrected.resize(words);
+    evaluate_pairs_packed(pairs, values, scratch.noisy);
+    const auto rec = ecc::BlockEcc(code).reconstruct(scratch.noisy, helper, scratch.corrected);
+    return {rec.ok, bits::unpack_words(scratch.corrected, pairs.size()), rec.corrected};
 }
 
 /// Orients each (faster, slower) pair per the storage policy. With the
@@ -93,10 +122,7 @@ core::ReconstructResult SeqPairingPuf::reconstruct_measured(const SeqPairingHelp
                                                             const sim::Condition&,
                                                             std::span<const double> freqs) const {
     if (!helper_consistent(helper)) return {};
-    const ecc::BlockEcc block_ecc(code_);
-    const auto noisy = evaluate_pairs(helper.pairs, freqs);
-    const auto rec = block_ecc.reconstruct(noisy, helper.ecc);
-    return {rec.ok, rec.value, rec.corrected};
+    return regenerate(code_, helper.pairs, freqs, helper.ecc);
 }
 
 helperdata::Nvm serialize(const SeqPairingHelper& helper) {
@@ -156,27 +182,19 @@ MaskedChainPuf::Enrollment MaskedChainPuf::enroll(rng::Xoshiro256pp& rng) const 
     return out;
 }
 
-std::optional<std::vector<helperdata::IndexPair>> MaskedChainPuf::checked_selection(
-    const MaskedChainHelper& helper) const {
+bool MaskedChainPuf::checked_selection(const MaskedChainHelper& helper,
+                                       std::vector<helperdata::IndexPair>& selected) const {
     const int expected_coeffs = distiller::coefficient_count(config_.distiller_degree);
-    if (static_cast<int>(helper.beta.size()) != expected_coeffs) return std::nullopt;
-    std::vector<helperdata::IndexPair> selected;
-    try {
-        selected = select_pairs(base_pairs_, helper.masking);
-    } catch (const helperdata::ParseError&) {
-        return std::nullopt;
-    }
-    if (helper.ecc.response_bits != static_cast<int>(selected.size())) return std::nullopt;
+    if (static_cast<int>(helper.beta.size()) != expected_coeffs) return false;
+    if (select_pairs_into(base_pairs_, helper.masking, selected) != nullptr) return false;
+    if (helper.ecc.response_bits != static_cast<int>(selected.size())) return false;
     const ecc::BlockEcc block_ecc(code_);
-    if (static_cast<int>(helper.ecc.parity.size()) !=
-        block_ecc.helper_bits(helper.ecc.response_bits)) {
-        return std::nullopt;
-    }
-    return selected;
+    return static_cast<int>(helper.ecc.parity.size()) ==
+           block_ecc.helper_bits(helper.ecc.response_bits);
 }
 
 bool MaskedChainPuf::helper_consistent(const MaskedChainHelper& helper) const {
-    return checked_selection(helper).has_value();
+    return checked_selection(helper, Scratch::of_thread().selected);
 }
 
 core::ReconstructResult MaskedChainPuf::reconstruct(const MaskedChainHelper& helper,
@@ -189,14 +207,11 @@ core::ReconstructResult MaskedChainPuf::reconstruct(const MaskedChainHelper& hel
 core::ReconstructResult MaskedChainPuf::reconstruct_measured(const MaskedChainHelper& helper,
                                                              const sim::Condition&,
                                                              std::span<const double> freqs) const {
-    const auto selected = checked_selection(helper);
-    if (!selected) return {};
-    const ecc::BlockEcc block_ecc(code_);
+    auto& selected = Scratch::of_thread().selected;
+    if (!checked_selection(helper, selected)) return {};
     const auto resid =
         scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta);
-    const auto noisy = evaluate_pairs(*selected, resid);
-    const auto rec = block_ecc.reconstruct(noisy, helper.ecc);
-    return {rec.ok, rec.value, rec.corrected};
+    return regenerate(code_, selected, resid, helper.ecc);
 }
 
 helperdata::Nvm serialize(const MaskedChainHelper& helper) {
@@ -274,12 +289,9 @@ core::ReconstructResult OverlapChainPuf::reconstruct_measured(const OverlapChain
                                                               const sim::Condition&,
                                                               std::span<const double> freqs) const {
     if (!helper_consistent(helper)) return {};
-    const ecc::BlockEcc block_ecc(code_);
     const auto resid =
         scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta);
-    const auto noisy = evaluate_pairs(pairs_, resid);
-    const auto rec = block_ecc.reconstruct(noisy, helper.ecc);
-    return {rec.ok, rec.value, rec.corrected};
+    return regenerate(code_, pairs_, resid, helper.ecc);
 }
 
 helperdata::Nvm serialize(const OverlapChainHelper& helper) {

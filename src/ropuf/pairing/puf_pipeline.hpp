@@ -16,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -165,11 +164,12 @@ public:
     const ecc::BchCode& code() const { return code_; }
 
 private:
-    /// The pairs `helper.masking` selects from the base chain, once every
-    /// structural check helper_consistent() documents has passed; nullopt
-    /// on the first failure (nothing is thrown).
-    std::optional<std::vector<helperdata::IndexPair>> checked_selection(
-        const MaskedChainHelper& helper) const;
+    /// Writes the pairs `helper.masking` selects from the base chain to
+    /// `selected` and returns true once every structural check
+    /// helper_consistent() documents has passed; false on the first failure
+    /// (nothing is thrown).
+    bool checked_selection(const MaskedChainHelper& helper,
+                           std::vector<helperdata::IndexPair>& selected) const;
 
     const sim::RoArray* array_;
     MaskedChainConfig config_;

@@ -42,6 +42,9 @@ inline __m256d cvt53_pd_avx2(__m256i m) {
     return _mm256_add_pd(_mm256_mul_pd(dhi, _mm256_set1_pd(0x1.0p32)), dlo);
 }
 
+// The fleet kernels start on a cache line: where they land otherwise moves
+// with unrelated code size, and that moves fleet throughput by a few percent.
+[[gnu::aligned(64)]]
 __attribute__((target("avx2")))
 void fleet_group4_avx2(const double* const* base, std::size_t first, std::size_t n,
                        int scans, double mean, double sd, FleetStreams& streams,
@@ -150,6 +153,7 @@ void fleet_group4_avx2(const double* const* base, std::size_t first, std::size_t
     }
 }
 
+[[gnu::aligned(64)]]
 void measure_fleet_avx2(const double* const* base, std::size_t devices,
                         std::size_t n, int scans, double mean, double sd,
                         FleetStreams& streams, double* const* out) {

@@ -32,6 +32,9 @@ namespace {
 
 constexpr std::size_t kBlockSteps = 256; // words buffered per fixup round
 
+// The fleet kernels start on a cache line: where they land otherwise moves
+// with unrelated code size, and that moves fleet throughput by a few percent.
+[[gnu::aligned(64)]]
 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw")))
 void fleet_group8_avx512(const double* const* base, std::size_t first, std::size_t n,
                          int scans, double mean, double sd, FleetStreams& streams,
@@ -187,6 +190,7 @@ void fleet_group8_avx512(const double* const* base, std::size_t first, std::size
     }
 }
 
+[[gnu::aligned(64)]]
 void measure_fleet_avx512(const double* const* base, std::size_t devices,
                           std::size_t n, int scans, double mean, double sd,
                           FleetStreams& streams, double* const* out) {

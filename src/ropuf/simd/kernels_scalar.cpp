@@ -35,6 +35,9 @@ void measure_scans_stream(const SoaView& soa, double dt, double dv, double mean,
     }
 }
 
+// The fleet kernels start on a cache line: where they land otherwise moves
+// with unrelated code size, and that moves fleet throughput by a few percent.
+[[gnu::aligned(64)]]
 void fleet_device_scalar(rng::Xoshiro256pp& main_rng, rng::Xoshiro256pp& slow_rng,
                          const double* base, std::size_t n, int scans, double mean,
                          double sd, double* out) {
@@ -71,6 +74,7 @@ void fleet_device_scalar(rng::Xoshiro256pp& main_rng, rng::Xoshiro256pp& slow_rn
     main_rng = rng::Xoshiro256pp(std::array<std::uint64_t, 4>{s0, s1, s2, s3});
 }
 
+[[gnu::aligned(64)]]
 void measure_fleet_scalar(const double* const* base, std::size_t devices,
                           std::size_t n, int scans, double mean, double sd,
                           FleetStreams& streams, double* const* out) {

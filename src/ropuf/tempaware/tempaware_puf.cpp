@@ -132,45 +132,55 @@ core::ReconstructResult TempAwarePuf::reconstruct(const TempAwareHelper& helper,
 core::ReconstructResult TempAwarePuf::reconstruct_measured(
     const TempAwareHelper& helper, const sim::Condition& condition,
     std::span<const double> freqs) const {
-    if (!helper_consistent(helper)) return {};
+    // One walk over the pairs runs every structural check (the pair-index
+    // bounds of helper_consistent, the assisting and masking references)
+    // while it writes the response bits, packed, into per-thread buffers
+    // that only grow. Any failed check fails safely before the ECC runs.
+    thread_local std::vector<std::uint64_t> noisy;
+    thread_local std::vector<std::uint64_t> corrected;
+    if (helper.records.size() != helper.pairs.size()) return {};
     const double temperature_c = condition.temperature_c;
     const int n_pairs = static_cast<int>(helper.pairs.size());
-
-    bits::BitVec response;
+    const auto in_range = [&](int p) {
+        const auto [a, b] = helper.pairs[static_cast<std::size_t>(p)];
+        return a >= 0 && a < array_->count() && b >= 0 && b < array_->count();
+    };
+    const std::size_t words = bits::word_count(helper.pairs.size());
+    noisy.assign(words, 0);
+    std::size_t bit = 0;
     for (int p = 0; p < n_pairs; ++p) {
+        if (!in_range(p)) return {};
         const auto& rec = helper.records[static_cast<std::size_t>(p)];
-        switch (rec.cls) {
-            case PairClass::Bad:
-                break;
-            case PairClass::Good:
-                response.push_back(direct_bit(freqs, helper, p, temperature_c));
-                break;
-            case PairClass::Cooperating: {
-                if (temperature_c < rec.t_low || temperature_c > rec.t_high) {
-                    response.push_back(direct_bit(freqs, helper, p, temperature_c));
-                    break;
-                }
-                // Inside the crossover interval: masked assistance. The
-                // device trusts the stored indices blindly.
-                const int h = rec.helper_pair;
-                const int g = rec.mask_pair;
-                if (h < 0 || h >= n_pairs || g < 0 || g >= n_pairs || h == p) return {};
-                const std::uint8_t bit = direct_bit(freqs, helper, h, temperature_c) ^
-                                         direct_bit(freqs, helper, g, temperature_c);
-                response.push_back(bit);
-                break;
-            }
+        std::uint8_t value = 0;
+        if (rec.cls == PairClass::Good) {
+            value = direct_bit(freqs, helper, p, temperature_c);
+        } else if (rec.cls != PairClass::Cooperating) {
+            continue; // a bad pair carries no key bit
+        } else if (temperature_c < rec.t_low || temperature_c > rec.t_high) {
+            value = direct_bit(freqs, helper, p, temperature_c);
+        } else {
+            // Inside the crossover interval: masked assistance. The device
+            // trusts the stored indices blindly.
+            const int h = rec.helper_pair;
+            const int g = rec.mask_pair;
+            if (h < 0 || h >= n_pairs || g < 0 || g >= n_pairs || h == p) return {};
+            if (!in_range(h) || !in_range(g)) return {};
+            value = direct_bit(freqs, helper, h, temperature_c) ^
+                    direct_bit(freqs, helper, g, temperature_c);
         }
+        if (value != 0) bits::set_bit(noisy, bit);
+        ++bit;
     }
 
-    if (helper.ecc.response_bits != static_cast<int>(response.size())) return {};
+    if (helper.ecc.response_bits != static_cast<int>(bit)) return {};
     const ecc::BlockEcc block_ecc(code_);
     if (static_cast<int>(helper.ecc.parity.size()) !=
         block_ecc.helper_bits(helper.ecc.response_bits)) {
         return {};
     }
-    const auto rec = block_ecc.reconstruct(response, helper.ecc);
-    return {rec.ok, rec.value, rec.corrected};
+    corrected.resize(words);
+    const auto rec = block_ecc.reconstruct(noisy, helper.ecc, corrected);
+    return {rec.ok, bits::unpack_words(corrected, bit), rec.corrected};
 }
 
 int TempAwarePuf::key_position(const TempAwareHelper& helper, int pair_index) {

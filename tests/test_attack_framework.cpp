@@ -105,7 +105,8 @@ TEST(Calibration, InvertForParityAvoidsProtectedPositions) {
     const ropuf::ecc::BlockEcc block_ecc(code);
     Xoshiro256pp rng(268);
     const auto ref = bits::random_bits(21, rng);
-    const auto inverted = invert_for_parity(ref, block_ecc, 0, 3, {0, 1});
+    auto inverted = ref;
+    invert_for_parity(inverted, block_ecc, 0, 3, {0, 1});
     EXPECT_EQ(bits::hamming(ref, inverted), 3);
     EXPECT_EQ(inverted[0], ref[0]);
     EXPECT_EQ(inverted[1], ref[1]);
@@ -114,7 +115,7 @@ TEST(Calibration, InvertForParityAvoidsProtectedPositions) {
 TEST(Calibration, InvertForParityThrowsWhenBlockTooSmall) {
     const ropuf::ecc::BchCode code(5, 2);
     const ropuf::ecc::BlockEcc block_ecc(code);
-    const auto ref = bits::zeros(3); // single 3-bit shortened block
+    auto ref = bits::zeros(3); // single 3-bit shortened block
     EXPECT_THROW(invert_for_parity(ref, block_ecc, 0, 3, {0}), std::invalid_argument);
 }
 

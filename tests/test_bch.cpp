@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "block_ecc_bits.hpp"
 #include "pt_util.hpp"
 #include "ropuf/bits/bitvec.hpp"
 #include "ropuf/ecc/bch.hpp"
@@ -381,13 +382,15 @@ struct BlockTally {
     int virtual_miscorrections = 0; ///< decoder ok, but it set a shortened zero
 };
 
-BlockEcc::Result reference_block_reconstruct(const BlockEcc& layout, const bits::BitVec& noisy,
-                                             const BlockEccHelper& helper, BlockTally& tally) {
+ropuf::ecc_test::BitsResult reference_block_reconstruct(const BlockEcc& layout,
+                                                        const bits::BitVec& noisy,
+                                                        const BlockEccHelper& helper,
+                                                        BlockTally& tally) {
     const BchCode& code = layout.code();
     const int total = helper.response_bits;
     const int k = code.k();
     const int p = code.parity_bits();
-    BlockEcc::Result out;
+    ropuf::ecc_test::BitsResult out;
     out.ok = true;
     bits::BitVec word(static_cast<std::size_t>(code.n()));
     for (int b = 0; b < layout.block_count(total); ++b) {
@@ -464,7 +467,7 @@ void expect_block_ecc_matches_reference(const BchCode& code, int max_blocks, int
             }
             if (round % 4 == 3) forged.parity = bits::random_bits(forged.parity.size(), rng);
             if (round % 8 == 5) forged.parity[0] = 2; // a non-binary element reads as 1
-            const auto got = layout.reconstruct(noisy, forged);
+            const auto got = ropuf::ecc_test::reconstruct_bits(layout, noisy, forged);
             const auto want = reference_block_reconstruct(layout, noisy, forged, tally);
             ASSERT_EQ(got.ok, want.ok) << total << " bits, round " << round;
             ASSERT_EQ(got.value, want.value) << total << " bits, round " << round;

@@ -2,6 +2,7 @@
 // code-offset, and the multi-block manager.
 #include <gtest/gtest.h>
 
+#include "block_ecc_bits.hpp"
 #include "ropuf/ecc/block_ecc.hpp"
 #include "ropuf/ecc/helper_constructions.hpp"
 #include "ropuf/rng/xoshiro.hpp"
@@ -13,6 +14,7 @@ using ropuf::ecc::BchCode;
 using ropuf::ecc::BlockEcc;
 using ropuf::ecc::CodeOffsetHelper;
 using ropuf::ecc::SystematicParityHelper;
+using ropuf::ecc_test::reconstruct_bits;
 using ropuf::rng::Xoshiro256pp;
 
 TEST(SystematicParity, NoiselessRoundTrip) {
@@ -120,7 +122,7 @@ TEST(BlockEcc, MultiBlockRoundTripUnderScatteredErrors) {
     bits::flip(noisy, 5);
     bits::flip(noisy, 25);
     bits::flip(noisy, 45);
-    const auto rec = block_ecc.reconstruct(noisy, helper);
+    const auto rec = reconstruct_bits(block_ecc, noisy, helper);
     ASSERT_TRUE(rec.ok);
     EXPECT_EQ(rec.value, ref);
     EXPECT_EQ(rec.corrected, 4);
@@ -136,7 +138,7 @@ TEST(BlockEcc, FailsWhenOneBlockOverflows) {
     bits::flip(noisy, 0);
     bits::flip(noisy, 1);
     bits::flip(noisy, 2); // 3 > t errors in block 0
-    const auto rec = block_ecc.reconstruct(noisy, helper);
+    const auto rec = reconstruct_bits(block_ecc, noisy, helper);
     EXPECT_TRUE(!rec.ok || rec.value != ref);
 }
 
@@ -150,7 +152,7 @@ TEST(BlockEcc, ShortenedBlockVirtualPositionsSafe) {
     const auto helper = block_ecc.enroll(ref);
     auto noisy = ref;
     bits::flip(noisy, 3);
-    const auto rec = block_ecc.reconstruct(noisy, helper);
+    const auto rec = reconstruct_bits(block_ecc, noisy, helper);
     ASSERT_TRUE(rec.ok);
     EXPECT_EQ(rec.value, ref);
 }

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "block_ecc_bits.hpp"
 #include "ropuf/distiller/regression.hpp"
 #include "ropuf/group/group_puf.hpp"
 
@@ -254,7 +255,7 @@ Regen reference_regen(const GroupBasedPuf& puf, const GroupPufHelper& helper,
     const ropuf::distiller::PolySurface surface(degree, helper.beta);
     const auto resid = ropuf::distiller::residuals(puf.array().geometry(), freqs, surface);
     const auto noisy = GroupBasedPuf::encode_groups(members, resid);
-    const auto rec = block_ecc.reconstruct(noisy.kendall, helper.ecc);
+    const auto rec = ropuf::ecc_test::reconstruct_bits(block_ecc, noisy.kendall, helper.ecc);
     if (!rec.ok) return out;
     out.outcome = Outcome::NotAnOrder;
     bits::BitVec key;

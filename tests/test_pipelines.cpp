@@ -1,8 +1,16 @@
 // End-to-end device tests for the three pair-based constructions:
-// enrollment/reconstruction reliability and helper serialization.
+// enrollment/reconstruction reliability and helper serialization; and the
+// packed-word regeneration of every pair-based victim (tempaware included)
+// against a byte-per-bit reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
+#include "ropuf/distiller/regression.hpp"
 #include "ropuf/pairing/puf_pipeline.hpp"
+#include "ropuf/tempaware/tempaware_puf.hpp"
 
 namespace {
 
@@ -236,6 +244,184 @@ TEST(OverlapPipeline, KeyDependsOnDistillerCoefficients) {
     tampered.beta[1] += 50.0; // steep x gradient
     const auto rec = puf.reconstruct(tampered, rng);
     EXPECT_TRUE(!rec.ok || rec.key != enrollment.key);
+}
+
+// ---------------------------------------------------------------------------
+// Word-path regeneration against a byte-per-bit reference
+// ---------------------------------------------------------------------------
+
+struct RegenTally {
+    int ok_blocks = 0;
+    int failed_blocks = 0;
+    int virtual_miscorrections = 0; ///< decoder ok, but it set a shortened zero
+};
+
+/// BlockEcc reconstruction stated byte per bit: each block's received word
+/// [virtual zeros | data | parity] goes through BchCode::decode; a block the
+/// decoder fails on, or "corrects" into a virtual zero, keeps its noisy bits.
+ropuf::core::ReconstructResult byte_reference(const ropuf::ecc::BchCode& code,
+                                              const bits::BitVec& noisy,
+                                              const ropuf::ecc::BlockEccHelper& helper,
+                                              RegenTally& tally) {
+    const int k = code.k();
+    const int p = code.parity_bits();
+    const int total = static_cast<int>(noisy.size());
+    ropuf::core::ReconstructResult out{true, {}, 0};
+    for (int at = 0; at < total; at += k) {
+        const int len = std::min(k, total - at);
+        const auto data = noisy.begin() + at;
+        bits::BitVec word(static_cast<std::size_t>(k - len), 0);
+        word.insert(word.end(), data, data + len);
+        const auto parity = helper.parity.begin() + at / k * p;
+        word.insert(word.end(), parity, parity + p);
+        const auto dec = code.decode(word);
+        const auto first = dec.codeword.begin();
+        const bool virtual_set = std::any_of(first, first + (k - len), [](auto v) { return v != 0; });
+        if (dec.ok && virtual_set) ++tally.virtual_miscorrections;
+        if (!dec.ok || virtual_set) {
+            out.ok = false;
+            ++tally.failed_blocks;
+            out.key.insert(out.key.end(), data, data + len);
+            continue;
+        }
+        ++tally.ok_blocks;
+        out.corrected += dec.corrected;
+        out.key.insert(out.key.end(), first + (k - len), first + k);
+    }
+    return out;
+}
+
+/// Feeds `puf.reconstruct_measured` noisy scans (extra Gaussian noise of
+/// growing width) under the enrolled helper and, every fourth round, under
+/// random parity; `noisy_bits(helper, scan, condition)` states the victim's
+/// response bits byte per bit. ok, key and corrected must equal the
+/// reference.
+template <typename Puf, typename Helper, typename NoisyBits>
+void expect_word_path_matches_bytes(const RoArray& arr, const Puf& puf, const Helper& enrolled,
+                                    const std::vector<ropuf::sim::Condition>& conditions,
+                                    NoisyBits noisy_bits, std::uint64_t seed,
+                                    RegenTally& tally) {
+    Xoshiro256pp rng(seed);
+    const double extra_sd[] = {0.0, 0.05, 0.3, 2.0};
+    for (int round = 0; round < 64; ++round) {
+        SCOPED_TRACE(round);
+        auto helper = enrolled;
+        if (round % 4 == 3) helper.ecc.parity = bits::random_bits(helper.ecc.parity.size(), rng);
+        const auto& condition = conditions[static_cast<std::size_t>(round) % conditions.size()];
+        auto scan = arr.measure_all(condition, rng);
+        for (auto& f : scan) f += rng.gaussian(0.0, extra_sd[(round / 4) % 4]);
+        const auto got = puf.reconstruct_measured(helper, condition, scan);
+        const auto want =
+            byte_reference(puf.code(), noisy_bits(helper, scan, condition), helper.ecc, tally);
+        ASSERT_EQ(got.ok, want.ok);
+        ASSERT_EQ(got.key, want.key);
+        ASSERT_EQ(got.corrected, want.corrected);
+    }
+}
+
+TEST(WordPath, VictimsMatchByteReference) {
+    RegenTally tally;
+    const auto distilled = [](const RoArray& arr, const std::vector<double>& beta, int degree,
+                              std::span<const double> scan) {
+        return ropuf::distiller::residuals(arr.geometry(), scan,
+                                           ropuf::distiller::PolySurface(degree, beta));
+    };
+    {
+        SCOPED_TRACE("seqpair");
+        const RoArray arr({20, 8}, quiet_params(), 131);
+        const SeqPairingPuf puf(arr, SeqPairingConfig{});
+        Xoshiro256pp rng(132);
+        const auto enrollment = puf.enroll(rng);
+        expect_word_path_matches_bytes(
+            arr, puf, enrollment.helper, {puf.config().condition},
+            [](const SeqPairingHelper& h, std::span<const double> scan, const auto&) {
+                return evaluate_pairs(h.pairs, scan);
+            },
+            133, tally);
+    }
+    {
+        SCOPED_TRACE("maskedchain");
+        const RoArray arr({20, 8}, quiet_params(), 134);
+        const MaskedChainPuf puf(arr, MaskedChainConfig{});
+        Xoshiro256pp rng(135);
+        const auto enrollment = puf.enroll(rng);
+        expect_word_path_matches_bytes(
+            arr, puf, enrollment.helper, {puf.config().condition},
+            [&](const MaskedChainHelper& h, std::span<const double> scan, const auto&) {
+                return evaluate_pairs(select_pairs(puf.base_pairs(), h.masking),
+                                      distilled(arr, h.beta, puf.config().distiller_degree, scan));
+            },
+            136, tally);
+    }
+    {
+        SCOPED_TRACE("overlapchain");
+        const RoArray arr({20, 8}, quiet_params(), 137);
+        const OverlapChainPuf puf(arr, OverlapChainConfig{});
+        Xoshiro256pp rng(138);
+        const auto enrollment = puf.enroll(rng);
+        expect_word_path_matches_bytes(
+            arr, puf, enrollment.helper, {puf.config().condition},
+            [&](const OverlapChainHelper& h, std::span<const double> scan, const auto&) {
+                return evaluate_pairs(puf.pairs(),
+                                      distilled(arr, h.beta, puf.config().distiller_degree, scan));
+            },
+            139, tally);
+    }
+    {
+        SCOPED_TRACE("tempaware");
+        using namespace ropuf::tempaware;
+        ProcessParams rich{};
+        rich.tempco_sigma = 0.015; // crossover-rich: cooperating pairs to assist
+        const RoArray arr({16, 16}, rich, 141);
+        TempAwareConfig cfg;
+        cfg.classification = {-20.0, 85.0, 0.2};
+        const TempAwarePuf puf(arr, cfg);
+        Xoshiro256pp rng(142);
+        const auto enrollment = puf.enroll(rng);
+        // Temperatures below, inside and above cooperating intervals.
+        std::vector<ropuf::sim::Condition> conditions;
+        for (const double t : {-15.0, 25.0, 82.0}) {
+            conditions.push_back(ropuf::core::DeviceTraits<TempAwarePuf>::condition_at(puf, t));
+        }
+        for (const auto& rec : enrollment.helper.records) {
+            if (rec.cls != PairClass::Cooperating || conditions.size() >= 6) continue;
+            conditions.push_back(ropuf::core::DeviceTraits<TempAwarePuf>::condition_at(
+                puf, 0.5 * (rec.t_low + rec.t_high)));
+        }
+        ASSERT_GE(conditions.size(), 4u);
+        // The device's rules, byte per bit: sign of the pair (inverted above
+        // a cooperating interval); inside it, helper XOR mask.
+        const auto noisy_bits = [](const TempAwareHelper& h, std::span<const double> scan,
+                                   const ropuf::sim::Condition& c) {
+            const double t = c.temperature_c;
+            const auto direct = [&](int p) {
+                const auto [a, b] = h.pairs[static_cast<std::size_t>(p)];
+                const auto& rec = h.records[static_cast<std::size_t>(p)];
+                const bool above = rec.cls == PairClass::Cooperating && t > rec.t_high;
+                return static_cast<std::uint8_t>(
+                    (scan[static_cast<std::size_t>(a)] > scan[static_cast<std::size_t>(b)]) != above);
+            };
+            bits::BitVec out;
+            for (std::size_t p = 0; p < h.records.size(); ++p) {
+                const auto& rec = h.records[p];
+                const int pi = static_cast<int>(p);
+                if (rec.cls == PairClass::Good) {
+                    out.push_back(direct(pi));
+                } else if (rec.cls == PairClass::Cooperating) {
+                    const bool inside = t >= rec.t_low && t <= rec.t_high;
+                    out.push_back(inside ? direct(rec.helper_pair) ^ direct(rec.mask_pair)
+                                         : direct(pi));
+                }
+            }
+            return out;
+        };
+        expect_word_path_matches_bytes(arr, puf, enrollment.helper, conditions, noisy_bits, 143,
+                                       tally);
+    }
+    // The comparison covered decoded, failed and virtually miscorrected blocks.
+    EXPECT_GT(tally.ok_blocks, 0);
+    EXPECT_GT(tally.failed_blocks, 0);
+    EXPECT_GT(tally.virtual_miscorrections, 0);
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 // masked-cooperation device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ropuf/tempaware/tempaware_puf.hpp"
 
 namespace {
@@ -230,6 +233,58 @@ TEST(TempAware, DeterministicScanProducesValidEnrollment) {
     const auto rec = puf.reconstruct(enrollment.helper, 25.0, rng);
     EXPECT_TRUE(rec.ok);
     EXPECT_EQ(rec.key, enrollment.key);
+}
+
+TEST(TempAware, InconsistentHelperFailsSafelyOnASuppliedScan) {
+    const ArrayGeometry g{16, 16};
+    ProcessParams rich{};
+    rich.tempco_sigma = 0.015; // crossover-rich: cooperating pairs to reference
+    const RoArray arr(g, rich, 151);
+    const TempAwarePuf puf(arr, device_config());
+    Xoshiro256pp rng(152);
+    const auto enrollment = puf.enroll(rng);
+    const auto& records = enrollment.helper.records;
+    // A cooperating pair and a temperature inside its interval, so
+    // regeneration follows its assisting and masking references.
+    const auto coop = std::find_if(records.begin(), records.end(), [](const PairRecord& r) {
+        return r.cls == PairClass::Cooperating;
+    });
+    ASSERT_NE(coop, records.end());
+    const auto c = static_cast<std::size_t>(coop - records.begin());
+    const auto condition = ropuf::core::DeviceTraits<TempAwarePuf>::condition_at(
+        puf, 0.5 * (coop->t_low + coop->t_high));
+    const auto scan = arr.measure_all(condition, rng);
+
+    const auto honest = puf.reconstruct_measured(enrollment.helper, condition, scan);
+    ASSERT_TRUE(honest.ok);
+    EXPECT_EQ(honest.key, enrollment.key);
+
+    const int n_pairs = static_cast<int>(enrollment.helper.pairs.size());
+    std::vector<TempAwareHelper> broken(10, enrollment.helper);
+    broken[0].records.pop_back();
+    broken[1].pairs.back().second = arr.count(); // caught only at the last pair
+    broken[2].pairs.front().first = -1;
+    broken[3].records[c].helper_pair = n_pairs;
+    broken[4].records[c].mask_pair = -1;
+    broken[5].records[c].helper_pair = static_cast<int>(c);
+    // A referenced pair out of range, wherever the walk meets it first.
+    broken[6].pairs[static_cast<std::size_t>(coop->helper_pair)].first = arr.count();
+    broken[7].pairs[static_cast<std::size_t>(coop->mask_pair)].second = -1;
+    broken[8].ecc.response_bits += 1;
+    broken[9].ecc.parity.push_back(0);
+    for (std::size_t i = 0; i < broken.size(); ++i) {
+        SCOPED_TRACE(i);
+        // The pre-measurement check sees the structure; the references only
+        // regeneration follows.
+        const bool structural = i <= 2 || i == 6 || i == 7;
+        if (structural) {
+            EXPECT_FALSE(puf.helper_consistent(broken[i]));
+        }
+        ropuf::core::ReconstructResult rec;
+        EXPECT_NO_THROW(rec = puf.reconstruct_measured(broken[i], condition, scan));
+        EXPECT_FALSE(rec.ok);
+        EXPECT_TRUE(rec.key.empty());
+    }
 }
 
 } // namespace
