@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -182,24 +183,36 @@ void BM_GroupBuildComparison(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupBuildComparison);
 
-void BM_VictimRegen(benchmark::State& state, const char* kind) {
-    // One victim regeneration from a given scan on the scenario's chip:
-    // response bits packed, BlockEcc on words, the key unpacked once;
-    // items = regenerations.
-    const auto regen_loop = [&](const auto& puf, const auto& helper, const sim::Condition& c,
-                                const std::vector<double>& scan) {
-        for (auto _ : state) {
-            benchmark::DoNotOptimize(puf.reconstruct_measured(helper, c, scan));
-        }
-        state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-    };
+/// Enrolls `kind`'s victim on its scenario's chip (seqpair, maskedchain,
+/// overlapchain, tempaware or group) and calls
+/// f(puf, helper, condition, scan, key) with one fresh scan.
+template <class F>
+void with_victim(const char* kind, F&& f) {
     rng::Xoshiro256pp rng(31);
+    const auto run = [&](const auto& puf, const sim::Condition& c) {
+        const auto enrollment = puf.enroll(rng);
+        f(puf, enrollment.helper, c, puf.array().measure_all(c, rng), enrollment.key);
+    };
+    sim::ProcessParams quiet{};
+    quiet.sigma_noise_mhz = 0.02;
     if (std::strcmp(kind, "seqpair") == 0) {
         const sim::RoArray chip({16, 8}, sim::ProcessParams{}, 32);
         const pairing::SeqPairingPuf puf(chip, pairing::SeqPairingConfig{});
-        const auto enrollment = puf.enroll(rng);
-        const auto& c = puf.config().condition;
-        regen_loop(puf, enrollment.helper, c, chip.measure_all(c, rng));
+        run(puf, puf.config().condition);
+    } else if (std::strcmp(kind, "maskedchain") == 0) {
+        const sim::RoArray chip({20, 8}, quiet, 34);
+        const pairing::MaskedChainPuf puf(chip, pairing::MaskedChainConfig{});
+        run(puf, puf.config().condition);
+    } else if (std::strcmp(kind, "overlapchain") == 0) {
+        const sim::RoArray chip({10, 4}, quiet, 35);
+        const pairing::OverlapChainPuf puf(chip, pairing::OverlapChainConfig{});
+        run(puf, puf.config().condition);
+    } else if (std::strcmp(kind, "group") == 0) {
+        const sim::RoArray chip({10, 4}, quiet, 36);
+        group::GroupPufConfig cfg;
+        cfg.delta_f_th = 0.15;
+        const group::GroupBasedPuf puf(chip, cfg);
+        run(puf, puf.config().condition);
     } else {
         sim::ProcessParams params{};
         params.tempco_sigma = 0.015;
@@ -208,13 +221,44 @@ void BM_VictimRegen(benchmark::State& state, const char* kind) {
         cfg.classification = {-20.0, 85.0, 0.2};
         cfg.enroll_samples = 64;
         const tempaware::TempAwarePuf puf(chip, cfg);
-        const auto enrollment = puf.enroll(rng);
-        const auto c = core::DeviceTraits<tempaware::TempAwarePuf>::condition_at(puf, 25.0);
-        regen_loop(puf, enrollment.helper, c, chip.measure_all(c, rng));
+        run(puf, core::DeviceTraits<tempaware::TempAwarePuf>::condition_at(puf, 25.0));
     }
+}
+
+void BM_VictimRegen(benchmark::State& state, const char* kind) {
+    // One victim regeneration from a given scan on the scenario's chip:
+    // response bits packed, BlockEcc on words, the key unpacked once;
+    // items = regenerations.
+    with_victim(kind, [&](const auto& puf, const auto& helper, const sim::Condition& c,
+                          const std::vector<double>& scan, const bits::BitVec&) {
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(puf.reconstruct_measured(helper, c, scan));
+        }
+    });
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK_CAPTURE(BM_VictimRegen, seqpair, "seqpair");
 BENCHMARK_CAPTURE(BM_VictimRegen, tempaware, "tempaware");
+
+void BM_VictimVerdict(benchmark::State& state, const char* kind) {
+    // The oracle's verdict on one probe from a given scan, the enrolled
+    // helper and the enrolled key, as Victim::evaluate_probes asks it: the
+    // response stage, then the per-block distance to the expected key's
+    // codeword; no decode, no key. items = verdicts.
+    with_victim(kind, [&](const auto& puf, const auto& helper, const sim::Condition& c,
+                          const std::vector<double>& scan, const bits::BitVec& key) {
+        using Traits = core::DeviceTraits<std::decay_t<decltype(puf)>>;
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(Traits::accepts(puf, helper, c, scan, key));
+        }
+    });
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_VictimVerdict, seqpair, "seqpair");
+BENCHMARK_CAPTURE(BM_VictimVerdict, maskedchain, "maskedchain");
+BENCHMARK_CAPTURE(BM_VictimVerdict, overlapchain, "overlapchain");
+BENCHMARK_CAPTURE(BM_VictimVerdict, tempaware, "tempaware");
+BENCHMARK_CAPTURE(BM_VictimVerdict, group, "group");
 
 void BM_BlockEccReconstruct(benchmark::State& state) {
     // BlockEcc's word path over four BCH(2^m - 1, k, 3) blocks, the final one
@@ -458,7 +502,7 @@ void BM_OracleBatchedRawProbes(benchmark::State& state) {
     // The same batches as raw-NVM probes (Probe{store(h)}): the victim
     // parses every blob, as it does for bytes an attacker wrote directly.
     oracle_batch_loop(state, [](const pairing::SeqPairingHelper& helper) {
-        return core::Probe{pairing::serialize(helper), std::nullopt};
+        return core::Probe{pairing::serialize(helper), nullptr};
     });
 }
 BENCHMARK(BM_OracleBatchedRawProbes)->Arg(1)->Arg(8)->Arg(32);

@@ -22,27 +22,40 @@ int block_of_position(const ecc::BlockEcc& block_ecc, int pos) {
     return pos / block_ecc.code().k();
 }
 
-void invert_for_parity(bits::BitVec& bits, const ecc::BlockEcc& block_ecc, int block, int count,
-                       const std::vector<int>& keep) {
+namespace {
+
+/// Calls flip(pos) for the first `count` positions of block `block` of a
+/// `size`-bit response that `keep` does not list, lowest first; throws
+/// std::invalid_argument when the block has fewer.
+template <class Flip>
+void invert_block(int size, const ecc::BlockEcc& block_ecc, int block, int count,
+                  const std::vector<int>& keep, Flip&& flip) {
     const int k = block_ecc.code().k();
     const int begin = block * k;
-    const int end = std::min(static_cast<int>(bits.size()), begin + k);
+    const int end = std::min(size, begin + k);
     int flipped = 0;
     for (int pos = begin; pos < end && flipped < count; ++pos) {
-        bool protected_pos = false;
-        for (int kp : keep) {
-            if (kp == pos) {
-                protected_pos = true;
-                break;
-            }
-        }
-        if (protected_pos) continue;
-        bits[static_cast<std::size_t>(pos)] ^= 1u;
+        if (std::find(keep.begin(), keep.end(), pos) != keep.end()) continue;
+        flip(static_cast<std::size_t>(pos));
         ++flipped;
     }
     if (flipped < count) {
         throw std::invalid_argument("invert_for_parity: not enough eligible positions in block");
     }
+}
+
+} // namespace
+
+void invert_for_parity(bits::BitVec& bits, const ecc::BlockEcc& block_ecc, int block, int count,
+                       const std::vector<int>& keep) {
+    invert_block(static_cast<int>(bits.size()), block_ecc, block, count, keep,
+                 [&](std::size_t pos) { bits[pos] ^= 1u; });
+}
+
+void invert_for_parity(std::span<std::uint64_t> words, int nbits, const ecc::BlockEcc& block_ecc,
+                       int block, int count, const std::vector<int>& keep) {
+    invert_block(nbits, block_ecc, block, count, keep,
+                 [&](std::size_t pos) { bits::flip_bit(words, pos); });
 }
 
 CalibrationResult calibrate_offset(const std::function<bool(int)>& probe_at, int max_offset,

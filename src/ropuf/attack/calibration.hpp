@@ -25,6 +25,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "ropuf/bits/bitvec.hpp"
@@ -43,6 +44,10 @@ void flip_parity_bits(ecc::BlockEccHelper& helper, const ecc::BlockEcc& block_ec
 /// the block does not contain enough eligible positions.
 void invert_for_parity(bits::BitVec& bits, const ecc::BlockEcc& block_ecc, int block, int count,
                        const std::vector<int>& keep);
+
+/// Word form: `words` holds an `nbits`-bit response packed.
+void invert_for_parity(std::span<std::uint64_t> words, int nbits, const ecc::BlockEcc& block_ecc,
+                       int block, int count, const std::vector<int>& keep);
 
 /// ECC block index that contains response-bit position `pos`.
 int block_of_position(const ecc::BlockEcc& block_ecc, int pos);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -95,11 +96,12 @@ Sub<bool> MaskedChainSession::try_target(int g, const distiller::PolySurface& su
     // Expected bits: every other selected pair is forced by the surface
     // (weakly near the vertex when the surface is plausibility-capped — the
     // per-block ECC slack absorbs the occasional flip, retries the rest).
-    bits::BitVec expected(static_cast<std::size_t>(m), 0);
+    // Packed; the target's own bit stays 0 here and is set per hypothesis.
+    std::vector<std::uint64_t> expected(bits::word_count(static_cast<std::size_t>(m)), 0);
     for (int g2 = 0; g2 < m; ++g2) {
         if (g2 == g) continue;
         const double d = pair_delta(grid, selected[static_cast<std::size_t>(g2)]);
-        expected[static_cast<std::size_t>(g2)] = d > 0 ? 1 : 0;
+        if (d > 0) bits::set_bit(expected, static_cast<std::size_t>(g2));
     }
 
     // One helper and one inverted key serve every hypothesis: only the
@@ -107,18 +109,20 @@ Sub<bool> MaskedChainSession::try_target(int g, const distiller::PolySurface& su
     pairing::MaskedChainHelper helper = pristine_;
     helper.beta = subtract_surface(pristine_.beta, surface);
     const std::vector<int> keep{g};
-    bits::BitVec inverted;
+    std::vector<std::uint64_t> inverted(expected.size());
     for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
         for (int h = 0; h < 2; ++h) {
-            expected[static_cast<std::size_t>(g)] = static_cast<std::uint8_t>(h);
             // The inverted string is the ECC reference: a correct
             // hypothesis decodes to it (t corrections), an incorrect one
             // overflows — so the oracle compares against the inversion.
             inverted = expected;
-            invert_for_parity(inverted, block_ecc, block, t, keep);
-            helper.ecc = block_ecc.enroll(inverted);
-            const bool failed = co_await any_pass(make_probe<Puf>(helper, inverted),
-                                                  config_.majority_wins);
+            if (h == 1) bits::set_bit(inverted, static_cast<std::size_t>(g));
+            invert_for_parity(inverted, m, block_ecc, block, t, keep);
+            helper.ecc = block_ecc.enroll(inverted, m);
+            const bool failed = co_await any_pass(
+                make_probe<Puf>(helper, std::make_shared<const bits::BitVec>(
+                                            bits::unpack_words(inverted, static_cast<std::size_t>(m)))),
+                config_.majority_wins);
             if (!failed) {
                 key_[static_cast<std::size_t>(g)] = static_cast<std::uint8_t>(h);
                 co_return true;
@@ -236,19 +240,20 @@ Sub<int> OverlapChainSession::try_surface(const distiller::PolySurface& surface,
     // Classify every response bit under this surface.
     std::vector<int> unknown;       // undetermined and not yet recovered
     std::vector<int> unknown_all;   // undetermined (recovered or not)
-    bits::BitVec expected(static_cast<std::size_t>(m), 0);
+    // Packed; the unknown bits stay 0 here and are set per assignment.
+    std::vector<std::uint64_t> expected(bits::word_count(static_cast<std::size_t>(m)), 0);
     for (int i = 0; i < m; ++i) {
         const double d = pair_delta(grid, pairs[static_cast<std::size_t>(i)]);
+        bool one = d > 0;
         if (std::abs(d) < margin) {
             unknown_all.push_back(i);
-            if (known[static_cast<std::size_t>(i)]) {
-                expected[static_cast<std::size_t>(i)] = *known[static_cast<std::size_t>(i)];
-            } else {
+            if (!known[static_cast<std::size_t>(i)]) {
                 unknown.push_back(i);
+                continue;
             }
-        } else {
-            expected[static_cast<std::size_t>(i)] = d > 0 ? 1 : 0;
+            one = *known[static_cast<std::size_t>(i)] != 0;
         }
+        if (one) bits::set_bit(expected, static_cast<std::size_t>(i));
     }
     if (unknown.empty()) co_return 0;
     if (static_cast<int>(unknown.size()) > config_.max_unknown) co_return 0;
@@ -259,7 +264,7 @@ Sub<int> OverlapChainSession::try_surface(const distiller::PolySurface& surface,
     // parity and the unknown bits change between probes.
     pairing::OverlapChainHelper helper = pristine_;
     helper.beta = subtract_surface(pristine_.beta, surface);
-    bits::BitVec inverted;
+    std::vector<std::uint64_t> inverted(expected.size());
     // Blocks containing any undetermined bit get the t-bit injection.
     std::set<int> hot_blocks;
     for (int i : unknown_all) hot_blocks.insert(block_of_position(block_ecc, i));
@@ -277,16 +282,19 @@ Sub<int> OverlapChainSession::try_surface(const distiller::PolySurface& surface,
     for (int attempt = 0; attempt < config_.max_retries && !decided; ++attempt) {
         for (std::uint64_t assign = 0; assign < (1ULL << unknown.size()) && !decided;
              ++assign) {
-            for (std::size_t bit = 0; bit < unknown.size(); ++bit) {
-                expected[static_cast<std::size_t>(unknown[bit])] =
-                    static_cast<std::uint8_t>((assign >> bit) & 1u);
-            }
             inverted = expected;
-            for (int blk : hot_blocks) invert_for_parity(inverted, block_ecc, blk, t, keep);
-            helper.ecc = block_ecc.enroll(inverted);
+            for (std::size_t bit = 0; bit < unknown.size(); ++bit) {
+                if ((assign >> bit) & 1u) {
+                    bits::set_bit(inverted, static_cast<std::size_t>(unknown[bit]));
+                }
+            }
+            for (int blk : hot_blocks) invert_for_parity(inverted, m, block_ecc, blk, t, keep);
+            helper.ecc = block_ecc.enroll(inverted, m);
             ++out_.hypotheses;
             // The device corrects toward the inverted reference.
-            const bool failed = co_await ask(make_probe<Puf>(helper, inverted));
+            const bool failed = co_await ask(make_probe<Puf>(
+                helper, std::make_shared<const bits::BitVec>(
+                            bits::unpack_words(inverted, static_cast<std::size_t>(m)))));
             if (!failed) {
                 if (++passes[assign] >= 2) decided = true; // two passes: committed
             }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -230,8 +231,10 @@ Sub<std::optional<bool>> GroupSession::compare(int a, int b) {
         GroupBasedAttack::build_comparison(pristine_, geometry_, code_, lo, hi, amp, workspace_);
         const auto& instance = workspace_.instance;
         const core::Probe probes[2] = {
-            make_probe<Puf>(instance.helper[0], instance.expected_key[0]),
-            make_probe<Puf>(instance.helper[1], instance.expected_key[1])};
+            make_probe<Puf>(instance.helper[0],
+                            std::make_shared<const bits::BitVec>(instance.expected_key[0])),
+            make_probe<Puf>(instance.helper[1],
+                            std::make_shared<const bits::BitVec>(instance.expected_key[1]))};
         for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
             for (int h = 0; h < 2; ++h) {
                 ++out_.comparisons;

@@ -108,10 +108,12 @@ public:
     /// Batched probes — the one query path; true = observable failure
     /// (wrong key or refusal). Verdicts land in probe order. Per probe: take
     /// the typed helper, or parse the raw bytes (a malformed blob is an
-    /// observable refusal that costs a query but no measurement), then
-    /// regenerate against the probe's expected key (or the app key; throws
-    /// std::logic_error when a reprogram-mode victim gets a probe without
-    /// one). RNG consumption, verdicts and ledger are identical to evaluating
+    /// observable refusal that costs a query but no measurement), then ask
+    /// the device whether it would regenerate the probe's expected key (or
+    /// the app key; throws std::logic_error when a reprogram-mode victim gets
+    /// a probe without one). DeviceTraits::accepts answers that by distance,
+    /// exactly as regenerating and comparing would, without a decode or a
+    /// key. RNG consumption, verdicts and ledger are identical to evaluating
     /// the probes one at a time; the whole batch's noise is drawn in one
     /// measure_batch_into block.
     void evaluate_probes(std::span<const core::Probe> probes, std::vector<bool>& verdicts) {
@@ -154,17 +156,17 @@ public:
                 continue;
             }
             ledger_.charge(cost);
-            core::ReconstructResult rec;
+            const bits::BitVec& expected =
+                probes[i].expect ? *probes[i].expect : app_key();
+            bool accepted = false;
             if (consistent_[i]) {
                 const std::span<const double> freqs(
                     scan_buffer_.data() + scan * static_cast<std::size_t>(cost),
                     static_cast<std::size_t>(cost));
                 ++scan;
-                rec = Traits::reconstruct_measured(*puf_, *helpers_[i], ambient_, freqs);
+                accepted = Traits::accepts(*puf_, *helpers_[i], ambient_, freqs, expected);
             }
-            const bits::BitVec& expected =
-                probes[i].expect ? *probes[i].expect : app_key();
-            verdicts.push_back(!rec.ok || rec.key != expected);
+            verdicts.push_back(!accepted);
         }
     }
 

@@ -258,7 +258,9 @@ protected:
     /// probability ~1-q (q = residual-noise failure rate); under an incorrect
     /// one a pass needs the decoder to miscorrect into exactly the reference
     /// word (~never), so one pass is near-conclusive.
-    Sub<bool> any_pass(core::Probe probe, int attempts) {
+    /// `probe` is read on every attempt: it must live until the co_await on
+    /// this call resumes, as a temporary argument of that co_await does.
+    Sub<bool> any_pass(const core::Probe& probe, int attempts) {
         for (int i = 0; i < attempts; ++i) {
             if (!co_await ask(probe)) co_return false;
         }
@@ -302,7 +304,7 @@ core::ProbeNvm make_probe_nvm(const typename core::DeviceTraits<Puf>::Helper& he
 /// (reprogram mode).
 template <core::Device Puf>
 core::Probe make_probe(const typename core::DeviceTraits<Puf>::Helper& helper,
-                       std::optional<bits::BitVec> expect = std::nullopt) {
+                       std::shared_ptr<const bits::BitVec> expect = nullptr) {
     return {make_probe_nvm<Puf>(helper), std::move(expect)};
 }
 

@@ -270,6 +270,9 @@ SessionBody TempAwareSession::body() {
     const int key_len = TempAwarePuf::key_bits(pristine_);
     bool complete = true;
     bits::BitVec candidate0(static_cast<std::size_t>(key_len), 0);
+    // The two candidates packed as well, for the phase-4 parity.
+    std::vector<std::uint64_t> packed[2];
+    packed[0].assign(bits::word_count(candidate0.size()), 0);
     for (int p = 0; p < n; ++p) {
         const auto& rec = pristine_.records[static_cast<std::size_t>(p)];
         if (rec.cls == PairClass::Bad) continue;
@@ -287,6 +290,7 @@ SessionBody TempAwareSession::body() {
             continue;
         }
         candidate0[static_cast<std::size_t>(pos)] = *bit;
+        if (*bit != 0) bits::set_bit(packed[0], static_cast<std::size_t>(pos));
     }
     if (!complete) {
         out.recovered_key = candidate0; // partial (unresolvable pairs remain)
@@ -296,20 +300,24 @@ SessionBody TempAwareSession::body() {
 
     // candidate1: all cooperating bits complemented (rci = 1 instead of 0).
     bits::BitVec candidate1 = candidate0;
+    packed[1] = packed[0];
     for (int p : out.coop_pairs) {
         const int pos = TempAwarePuf::key_position(pristine_, p);
-        if (pos >= 0) candidate1[static_cast<std::size_t>(pos)] ^= 1u;
+        if (pos < 0) continue;
+        candidate1[static_cast<std::size_t>(pos)] ^= 1u;
+        bits::flip_bit(packed[1], static_cast<std::size_t>(pos));
     }
 
     // --- Phase 4: ECC-helper comparison of the two candidates.
     const ecc::BlockEcc block_ecc(code_);
-    for (const auto* cand : {&candidate0, &candidate1}) {
+    const bits::BitVec* const candidates[2] = {&candidate0, &candidate1};
+    for (int c = 0; c < 2; ++c) {
         TempAwareHelper helper = pristine_;
-        helper.ecc = block_ecc.enroll(*cand);
+        helper.ecc = block_ecc.enroll(packed[c], key_len);
         const bool failed =
             co_await any_pass(make_probe<Puf>(helper), 2 * config_.majority_wins);
         if (!failed) {
-            out.recovered_key = *cand;
+            out.recovered_key = *candidates[c];
             out.resolved = true;
             break;
         }

@@ -1,7 +1,9 @@
 #include "ropuf/bits/bitvec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 namespace ropuf::bits {
@@ -18,8 +20,25 @@ void xor_into(BitVec& a, const BitVec& b) {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
 }
 
+namespace {
+
+/// Elements [i, i + 8) of `v` as one word, element i + j in byte j.
+std::uint64_t load8(std::span<const std::uint8_t> v, std::size_t i) {
+    std::uint64_t x;
+    std::memcpy(&x, v.data() + i, sizeof x);
+    if constexpr (std::endian::native == std::endian::big) x = __builtin_bswap64(x);
+    return x;
+}
+
+} // namespace
+
 bool is_binary(const BitVec& v) {
-    return std::all_of(v.begin(), v.end(), [](std::uint8_t b) { return b <= 1; });
+    std::size_t i = 0;
+    for (; i + 8 <= v.size(); i += 8) {
+        if ((load8(v, i) & 0xfefefefefefefefe) != 0) return false;
+    }
+    return std::all_of(v.begin() + static_cast<std::ptrdiff_t>(i), v.end(),
+                       [](std::uint8_t b) { return b <= 1; });
 }
 
 int weight(const BitVec& v) {
@@ -105,15 +124,32 @@ BitVec unpack_bytes(std::span<const std::uint8_t> bytes, std::size_t nbits) {
     return v;
 }
 
-void pack_words(const BitVec& v, std::span<std::uint64_t> out) {
+void pack_words(std::span<const std::uint8_t> v, std::span<std::uint64_t> out) {
     assert(out.size() >= word_count(v.size()));
-    std::fill(out.begin(), out.end(), std::uint64_t{0});
-    for (std::size_t w = 0; w * 64 < v.size(); ++w) {
-        const std::size_t end = std::min(v.size(), w * 64 + 64);
+    // Eight elements at a time, a word's eight groups gathered in a register.
+    // A group's nonzero flags land in the low bit of each byte, and one
+    // multiply gathers the eight flags MSB-first into the top byte (flag j
+    // goes to bit 63 - j; no two partial products overlap, so nothing
+    // carries). The last group is zero-padded.
+    const auto gather = [&](std::size_t i) {
+        std::uint64_t x = 0;
+        if (i + 8 <= v.size()) {
+            x = load8(v, i);
+        } else {
+            for (std::size_t j = 0; i + j < v.size(); ++j) x |= std::uint64_t{v[i + j]} << (8 * j);
+        }
+        constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7f;
+        const std::uint64_t flags = ((((x & kLow7) + kLow7) | x) & ~kLow7) >> 7;
+        return (flags * 0x8040201008040201) >> 56;
+    };
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < v.size(); ++w) {
         std::uint64_t acc = 0;
-        for (std::size_t i = w * 64; i < end; ++i) acc = (acc << 1) | (v[i] != 0 ? 1u : 0u);
-        out[w] = acc << (w * 64 + 64 - end);
+        unsigned filled = 0;
+        for (; filled < 64 && i < v.size(); filled += 8, i += 8) acc = (acc << 8) | gather(i);
+        out[w] = acc << (64 - filled);
     }
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(w), out.end(), std::uint64_t{0});
 }
 
 BitVec unpack_words(std::span<const std::uint64_t> words, std::size_t nbits) {

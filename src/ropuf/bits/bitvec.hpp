@@ -85,6 +85,48 @@ inline void set_bit(std::span<std::uint64_t> words, std::size_t i) {
     words[i / 64] |= std::uint64_t{1} << (63 - i % 64);
 }
 
+/// Writes a packed sequence bit by bit from its start, a word at a time: the
+/// bits gather in a register, so a long run of data-dependent bits costs no
+/// read-modify-write of memory per bit. finish() writes the last, partial
+/// word (zero-padded); every word up to it is overwritten.
+class BitWriter {
+public:
+    explicit BitWriter(std::span<std::uint64_t> words) : words_(words) {}
+
+    void push(bool bit) {
+        acc_ = (acc_ << 1) | std::uint64_t{bit};
+        if (++count_ == 64) {
+            words_[word_++] = acc_;
+            count_ = 0;
+        }
+    }
+
+    /// Appends the low `width` bits of `value` (width < 64, no higher bit
+    /// set), most significant first.
+    void push_bits(std::uint64_t value, unsigned width) {
+        const unsigned room = 64 - count_;
+        if (width < room) {
+            acc_ = (acc_ << width) | value;
+            count_ += width;
+            return;
+        }
+        const unsigned rest = width - room;
+        words_[word_++] = (acc_ << room) | (value >> rest);
+        acc_ = value & ((std::uint64_t{1} << rest) - 1);
+        count_ = rest;
+    }
+
+    void finish() {
+        if (count_ != 0) words_[word_] = acc_ << (64 - count_);
+    }
+
+private:
+    std::span<std::uint64_t> words_;
+    std::uint64_t acc_ = 0;
+    std::size_t word_ = 0;
+    unsigned count_ = 0;
+};
+
 /// Flips bit `i` of a packed sequence.
 inline void flip_bit(std::span<std::uint64_t> words, std::size_t i) {
     words[i / 64] ^= std::uint64_t{1} << (63 - i % 64);
@@ -92,7 +134,7 @@ inline void flip_bit(std::span<std::uint64_t> words, std::size_t i) {
 
 /// Packs `v` into out[0, word_count(v.size())) — any nonzero element is a
 /// 1 — and zeroes the rest of `out`.
-void pack_words(const BitVec& v, std::span<std::uint64_t> out);
+void pack_words(std::span<const std::uint8_t> v, std::span<std::uint64_t> out);
 
 /// Unpacks the first `nbits` bits of a packed sequence.
 BitVec unpack_words(std::span<const std::uint64_t> words, std::size_t nbits);

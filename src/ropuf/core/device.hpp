@@ -9,7 +9,8 @@
 //   * check (possibly manipulated) helper data structurally before it
 //     measures, so a failing helper consumes no scan;
 //   * regenerate the key from that helper data plus a supplied noisy scan
-//     at some operating condition;
+//     at some operating condition, or answer the oracle's one question —
+//     would it regenerate exactly a given key? — without building one;
 //   * store and parse its helper data at the NVM byte level;
 //   * say what a careful device would validate (Section VII-C).
 //
@@ -45,6 +46,14 @@ struct ReconstructResult {
 ///                                 const sim::Condition&, span<const double>);
 ///                                     // regeneration from a supplied scan —
 ///                                     // the batched-oracle path
+///   static bool accepts(const Puf&, const Helper&, const sim::Condition&,
+///                       span<const double>, const bits::BitVec& expected);
+///                                     // the oracle's verdict from a
+///                                     // supplied scan: true iff
+///                                     // reconstruct_measured would return
+///                                     // ok and exactly `expected` — decided
+///                                     // by distance, without decoding or
+///                                     // building a key
 ///   static bool helper_consistent(const Puf&, const Helper&);
 ///                                     // the pre-measurement structural
 ///                                     // checks (a failing helper consumes
@@ -76,13 +85,14 @@ struct ReconstructResult {
 ///                                     // SanityCheckingOracle countermeasure
 ///                                     // (Verdict mode: yes/no, no strings)
 ///
-/// DeviceTraitsBase supplies Helper, reconstruct_measured, helper_consistent
-/// and the two condition functions; a specialization adds the rest.
+/// DeviceTraitsBase supplies Helper, reconstruct_measured, accepts,
+/// helper_consistent and the two condition functions; a specialization adds
+/// the rest.
 template <typename Puf>
 struct DeviceTraits; // primary template intentionally undefined
 
-/// What every construction provides the same way. Regeneration and its
-/// structural checks are the Puf's own members of the same names; the
+/// What every construction provides the same way. Regeneration, the verdict
+/// and the structural checks are the Puf's own members of the same names; the
 /// operating point is the Puf's `config().condition`, with the ambient
 /// temperature swapped in. A construction with another notion of its
 /// operating point (tempaware) declares its own two condition functions.
@@ -94,6 +104,10 @@ struct DeviceTraitsBase {
                                                   const sim::Condition& condition,
                                                   std::span<const double> freqs) {
         return puf.reconstruct_measured(helper, condition, freqs);
+    }
+    static bool accepts(const Puf& puf, const Helper& helper, const sim::Condition& condition,
+                        std::span<const double> freqs, const bits::BitVec& expected) {
+        return puf.accepts(helper, condition, freqs, expected);
     }
     static bool helper_consistent(const Puf& puf, const Helper& helper) {
         return puf.helper_consistent(helper);
@@ -110,12 +124,14 @@ struct DeviceTraitsBase {
 template <typename P>
 concept Device = requires(const P& puf, const typename DeviceTraits<P>::Helper& helper,
                           const helperdata::Nvm& nvm, const sim::Condition& condition,
-                          std::span<const double> freqs, double ambient_c) {
+                          std::span<const double> freqs, const bits::BitVec& key,
+                          double ambient_c) {
     typename DeviceTraits<P>::Helper;
     { DeviceTraits<P>::kind } -> std::convertible_to<std::string_view>;
     {
         DeviceTraits<P>::reconstruct_measured(puf, helper, condition, freqs)
     } -> std::same_as<ReconstructResult>;
+    { DeviceTraits<P>::accepts(puf, helper, condition, freqs, key) } -> std::same_as<bool>;
     { DeviceTraits<P>::helper_consistent(puf, helper) } -> std::same_as<bool>;
     { DeviceTraits<P>::store(helper) } -> std::same_as<helperdata::Nvm>;
     { DeviceTraits<P>::parse(nvm) } -> std::same_as<typename DeviceTraits<P>::Helper>;

@@ -173,10 +173,12 @@ private:
 
 /// One oracle query: the helper NVM the attacker programs, and — for
 /// constructions with attacker-reprogrammable keys — the key the observable
-/// is compared against (nullopt = the enrolled application key).
+/// is compared against (null = the enrolled application key). The key is
+/// shared and immutable, so copying a probe (a retried ask, a staged batch)
+/// bumps a refcount instead of copying the key.
 struct Probe {
     ProbeNvm helper;
-    std::optional<bits::BitVec> expect;
+    std::shared_ptr<const bits::BitVec> expect;
 };
 
 /// Cumulative oracle-side accounting. `queries` counts every regeneration

@@ -200,24 +200,34 @@ void BchCode::parity_words(std::span<const std::uint64_t> message,
     const std::size_t pw = bits::word_count(static_cast<std::size_t>(parity_bits()));
     assert(message.size() >= bits::word_count(static_cast<std::size_t>(k_)));
     assert(parity.size() >= pw);
+    const int pad = (8 - k_ % 8) % 8;
+    const auto for_each_byte = [&](auto&& step) {
+        int bytes_left = (k_ + pad) / 8;
+        for (std::size_t c = 0; bytes_left > 0; ++c) {
+            // Padded bits [64c, 64c + 64) are message bits [64c - pad, 64c + 64 - pad).
+            std::uint64_t chunk = message[c] >> pad;
+            if (pad != 0 && c > 0) chunk |= message[c - 1] << (64 - pad);
+            const int nb = std::min(bytes_left, 8);
+            bytes_left -= nb;
+            for (int j = 0; j < nb; ++j, chunk <<= 8) step(chunk >> 56);
+        }
+    };
+    if (pw == 1) {
+        // p <= 64: the whole remainder stays in one register.
+        std::uint64_t r = 0;
+        for_each_byte([&](std::uint64_t byte) { r = (r << 8) ^ parity_tbl_[(r >> 56) ^ byte]; });
+        parity[0] = r;
+        return;
+    }
     std::uint64_t* const r = parity.data();
     std::fill_n(r, pw, std::uint64_t{0});
-    const int pad = (8 - k_ % 8) % 8;
-    int bytes_left = (k_ + pad) / 8;
-    for (std::size_t c = 0; bytes_left > 0; ++c) {
-        // Padded bits [64c, 64c + 64) are message bits [64c - pad, 64c + 64 - pad).
-        std::uint64_t chunk = message[c] >> pad;
-        if (pad != 0 && c > 0) chunk |= message[c - 1] << (64 - pad);
-        const int nb = std::min(bytes_left, 8);
-        bytes_left -= nb;
-        for (int j = 0; j < nb; ++j, chunk <<= 8) {
-            const std::size_t idx = (r[0] >> 56) ^ (chunk >> 56);
-            for (std::size_t w = 0; w + 1 < pw; ++w) r[w] = (r[w] << 8) | (r[w + 1] >> 56);
-            r[pw - 1] <<= 8;
-            const std::uint64_t* const row = parity_tbl_.data() + idx * pw;
-            for (std::size_t w = 0; w < pw; ++w) r[w] ^= row[w];
-        }
-    }
+    for_each_byte([&](std::uint64_t byte) {
+        const std::size_t idx = (r[0] >> 56) ^ byte;
+        for (std::size_t w = 0; w + 1 < pw; ++w) r[w] = (r[w] << 8) | (r[w + 1] >> 56);
+        r[pw - 1] <<= 8;
+        const std::uint64_t* const row = parity_tbl_.data() + idx * pw;
+        for (std::size_t w = 0; w < pw; ++w) r[w] ^= row[w];
+    });
 }
 
 bool BchCode::syndromes(std::span<const std::uint64_t> word, int* s) const {

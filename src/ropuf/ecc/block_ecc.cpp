@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 
 namespace ropuf::ecc {
@@ -20,6 +21,21 @@ bool any_leading_bit(std::span<const std::uint64_t> word, std::size_t count) {
     }
     const auto rest = static_cast<unsigned>(count % 64);
     return rest != 0 && (word[count / 64] >> (64 - rest)) != 0;
+}
+
+/// Number of positions in [at, at + len) where two packed sequences differ.
+int count_differences(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
+                      std::size_t at, std::size_t len) {
+    int count = 0;
+    for (std::size_t end = at + len; at < end;) {
+        const std::size_t w = at / 64;
+        const auto s = static_cast<unsigned>(at % 64);
+        const std::size_t n = std::min<std::size_t>(end - at, 64 - s);
+        const std::uint64_t diff = (a[w] ^ b[w]) << s;
+        count += std::popcount(n == 64 ? diff : diff >> (64 - n));
+        at += n;
+    }
+    return count;
 }
 
 } // namespace
@@ -121,6 +137,49 @@ BlockEcc::WordResult BlockEcc::reconstruct(std::span<const std::uint64_t> noisy,
         bits::copy_bits(word, pad, out, at, static_cast<std::size_t>(len));
     }
     return res;
+}
+
+bool BlockEcc::decodes_to(std::span<const std::uint64_t> noisy, const BlockEccHelper& helper,
+                          std::span<const std::uint64_t> reference) const {
+    const int total = helper.response_bits;
+    assert(noisy.size() >= bits::word_count(static_cast<std::size_t>(total)));
+    assert(reference.size() >= bits::word_count(static_cast<std::size_t>(total)));
+    assert(static_cast<int>(helper.parity.size()) == helper_bits(total));
+    const int k = code_->k();
+    const auto p = static_cast<std::size_t>(code_->parity_bits());
+    const int t = code_->t();
+    std::array<std::uint64_t, kMaxWords> message;
+    std::array<std::uint64_t, kMaxWords> parity;
+    std::array<std::uint64_t, kMaxWords> stored;
+    const std::span<std::uint64_t> msg(message.data(),
+                                       bits::word_count(static_cast<std::size_t>(k)));
+    const std::span<std::uint64_t> stored_words(stored.data(), bits::word_count(p));
+    const int blocks = block_count(total);
+    for (int b = 0; b < blocks; ++b) {
+        const auto len = static_cast<std::size_t>(block_data_bits(total, b));
+        const std::size_t at = static_cast<std::size_t>(b) * static_cast<std::size_t>(k);
+        int distance = count_differences(noisy, reference, at, len);
+        if (distance > t) return false;
+        std::fill(msg.begin(), msg.end(), std::uint64_t{0});
+        bits::copy_bits(reference, at, msg, static_cast<std::size_t>(k) - len, len);
+        code_->parity_words(msg, parity);
+        bits::pack_words(std::span(helper.parity).subspan(static_cast<std::size_t>(b) * p, p),
+                         stored_words);
+        distance += count_differences(parity, stored_words, 0, p);
+        if (distance > t) return false;
+    }
+    return true;
+}
+
+bool BlockEcc::decodes_to(std::span<const std::uint64_t> noisy, const BlockEccHelper& helper,
+                          const bits::BitVec& key) const {
+    thread_local std::vector<std::uint64_t> reference;
+    if (key.size() != static_cast<std::size_t>(helper.response_bits) || !bits::is_binary(key)) {
+        return false;
+    }
+    reference.resize(bits::word_count(key.size()));
+    bits::pack_words(key, reference);
+    return decodes_to(noisy, helper, reference);
 }
 
 std::vector<int> BlockEcc::block_error_counts(const bits::BitVec& reference,

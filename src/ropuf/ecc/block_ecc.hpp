@@ -65,6 +65,24 @@ public:
     WordResult reconstruct(std::span<const std::uint64_t> noisy, const BlockEccHelper& helper,
                            std::span<std::uint64_t> out) const;
 
+    /// True iff reconstruct(noisy, helper, out) would succeed and write
+    /// exactly `reference` (helper.response_bits packed bits) — decided
+    /// without decoding. The bounded-distance decoder returns a block's
+    /// reference data iff its received word [data | parity] lies within t
+    /// of the reference's codeword (d_min >= 2t+1): otherwise it fails or
+    /// lands on another codeword, whose data differs or whose shortened
+    /// prefix is nonzero. So per block, popcount(noisy ^ reference) over the
+    /// data plus popcount(helper parity ^ parity(reference)) must be <= t.
+    /// A nonzero helper parity element counts as 1, as in reconstruct().
+    bool decodes_to(std::span<const std::uint64_t> noisy, const BlockEccHelper& helper,
+                    std::span<const std::uint64_t> reference) const;
+
+    /// The same verdict for a byte-per-bit key, packed into per-thread
+    /// scratch: false when `key` is not helper.response_bits long or holds
+    /// an element other than 0 and 1, since no regenerated key equals it.
+    bool decodes_to(std::span<const std::uint64_t> noisy, const BlockEccHelper& helper,
+                    const bits::BitVec& key) const;
+
     /// Exact number of bit errors each block would present to the decoder,
     /// given a noiseless reference and a noisy response. Used to regenerate
     /// the error-count PDFs of Fig. 5.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "ropuf/helperdata/formats.hpp"
@@ -54,6 +56,7 @@ struct GroupBasedPuf::Scratch {
     std::vector<double> resid;
     std::vector<std::uint64_t> noisy;     ///< Kendall bits of the fresh scan, packed
     std::vector<std::uint64_t> corrected; ///< the same after ECC
+    std::vector<std::uint64_t> reference; ///< Kendall bits of an expected key, packed
 
     std::span<const int> group(std::size_t j) const {
         return std::span(members).subspan(offset[j], offset[j + 1] - offset[j]);
@@ -176,42 +179,44 @@ core::ReconstructResult GroupBasedPuf::reconstruct(const GroupPufHelper& helper,
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
-core::ReconstructResult GroupBasedPuf::reconstruct_measured(
-    const GroupPufHelper& helper, const sim::Condition&, std::span<const double> freqs) const {
-    Scratch& scratch = Scratch::of_thread();
-    if (!partition(helper, scratch)) return {};
+std::optional<std::span<const std::uint64_t>> GroupBasedPuf::response(
+    const GroupPufHelper& helper, std::span<const double> freqs, Scratch& scratch) const {
+    if (!partition(helper, scratch)) return std::nullopt;
     scratch.resid.resize(scratch.members.size());
     distiller::residuals(array_->geometry(), freqs, inferred_degree(helper), helper.beta,
                          scratch.resid);
-    const std::size_t words = bits::word_count(static_cast<std::size_t>(scratch.kendall_bits));
-    scratch.noisy.assign(words, 0);
-    scratch.corrected.assign(words, 0);
+    scratch.noisy.resize(bits::word_count(static_cast<std::size_t>(scratch.kendall_bits)));
 
     // Kendall bits of the fresh scan, as encode_groups computes them: a
     // group's labels are its members in ascending RO order, and its order
-    // sorts the labels by residual, descending, ties to the lower label.
-    GroupArray order{};
-    std::size_t cursor = 0;
+    // sorts the labels by residual, descending, ties to the lower label. So
+    // the bit of labels a < b (b precedes a) is one comparison, residual(b) >
+    // residual(a), and no sort runs. (A NaN residual compares false, so it
+    // precedes no label; the sort's comparator was no strict weak order
+    // there.)
+    bits::BitWriter out(scratch.noisy);
+    std::array<double, kMaxCompactGroup> value{};
     for (std::size_t j = 0; j < scratch.groups; ++j) {
         const auto labels = scratch.group(j);
-        const auto g = static_cast<int>(labels.size());
-        const auto residual = [&](int label) {
-            return scratch.resid[static_cast<std::size_t>(labels[static_cast<std::size_t>(label)])];
-        };
-        std::iota(order.begin(), order.begin() + g, 0);
-        std::sort(order.begin(), order.begin() + g, [&](int la, int lb) {
-            const double va = residual(la);
-            const double vb = residual(lb);
-            if (va != vb) return va > vb;
-            return la < lb;
-        });
-        for_each_kendall_pair(order, g, [&](bool inverted) {
-            if (inverted) bits::set_bit(scratch.noisy, cursor);
-            ++cursor;
-        });
+        const std::size_t g = labels.size();
+        for (std::size_t l = 0; l < g; ++l) {
+            value[l] = scratch.resid[static_cast<std::size_t>(labels[l])];
+        }
+        for (std::size_t a = 0; a < g; ++a) {
+            for (std::size_t b = a + 1; b < g; ++b) out.push(value[b] > value[a]);
+        }
     }
-    const auto rec =
-        ecc::BlockEcc(code_).reconstruct(scratch.noisy, helper.ecc, scratch.corrected);
+    out.finish();
+    return scratch.noisy;
+}
+
+core::ReconstructResult GroupBasedPuf::reconstruct_measured(
+    const GroupPufHelper& helper, const sim::Condition&, std::span<const double> freqs) const {
+    Scratch& scratch = Scratch::of_thread();
+    const auto noisy = response(helper, freqs, scratch);
+    if (!noisy) return {};
+    scratch.corrected.assign(noisy->size(), 0);
+    const auto rec = ecc::BlockEcc(code_).reconstruct(*noisy, helper.ecc, scratch.corrected);
     if (!rec.ok) return {};
 
     // Entropy packing of the corrected Kendall bits, group by group:
@@ -223,7 +228,8 @@ core::ReconstructResult GroupBasedPuf::reconstruct_measured(
     core::ReconstructResult out;
     out.key.resize(static_cast<std::size_t>(key_bits));
     std::size_t key_at = 0;
-    cursor = 0;
+    std::size_t cursor = 0;
+    GroupArray order{};
     for (std::size_t j = 0; j < scratch.groups; ++j) {
         const auto g = static_cast<int>(scratch.group(j).size());
         const auto bit = [&](std::size_t i) { return bits::test_bit(scratch.corrected, i); };
@@ -262,6 +268,67 @@ core::ReconstructResult GroupBasedPuf::reconstruct_measured(
     out.ok = true;
     out.corrected = rec.corrected;
     return out;
+}
+
+bool GroupBasedPuf::accepts(const GroupPufHelper& helper, const sim::Condition&,
+                            std::span<const double> freqs, const bits::BitVec& expected) const {
+    Scratch& scratch = Scratch::of_thread();
+    const auto noisy = response(helper, freqs, scratch);
+    if (!noisy) return false;
+    // The key is each group's order rank in compact_bits(g) bits, and a rank
+    // below g! names exactly one order: the key equals `expected` iff the
+    // corrected Kendall bits are those of the orders `expected` ranks. A
+    // chunk that ranks no order (>= g!), an element other than 0 and 1 or a
+    // key of another length matches no regenerated key.
+    std::size_t key_bits = 0;
+    for (std::size_t j = 0; j < scratch.groups; ++j) {
+        key_bits += static_cast<std::size_t>(kCompactBits[scratch.group(j).size()]);
+    }
+    if (expected.size() != key_bits) return false;
+    scratch.reference.resize(noisy->size());
+    bits::BitWriter out(scratch.reference);
+    std::size_t key_at = 0;
+    for (std::size_t j = 0; j < scratch.groups; ++j) {
+        const auto g = static_cast<int>(scratch.group(j).size());
+        std::uint64_t rank = 0;
+        for (int i = 0; i < kCompactBits[static_cast<std::size_t>(g)]; ++i) {
+            const std::uint8_t bit = expected[key_at++];
+            if (bit > 1) return false;
+            rank = (rank << 1) | bit;
+        }
+        if (rank >= kFactorial[static_cast<std::size_t>(g)]) return false;
+        // Lehmer unrank: rank = sum of digit_r * (g-1-r)!, where digit_r <=
+        // g-1-r counts the labels after rank r smaller than order[r]. So
+        // order[r] is the digit_r-th smallest label not yet placed; a digit
+        // is found by comparisons, since it is small.
+        //
+        // The Kendall bits of label a are its pairs (a, b), b = a+1 .. g-1:
+        // bit = b precedes a. With label l at bit g-1-l of a mask, the labels
+        // placed before a, masked to those above a, are exactly those bits,
+        // in order.
+        std::array<std::uint32_t, kMaxCompactGroup> before{};
+        std::uint32_t left = (std::uint32_t{1} << g) - 1; // bit l: label l not yet placed
+        std::uint32_t placed = 0;                         // bit g-1-l: label l placed
+        for (int r = 0; r < g; ++r) {
+            const std::uint64_t f = kFactorial[static_cast<std::size_t>(g - 1 - r)];
+            int digit = 0;
+            for (int i = 1; i < g - r; ++i) digit += rank >= static_cast<std::uint64_t>(i) * f;
+            rank -= static_cast<std::uint64_t>(digit) * f;
+            std::uint32_t candidates = left;
+            for (; digit > 0; --digit) candidates &= candidates - 1;
+            const int label = std::countr_zero(candidates);
+            before[static_cast<std::size_t>(label)] = placed;
+            left &= ~(std::uint32_t{1} << label);
+            placed |= std::uint32_t{1} << (g - 1 - label);
+        }
+        for (int a = 0; a + 1 < g; ++a) {
+            const auto width = static_cast<unsigned>(g - 1 - a);
+            out.push_bits(before[static_cast<std::size_t>(a)] & ((std::uint32_t{1} << width) - 1),
+                          width);
+        }
+    }
+    out.finish();
+    return ecc::BlockEcc(code_).decodes_to(*noisy, helper.ecc, scratch.reference);
 }
 
 helperdata::Nvm serialize(const GroupPufHelper& helper) {

@@ -13,6 +13,7 @@
 // corrected orders into the compact key.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -100,6 +101,14 @@ public:
                                                  const sim::Condition& condition,
                                                  std::span<const double> freqs) const;
 
+    /// The oracle's verdict from a supplied scan: true iff
+    /// reconstruct_measured would return ok and exactly `expected`. The
+    /// expected key's per-group ranks are unranked to their orders and
+    /// Kendall-coded, and BlockEcc::decodes_to checks the fresh Kendall bits
+    /// against that reference by distance: no decode, no key.
+    bool accepts(const GroupPufHelper& helper, const sim::Condition& condition,
+                 std::span<const double> freqs, const bits::BitVec& expected) const;
+
     /// Computes the Kendall bit string and the packed key for a given
     /// members partition and residual map — shared by enrollment,
     /// reconstruction and the attacker's forward computation.
@@ -124,6 +133,13 @@ private:
     /// Kendall length, parity length, inferable degree. False on the first
     /// failure; nothing is thrown or allocated once the scratch has grown.
     bool partition(const GroupPufHelper& helper, Scratch& scratch) const;
+
+    /// The response stage reconstruct_measured and accepts share: partition
+    /// (every structural check), residuals, and the fresh scan's Kendall
+    /// bits, packed into `scratch`; nullopt when a check fails.
+    std::optional<std::span<const std::uint64_t>> response(const GroupPufHelper& helper,
+                                                           std::span<const double> freqs,
+                                                           Scratch& scratch) const;
 
     /// The polynomial degree implied by the coefficient count (-1 = none).
     static int inferred_degree(const GroupPufHelper& helper);

@@ -1,6 +1,7 @@
 #include "ropuf/pairing/puf_pipeline.hpp"
 
 #include <cassert>
+#include <optional>
 #include <span>
 
 namespace ropuf::pairing {
@@ -8,8 +9,8 @@ namespace ropuf::pairing {
 namespace {
 
 /// Per-thread regeneration buffers of the pairing victims. They only grow,
-/// so once a thread has regenerated at a given size, a probe allocates
-/// nothing but the returned key.
+/// so once a thread has regenerated at a given size, a verdict allocates
+/// nothing and a regeneration only its returned key.
 struct Scratch {
     std::vector<double> resid;
     std::vector<helperdata::IndexPair> selected;
@@ -34,20 +35,25 @@ std::span<const double> scan_residuals(const sim::ArrayGeometry& geometry,
     return resid;
 }
 
-/// Key regeneration on packed words: the pairs' response bits on `values`,
-/// decoded by BlockEcc and unpacked once into the returned key (a failed
-/// block keeps its noisy bits, as BlockEcc does).
-core::ReconstructResult regenerate(const ecc::BchCode& code,
-                                   const std::vector<helperdata::IndexPair>& pairs,
-                                   std::span<const double> values,
+/// The pairs' response bits on `values`, packed into the thread's scratch.
+std::span<const std::uint64_t> packed_response(const std::vector<helperdata::IndexPair>& pairs,
+                                               std::span<const double> values) {
+    auto& noisy = Scratch::of_thread().noisy;
+    noisy.resize(bits::word_count(pairs.size()));
+    evaluate_pairs_packed(pairs, values, noisy);
+    return noisy;
+}
+
+/// Key regeneration from a packed response: the key is the ECC-corrected
+/// response, unpacked once (a failed block keeps its noisy bits, as BlockEcc
+/// does).
+core::ReconstructResult regenerate(const ecc::BchCode& code, std::span<const std::uint64_t> noisy,
                                    const ecc::BlockEccHelper& helper) {
-    auto& scratch = Scratch::of_thread();
-    const std::size_t words = bits::word_count(pairs.size());
-    scratch.noisy.resize(words);
-    scratch.corrected.resize(words);
-    evaluate_pairs_packed(pairs, values, scratch.noisy);
-    const auto rec = ecc::BlockEcc(code).reconstruct(scratch.noisy, helper, scratch.corrected);
-    return {rec.ok, bits::unpack_words(scratch.corrected, pairs.size()), rec.corrected};
+    auto& corrected = Scratch::of_thread().corrected;
+    corrected.resize(noisy.size());
+    const auto rec = ecc::BlockEcc(code).reconstruct(noisy, helper, corrected);
+    return {rec.ok, bits::unpack_words(corrected, static_cast<std::size_t>(helper.response_bits)),
+            rec.corrected};
 }
 
 /// Orients each (faster, slower) pair per the storage policy. With the
@@ -118,11 +124,24 @@ core::ReconstructResult SeqPairingPuf::reconstruct(const SeqPairingHelper& helpe
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
+std::optional<std::span<const std::uint64_t>> SeqPairingPuf::response(
+    const SeqPairingHelper& helper, std::span<const double> freqs) const {
+    if (!helper_consistent(helper)) return std::nullopt;
+    return packed_response(helper.pairs, freqs);
+}
+
 core::ReconstructResult SeqPairingPuf::reconstruct_measured(const SeqPairingHelper& helper,
                                                             const sim::Condition&,
                                                             std::span<const double> freqs) const {
-    if (!helper_consistent(helper)) return {};
-    return regenerate(code_, helper.pairs, freqs, helper.ecc);
+    const auto noisy = response(helper, freqs);
+    if (!noisy) return {};
+    return regenerate(code_, *noisy, helper.ecc);
+}
+
+bool SeqPairingPuf::accepts(const SeqPairingHelper& helper, const sim::Condition&,
+                            std::span<const double> freqs, const bits::BitVec& expected) const {
+    const auto noisy = response(helper, freqs);
+    return noisy && ecc::BlockEcc(code_).decodes_to(*noisy, helper.ecc, expected);
 }
 
 helperdata::Nvm serialize(const SeqPairingHelper& helper) {
@@ -204,14 +223,26 @@ core::ReconstructResult MaskedChainPuf::reconstruct(const MaskedChainHelper& hel
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
+std::optional<std::span<const std::uint64_t>> MaskedChainPuf::response(
+    const MaskedChainHelper& helper, std::span<const double> freqs) const {
+    auto& selected = Scratch::of_thread().selected;
+    if (!checked_selection(helper, selected)) return std::nullopt;
+    return packed_response(
+        selected, scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta));
+}
+
 core::ReconstructResult MaskedChainPuf::reconstruct_measured(const MaskedChainHelper& helper,
                                                              const sim::Condition&,
                                                              std::span<const double> freqs) const {
-    auto& selected = Scratch::of_thread().selected;
-    if (!checked_selection(helper, selected)) return {};
-    const auto resid =
-        scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta);
-    return regenerate(code_, selected, resid, helper.ecc);
+    const auto noisy = response(helper, freqs);
+    if (!noisy) return {};
+    return regenerate(code_, *noisy, helper.ecc);
+}
+
+bool MaskedChainPuf::accepts(const MaskedChainHelper& helper, const sim::Condition&,
+                             std::span<const double> freqs, const bits::BitVec& expected) const {
+    const auto noisy = response(helper, freqs);
+    return noisy && ecc::BlockEcc(code_).decodes_to(*noisy, helper.ecc, expected);
 }
 
 helperdata::Nvm serialize(const MaskedChainHelper& helper) {
@@ -285,13 +316,25 @@ core::ReconstructResult OverlapChainPuf::reconstruct(const OverlapChainHelper& h
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
+std::optional<std::span<const std::uint64_t>> OverlapChainPuf::response(
+    const OverlapChainHelper& helper, std::span<const double> freqs) const {
+    if (!helper_consistent(helper)) return std::nullopt;
+    return packed_response(
+        pairs_, scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta));
+}
+
 core::ReconstructResult OverlapChainPuf::reconstruct_measured(const OverlapChainHelper& helper,
                                                               const sim::Condition&,
                                                               std::span<const double> freqs) const {
-    if (!helper_consistent(helper)) return {};
-    const auto resid =
-        scan_residuals(array_->geometry(), freqs, config_.distiller_degree, helper.beta);
-    return regenerate(code_, pairs_, resid, helper.ecc);
+    const auto noisy = response(helper, freqs);
+    if (!noisy) return {};
+    return regenerate(code_, *noisy, helper.ecc);
+}
+
+bool OverlapChainPuf::accepts(const OverlapChainHelper& helper, const sim::Condition&,
+                              std::span<const double> freqs, const bits::BitVec& expected) const {
+    const auto noisy = response(helper, freqs);
+    return noisy && ecc::BlockEcc(code_).decodes_to(*noisy, helper.ecc, expected);
 }
 
 helperdata::Nvm serialize(const OverlapChainHelper& helper) {

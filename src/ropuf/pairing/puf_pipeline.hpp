@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -100,11 +101,24 @@ public:
                                                  const sim::Condition& condition,
                                                  std::span<const double> freqs) const;
 
+    /// The oracle's verdict from a supplied scan: true iff
+    /// reconstruct_measured would return ok and exactly `expected`, decided
+    /// by distance (BlockEcc::decodes_to) without decoding or building a key.
+    bool accepts(const SeqPairingHelper& helper, const sim::Condition& condition,
+                 std::span<const double> freqs, const bits::BitVec& expected) const;
+
     const sim::RoArray& array() const { return *array_; }
     const SeqPairingConfig& config() const { return config_; }
     const ecc::BchCode& code() const { return code_; }
 
 private:
+    /// The response stage reconstruct_measured and accepts share: every
+    /// structural check, then the response bits of `freqs`, packed into
+    /// per-thread scratch (valid until the thread's next regeneration);
+    /// nullopt when a check fails.
+    std::optional<std::span<const std::uint64_t>> response(const SeqPairingHelper& helper,
+                                                           std::span<const double> freqs) const;
+
     const sim::RoArray* array_;
     SeqPairingConfig config_;
     ecc::BchCode code_;
@@ -156,6 +170,11 @@ public:
     core::ReconstructResult reconstruct_measured(const MaskedChainHelper& helper,
                                                  const sim::Condition& condition,
                                                  std::span<const double> freqs) const;
+    /// The oracle's verdict from a supplied scan: true iff
+    /// reconstruct_measured would return ok and exactly `expected`, decided
+    /// by distance (BlockEcc::decodes_to) without decoding or building a key.
+    bool accepts(const MaskedChainHelper& helper, const sim::Condition& condition,
+                 std::span<const double> freqs, const bits::BitVec& expected) const;
 
     /// The fixed base pair set the masking selects from (disjoint chain).
     const std::vector<helperdata::IndexPair>& base_pairs() const { return base_pairs_; }
@@ -170,6 +189,13 @@ private:
     /// (nothing is thrown).
     bool checked_selection(const MaskedChainHelper& helper,
                            std::vector<helperdata::IndexPair>& selected) const;
+
+    /// The response stage reconstruct_measured and accepts share: every
+    /// structural check, then the response bits of `freqs`, packed into
+    /// per-thread scratch (valid until the thread's next regeneration);
+    /// nullopt when a check fails.
+    std::optional<std::span<const std::uint64_t>> response(const MaskedChainHelper& helper,
+                                                           std::span<const double> freqs) const;
 
     const sim::RoArray* array_;
     MaskedChainConfig config_;
@@ -221,6 +247,11 @@ public:
     core::ReconstructResult reconstruct_measured(const OverlapChainHelper& helper,
                                                  const sim::Condition& condition,
                                                  std::span<const double> freqs) const;
+    /// The oracle's verdict from a supplied scan: true iff
+    /// reconstruct_measured would return ok and exactly `expected`, decided
+    /// by distance (BlockEcc::decodes_to) without decoding or building a key.
+    bool accepts(const OverlapChainHelper& helper, const sim::Condition& condition,
+                 std::span<const double> freqs, const bits::BitVec& expected) const;
 
     /// The N-1 overlapping pairs; every one contributes a key bit.
     const std::vector<helperdata::IndexPair>& pairs() const { return pairs_; }
@@ -229,6 +260,13 @@ public:
     const ecc::BchCode& code() const { return code_; }
 
 private:
+    /// The response stage reconstruct_measured and accepts share: every
+    /// structural check, then the response bits of `freqs`, packed into
+    /// per-thread scratch (valid until the thread's next regeneration);
+    /// nullopt when a check fails.
+    std::optional<std::span<const std::uint64_t>> response(const OverlapChainHelper& helper,
+                                                           std::span<const double> freqs) const;
+
     const sim::RoArray* array_;
     OverlapChainConfig config_;
     ecc::BchCode code_;

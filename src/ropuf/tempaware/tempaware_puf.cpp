@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 
 namespace ropuf::tempaware {
 
@@ -129,27 +130,26 @@ core::ReconstructResult TempAwarePuf::reconstruct(const TempAwareHelper& helper,
     return reconstruct_measured(helper, condition, array_->measure_all(condition, rng));
 }
 
-core::ReconstructResult TempAwarePuf::reconstruct_measured(
+std::optional<std::span<const std::uint64_t>> TempAwarePuf::response(
     const TempAwareHelper& helper, const sim::Condition& condition,
     std::span<const double> freqs) const {
     // One walk over the pairs runs every structural check (the pair-index
     // bounds of helper_consistent, the assisting and masking references)
-    // while it writes the response bits, packed, into per-thread buffers
-    // that only grow. Any failed check fails safely before the ECC runs.
+    // while it writes the response bits, packed, into a per-thread buffer
+    // that only grows; the length checks follow. Any failed check fails
+    // safely before the ECC runs.
     thread_local std::vector<std::uint64_t> noisy;
-    thread_local std::vector<std::uint64_t> corrected;
-    if (helper.records.size() != helper.pairs.size()) return {};
+    if (helper.records.size() != helper.pairs.size()) return std::nullopt;
     const double temperature_c = condition.temperature_c;
     const int n_pairs = static_cast<int>(helper.pairs.size());
     const auto in_range = [&](int p) {
         const auto [a, b] = helper.pairs[static_cast<std::size_t>(p)];
         return a >= 0 && a < array_->count() && b >= 0 && b < array_->count();
     };
-    const std::size_t words = bits::word_count(helper.pairs.size());
-    noisy.assign(words, 0);
+    noisy.assign(bits::word_count(helper.pairs.size()), 0);
     std::size_t bit = 0;
     for (int p = 0; p < n_pairs; ++p) {
-        if (!in_range(p)) return {};
+        if (!in_range(p)) return std::nullopt;
         const auto& rec = helper.records[static_cast<std::size_t>(p)];
         std::uint8_t value = 0;
         if (rec.cls == PairClass::Good) {
@@ -163,8 +163,8 @@ core::ReconstructResult TempAwarePuf::reconstruct_measured(
             // trusts the stored indices blindly.
             const int h = rec.helper_pair;
             const int g = rec.mask_pair;
-            if (h < 0 || h >= n_pairs || g < 0 || g >= n_pairs || h == p) return {};
-            if (!in_range(h) || !in_range(g)) return {};
+            if (h < 0 || h >= n_pairs || g < 0 || g >= n_pairs || h == p) return std::nullopt;
+            if (!in_range(h) || !in_range(g)) return std::nullopt;
             value = direct_bit(freqs, helper, h, temperature_c) ^
                     direct_bit(freqs, helper, g, temperature_c);
         }
@@ -172,15 +172,33 @@ core::ReconstructResult TempAwarePuf::reconstruct_measured(
         ++bit;
     }
 
-    if (helper.ecc.response_bits != static_cast<int>(bit)) return {};
-    const ecc::BlockEcc block_ecc(code_);
+    if (helper.ecc.response_bits != static_cast<int>(bit)) return std::nullopt;
     if (static_cast<int>(helper.ecc.parity.size()) !=
-        block_ecc.helper_bits(helper.ecc.response_bits)) {
-        return {};
+        ecc::BlockEcc(code_).helper_bits(helper.ecc.response_bits)) {
+        return std::nullopt;
     }
-    corrected.resize(words);
-    const auto rec = block_ecc.reconstruct(noisy, helper.ecc, corrected);
-    return {rec.ok, bits::unpack_words(corrected, bit), rec.corrected};
+    return noisy;
+}
+
+core::ReconstructResult TempAwarePuf::reconstruct_measured(
+    const TempAwareHelper& helper, const sim::Condition& condition,
+    std::span<const double> freqs) const {
+    // The key is the ECC-corrected response: the assisting and masking
+    // rules already ran in the response stage.
+    thread_local std::vector<std::uint64_t> corrected;
+    const auto noisy = response(helper, condition, freqs);
+    if (!noisy) return {};
+    corrected.resize(noisy->size());
+    const auto rec = ecc::BlockEcc(code_).reconstruct(*noisy, helper.ecc, corrected);
+    return {rec.ok,
+            bits::unpack_words(corrected, static_cast<std::size_t>(helper.ecc.response_bits)),
+            rec.corrected};
+}
+
+bool TempAwarePuf::accepts(const TempAwareHelper& helper, const sim::Condition& condition,
+                           std::span<const double> freqs, const bits::BitVec& expected) const {
+    const auto noisy = response(helper, condition, freqs);
+    return noisy && ecc::BlockEcc(code_).decodes_to(*noisy, helper.ecc, expected);
 }
 
 int TempAwarePuf::key_position(const TempAwareHelper& helper, int pair_index) {

@@ -25,6 +25,7 @@
 // r_candidate != r_h).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -114,6 +115,12 @@ public:
                                                  const sim::Condition& condition,
                                                  std::span<const double> freqs) const;
 
+    /// The oracle's verdict from a supplied scan: true iff
+    /// reconstruct_measured would return ok and exactly `expected`, decided
+    /// by distance (BlockEcc::decodes_to) without decoding or building a key.
+    bool accepts(const TempAwareHelper& helper, const sim::Condition& condition,
+                 std::span<const double> freqs, const bits::BitVec& expected) const;
+
     /// Key-bit position of pair `pair_index` given a helper's records
     /// (-1 when the pair carries no key bit). The layout is shared knowledge:
     /// kept pairs contribute bits in pair-index order.
@@ -128,6 +135,15 @@ public:
     const ecc::BchCode& code() const { return code_; }
 
 private:
+    /// The response stage reconstruct_measured and accepts share: every
+    /// structural check, then the response bits at the condition's
+    /// temperature (crossover compensation and masked assistance applied),
+    /// packed into per-thread scratch (valid until the thread's next
+    /// regeneration); nullopt when a check fails.
+    std::optional<std::span<const std::uint64_t>> response(const TempAwareHelper& helper,
+                                                           const sim::Condition& condition,
+                                                           std::span<const double> freqs) const;
+
     /// Resolves the bit of pair `p` with the outside-interval rule only
     /// (sign at T, inverted for a cooperating record with T > Th).
     static std::uint8_t direct_bit(std::span<const double> freqs,

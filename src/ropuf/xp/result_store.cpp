@@ -390,10 +390,16 @@ std::string render_report(const std::vector<JobRecord>& all_records) {
         }
     }
 
+    // The scenario column fits the longest name (24 at least), so rows like
+    // maskedchain/distiller-adaptive stay in line with the header.
+    int name_width = 24;
+    for (const auto& r : records) {
+        name_width = std::max(name_width, static_cast<int>(r.scenario.size()));
+    }
     std::string out;
-    char buf[256];
-    std::snprintf(buf, sizeof buf, "%-24s %-28s %7s %8s %10s %10s %10s %15s\n", "scenario",
-                  "point", "trials", "success", "queries", "q-p95", "accuracy",
+    char buf[512];
+    std::snprintf(buf, sizeof buf, "%-*s %-28s %7s %8s %10s %10s %10s %15s\n", name_width,
+                  "scenario", "point", "trials", "success", "queries", "q-p95", "accuracy",
                   "rec/gu/bx/rd/lo");
     out += buf;
     for (const auto& r : records) {
@@ -425,8 +431,8 @@ std::string render_report(const std::vector<JobRecord>& all_records) {
         std::snprintf(outcomes, sizeof outcomes, "%d/%d/%d/%d/%d", r.outcomes.recovered,
                       r.outcomes.gave_up, r.outcomes.budget_exhausted,
                       r.outcomes.refused_by_defense, r.outcomes.locked_out);
-        std::snprintf(buf, sizeof buf, "%-24s %-28s %7d %8.3f %10.1f %10.0f %10.3f %15s\n",
-                      r.scenario.c_str(), point.c_str(), r.trials, r.success_rate,
+        std::snprintf(buf, sizeof buf, "%-*s %-28s %7d %8.3f %10.1f %10.0f %10.3f %15s\n",
+                      name_width, r.scenario.c_str(), point.c_str(), r.trials, r.success_rate,
                       r.queries.mean, r.queries.p95, r.mean_accuracy, outcomes);
         out += buf;
     }
@@ -448,12 +454,12 @@ std::string render_report(const std::vector<JobRecord>& all_records) {
         roll.query_sum += r.queries.mean * static_cast<double>(r.trials);
     }
     out += '\n';
-    std::snprintf(buf, sizeof buf, "%-24s %7s %8s %10s %12s\n", "scenario (rollup)", "points",
-                  "trials", "success", "mean q");
+    std::snprintf(buf, sizeof buf, "%-*s %7s %8s %10s %12s\n", name_width, "scenario (rollup)",
+                  "points", "trials", "success", "mean q");
     out += buf;
     for (const auto& [name, roll] : rollups) {
         const double trials = std::max(1.0, static_cast<double>(roll.trials));
-        std::snprintf(buf, sizeof buf, "%-24s %7d %8lld %10.3f %12.1f\n", name.c_str(),
+        std::snprintf(buf, sizeof buf, "%-*s %7d %8lld %10.3f %12.1f\n", name_width, name.c_str(),
                       roll.points, roll.trials, roll.recovered / trials,
                       roll.query_sum / trials);
         out += buf;

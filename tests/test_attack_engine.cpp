@@ -55,7 +55,7 @@ void expect_roundtrip(const Puf& puf, std::uint64_t seed, std::string_view expec
 
     attack::Victim<Puf> victim(puf, enrollment.key, seed);
     auto oracle = attack::make_oracle(victim);
-    EXPECT_FALSE(oracle.evaluate_one(core::Probe{honest, std::nullopt}))
+    EXPECT_FALSE(oracle.evaluate_one(core::Probe{honest, nullptr}))
         << expected_kind << ": the honest helper did not regenerate the key";
     const auto after_honest = oracle.stats();
     EXPECT_EQ(after_honest.queries, 1);
@@ -64,7 +64,7 @@ void expect_roundtrip(const Puf& puf, std::uint64_t seed, std::string_view expec
 
     auto bytes = honest.bytes();
     bytes.resize(bytes.size() / 2);
-    EXPECT_TRUE(oracle.evaluate_one(core::Probe{helperdata::Nvm(std::move(bytes)), std::nullopt}))
+    EXPECT_TRUE(oracle.evaluate_one(core::Probe{helperdata::Nvm(std::move(bytes)), nullptr}))
         << expected_kind << ": a truncated blob was accepted";
     const auto after_truncated = oracle.stats();
     EXPECT_EQ(after_truncated.queries, 2);

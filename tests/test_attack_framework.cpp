@@ -166,8 +166,10 @@ TEST(Oracle, ReprogramModeComparesAttackerKey) {
     const auto enrollment = puf.enroll(rng);
     Victim<SeqPuf> victim(puf, 276);
     const auto verdicts = make_oracle(victim).evaluate(
-        std::vector{make_probe<SeqPuf>(enrollment.helper, enrollment.key),
-                    make_probe<SeqPuf>(enrollment.helper, bits::complement(enrollment.key))});
+        std::vector{make_probe<SeqPuf>(enrollment.helper,
+                                       std::make_shared<const bits::BitVec>(enrollment.key)),
+                    make_probe<SeqPuf>(enrollment.helper, std::make_shared<const bits::BitVec>(
+                                                              bits::complement(enrollment.key)))});
     ASSERT_EQ(verdicts.size(), 2u);
     EXPECT_FALSE(verdicts[0]);
     EXPECT_TRUE(verdicts[1]);

@@ -257,8 +257,9 @@ TEST(GroupAttack, ComparatorMatchesEnrollmentResiduals) {
         for (int attempt = 0; attempt < cfg.max_retries && !hi_greater; ++attempt) {
             for (int h = 0; h < 2 && !hi_greater; ++h) {
                 for (int q = 0; q < cfg.majority_wins && !hi_greater; ++q) {
-                    const auto probe =
-                        make_probe<GroupBasedPuf>(instance.helper[h], instance.expected_key[h]);
+                    const auto probe = make_probe<GroupBasedPuf>(
+                        instance.helper[h],
+                        std::make_shared<const bits::BitVec>(instance.expected_key[h]));
                     if (!oracle.evaluate_one(probe)) hi_greater = h == 1;
                 }
             }

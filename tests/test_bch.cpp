@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "block_ecc_bits.hpp"
@@ -353,6 +355,44 @@ TEST_P(BchLargeParam, MultiWordParityAndDecodeMatchReference) {
 INSTANTIATE_TEST_SUITE_P(LargeT, BchLargeParam,
                          ::testing::Values(LargeCode{12, 20}, LargeCode{12, 70},
                                            LargeCode{13, 40}, LargeCode{14, 50}));
+
+TEST(BchParityWords, OneWordRegisterMatchesReferenceForEveryCodeUpToM10) {
+    // parity_bits() <= 64 keeps the whole remainder in one register; more
+    // spans several words (BchLargeParam checks that path against the same
+    // reference). Every (m, t) with m = 3..10 whose parity fits one word:
+    // edge messages and random ones, one of each alignment of k modulo 8.
+    Xoshiro256pp rng(97);
+    int codes = 0;
+    for (int m = 3; m <= 10; ++m) {
+        for (int t = 1;; ++t) {
+            std::optional<BchCode> built;
+            try {
+                built.emplace(m, t);
+            } catch (const std::invalid_argument&) {
+                break; // no message bits left
+            }
+            const BchCode& code = *built;
+            if (code.parity_bits() > 64) break;
+            ++codes;
+            const auto k = static_cast<std::size_t>(code.k());
+            std::vector<bits::BitVec> messages{bits::BitVec(k, 0), bits::BitVec(k, 1)};
+            for (std::size_t i = 0; i < k; i += std::max<std::size_t>(1, k / 7)) {
+                messages.emplace_back(k, 0).at(i) = 1;
+            }
+            for (int r = 0; r < 24; ++r) messages.push_back(bits::random_bits(k, rng));
+            std::vector<std::uint64_t> msg(bits::word_count(k));
+            std::vector<std::uint64_t> par(1);
+            for (const auto& message : messages) {
+                bits::pack_words(message, msg);
+                code.parity_words(msg, par);
+                ASSERT_EQ(bits::unpack_words(par, static_cast<std::size_t>(code.parity_bits())),
+                          reference_parity(code, message))
+                    << "m=" << m << " t=" << t << " message " << bits::to_string(message);
+            }
+        }
+    }
+    EXPECT_GE(codes, 30);
+}
 
 // ---------------------------------------------------------------------------
 // BlockEcc on packed words against the byte-per-bit block manager it

@@ -41,7 +41,7 @@ private:
 };
 
 Probe probe_with(std::uint8_t first_byte) {
-    return {Nvm(std::vector<std::uint8_t>{first_byte, 0xab, 0xcd}), std::nullopt};
+    return {Nvm(std::vector<std::uint8_t>{first_byte, 0xab, 0xcd}), nullptr};
 }
 
 // ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ void expect_device_survives(const Puf& puf, const bits::BitVec& key,
     const auto validator = attack::make_sanity_validator(puf);
     std::vector<core::Probe> probes;
     for (const auto& nvm : corpus) {
-        probes.push_back(core::Probe{nvm, std::nullopt});
+        probes.push_back(core::Probe{nvm, nullptr});
         std::optional<typename Traits::Helper> helper;
         try {
             helper = Traits::parse(nvm);
@@ -299,7 +299,7 @@ TEST_P(FuzzSeeds, ForgedCountFieldCannotDriveAllocation) {
     attack::Victim<group::GroupBasedPuf> victim(puf, enrollment.key, GetParam());
     std::vector<bool> verdicts;
     EXPECT_NO_THROW(victim.evaluate_probes(
-        std::vector<core::Probe>{core::Probe{forged_nvm, std::nullopt}}, verdicts));
+        std::vector<core::Probe>{core::Probe{forged_nvm, nullptr}}, verdicts));
     EXPECT_EQ(verdicts, std::vector<bool>{true});
 
     // Bit counts within 7 of 2^32 must not round up to zero payload bytes:

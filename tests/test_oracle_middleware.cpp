@@ -59,7 +59,7 @@ TEST(OracleMiddleware, BatchedAndSequentialEvaluationAgreeExactly) {
     for (int i = 0; i < 6; ++i) probes.push_back(rig.probe(static_cast<std::uint8_t>(i & 1)));
     // A malformed blob mid-batch: observable refusal, no measurement, and no
     // RNG consumption — the batch path must keep later probes aligned.
-    probes.insert(probes.begin() + 3, core::Probe{helperdata::Nvm({1, 2, 3}), std::nullopt});
+    probes.insert(probes.begin() + 3, core::Probe{helperdata::Nvm({1, 2, 3}), nullptr});
 
     auto victim_batch = rig.victim();
     auto victim_seq = rig.victim();

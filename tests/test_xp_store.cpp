@@ -360,6 +360,37 @@ TEST(ResultStore, CompletedJobIdsFiltersBySpecHash) {
     std::remove(path.c_str());
 }
 
+TEST(ResultStore, ReportColumnsLineUpWithLongScenarioNames) {
+    // Names past 24 characters widen the scenario column instead of pushing
+    // the rest of their row out of line with the header.
+    std::vector<xp::JobRecord> records;
+    for (const char* name : {"seqpair/swap", "maskedchain/distiller-adaptive",
+                             "overlapchain/distiller-defended"}) {
+        xp::JobRecord r = sample_record();
+        r.scenario = name;
+        r.params = core::ScenarioParams{};
+        r.root_seed = 7;
+        records.push_back(r);
+    }
+    std::istringstream report(xp::render_report(records));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(report, line);) lines.push_back(line);
+    ASSERT_GE(lines.size(), 9u);
+    // Header plus one row per record, then a blank line, then the rollup's
+    // header plus one row per scenario: every column is fixed-width, so
+    // each table's lines are exactly as long as its header.
+    for (std::size_t i = 1; i <= records.size(); ++i) {
+        EXPECT_EQ(lines[i].size(), lines[0].size()) << lines[i];
+        EXPECT_EQ(lines[i].find(records[i - 1].scenario + " "), 0u) << lines[i];
+    }
+    EXPECT_EQ(lines[0].find(" point"), std::string("overlapchain/distiller-defended").size());
+    EXPECT_TRUE(lines[records.size() + 1].empty());
+    const std::size_t rollup = records.size() + 2;
+    for (std::size_t i = rollup + 1; i <= rollup + records.size(); ++i) {
+        EXPECT_EQ(lines[i].size(), lines[rollup].size()) << lines[i];
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Executor: interruption + resume == one uninterrupted run — on one worker
 // and on a four-worker pool that runs several jobs' trials at once.
