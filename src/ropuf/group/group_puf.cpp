@@ -306,7 +306,7 @@ bool GroupBasedPuf::accepts(const GroupPufHelper& helper, const sim::Condition&,
         // bit = b precedes a. With label l at bit g-1-l of a mask, the labels
         // placed before a, masked to those above a, are exactly those bits,
         // in order.
-        std::array<std::uint32_t, kMaxCompactGroup> before{};
+        std::array<std::uint32_t, 32> before{}; // one per bit of a label mask
         std::uint32_t left = (std::uint32_t{1} << g) - 1; // bit l: label l not yet placed
         std::uint32_t placed = 0;                         // bit g-1-l: label l placed
         for (int r = 0; r < g; ++r) {
@@ -316,6 +316,7 @@ bool GroupBasedPuf::accepts(const GroupPufHelper& helper, const sim::Condition&,
             rank -= static_cast<std::uint64_t>(digit) * f;
             std::uint32_t candidates = left;
             for (; digit > 0; --digit) candidates &= candidates - 1;
+            if (candidates == 0) return false; // unreachable: digit < labels left
             const int label = std::countr_zero(candidates);
             before[static_cast<std::size_t>(label)] = placed;
             left &= ~(std::uint32_t{1} << label);
